@@ -8,7 +8,8 @@ the files byte for byte regardless of the worker count.
 
 The ensemble loop is parallelized across processes when the
 BEAMCHAN_WORKERS environment variable is set to a number above one;
-results do not depend on it.
+results do not depend on it, and a value that is not a positive integer
+is an error.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bdcm import bdcm_matrix, draw_bdcm_phases
-from .clusters import initial_clusters
+from .clusters import evolve_array
 from .complexity import complexity_sweep
 from .config import (
     PRESET_NAMES,
@@ -32,6 +33,8 @@ from .config import (
 )
 from .gbsm import draw_gbsm_phases, gbsm_matrix
 from .statistics import (
+    _STREAM_ARRAY,
+    _STREAM_PHASE,
     CorrelationSeries,
     _member_state,
     _stream,
@@ -201,11 +204,18 @@ def _load(args) -> SimulationConfig:
     return cfg.with_values(**updates) if updates else cfg
 
 
+def _simulate_clusters(config: SimulationConfig, t: float):
+    """Cluster set of member 0 at time t, evolved along both arrays."""
+    clusters = _member_state(config, config.seed, 0, t)
+    return evolve_array(clusters, config.array, config.evolution,
+                        _stream(config.seed, 0, _STREAM_ARRAY), config=config)
+
+
 def _cmd_simulate(args) -> int:
     config = _load(args)
     t = float(args.time)
-    clusters = _member_state(config, config.seed, 0, t)
-    rng = _stream(config.seed, 0, 3)
+    clusters = _simulate_clusters(config, t)
+    rng = _stream(config.seed, 0, _STREAM_PHASE)
     written = []
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

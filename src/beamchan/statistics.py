@@ -76,6 +76,7 @@ _STREAM_INIT = 0
 _STREAM_EVOLVE = 1
 _STREAM_BUDGET = 2
 _STREAM_PHASE = 3
+_STREAM_ARRAY = 4
 
 
 @dataclass(frozen=True)
@@ -157,12 +158,20 @@ def _pair_gate(chain, hazard: np.ndarray) -> np.ndarray:
 
 
 class _LagContext:
-    """Precomputed per-call quantities shared by all ensemble members."""
+    """Precomputed per-call quantities shared by all ensemble members.
+
+    The phasor tables depend on the lags through (dT, dR, dL) only, so
+    they are built over the distinct columns of that triple, in
+    first-occurrence order, and scattered back to the full lag grid
+    through ``column``.  Beam-domain tables depend on the cluster only
+    through its delay slot and are cached per slot.
+    """
 
     def __init__(self, config, model, lag_tx, lag_rx, lag_freq, lag_time):
         arr = config.array
         self.config = config
         self.model = model
+        self.sampled = config.estimator_mode == "sampled"
         self.wn = TWO_PI / config.wavelength
         self.dT, self.dR, self.dW, self.dL = _broadcast_lags(
             lag_tx, lag_rx, lag_freq, lag_time)
@@ -173,15 +182,19 @@ class _LagContext:
             raise ValueError("receive spacing lag needs at least two receive antennas")
         if np.any(self.dT < 0) or np.any(self.dR < 0):
             raise ValueError("spacing lags must be non-negative")
-        self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, self.dT)
-        self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, self.dR)
+        distinct: dict[tuple, int] = {}
+        self.column = np.array([distinct.setdefault(key, len(distinct))
+                                for key in zip(self.dT, self.dR, self.dL)])
+        col_tx, col_rx, self.col_time = (np.array(v) for v in zip(*distinct))
+        self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, col_tx)
+        self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, col_rx)
         hz = config.evolution.death_rate / config.evolution.array_decorrelation
         self.hazard_tx = hz * self.dT
         self.hazard_rx = hz * self.dR
         self.decay = time_decay_rate(config.evolution)
         self.kfac = config.rician_k
-        # beam geometry is cluster-delay dependent; cache per delay slot
-        self._beam_cache: dict[int, tuple] = {}
+        self._slot_cache: dict[int, tuple] = {}
+        self._freq_cache: dict[int, np.ndarray] = {}
         self._angles = virtual_angles(config.num_beams) if model == "bdcm" else None
         # direct-path per-lag geometry is cluster independent
         if self.kfac > 0:
@@ -189,27 +202,64 @@ class _LagContext:
         else:
             self._los = None
 
-    def ray_geometry(self, occ):
-        """(angles, weights, d_tx, d_rx, aod) for one cluster."""
-        ell = cluster_ellipse(occ, self.config)
+    def paths(self, occ):
+        """(weights, doppler, tables) of one cluster's rays or beams."""
         if self.model == "gbsm":
+            ell = cluster_ellipse(occ, self.config)
             ang = occ.ray_aoas
-            wts = np.full(ang.size, 1.0 / ang.size)
             d_rx = rx_focal_distance(ang, ell)
-            aod = aod_from_aoa(ang, ell)
-            return ang, wts, 2.0 * ell.semi_major - d_rx, d_rx, aod
-        cached = self._beam_cache.get(occ.slot)
+            doppler, tables = self._tables(ang, 2.0 * ell.semi_major - d_rx,
+                                           d_rx, aod_from_aoa(ang, ell))
+            return np.full(ang.size, 1.0 / ang.size), doppler, tables
+        cached = self._slot_cache.get(occ.slot)
         if cached is None:
+            ell = cluster_ellipse(occ, self.config)
             d_rx = rx_focal_distance(self._angles, ell)
             grid = VirtualAngleGrid(num_beams=self.config.num_beams,
                                     aoa=self._angles,
                                     aod=aod_from_aoa(self._angles, ell))
-            cached = (grid, 2.0 * ell.semi_major - d_rx, d_rx)
-            self._beam_cache[occ.slot] = cached
-        grid, d_tx, d_rx = cached
+            cached = (grid, *self._tables(self._angles,
+                                          2.0 * ell.semi_major - d_rx, d_rx,
+                                          grid.aod))
+            self._slot_cache[occ.slot] = cached
+        grid, doppler, tables = cached
         wts = beam_weights(occ.mean_aoa, self.config.kappa, grid,
                            self.config.beam_weighting)
-        return self._angles, wts, d_tx, d_rx, grid.aod
+        return wts, doppler, tables
+
+    def _tables(self, ang, d_tx, d_rx, aod):
+        """Per-path Doppler and phasor tables over the distinct lag columns.
+
+        Analytic mode gives one (paths, columns) table exp(1j*dphase) of
+        the reference-minus-probe phase.  Sampled mode gives the reference
+        and probe geometry phasors; the per-path phases and the Doppler
+        rotation at t enter later as a diagonal.  The time-lag Doppler
+        rotation is part of the tables in both modes.
+        """
+        cfg = self.config
+        otx_x, otx_y = self.off_tx
+        orx_x, orx_y = self.off_rx
+        tx_x, tx_y = _pair_distances(d_tx, aod, cfg.array.tilt_tx, otx_x, otx_y)
+        rx_x, rx_y = _pair_distances(d_rx, ang, cfg.array.tilt_rx, orx_x, orx_y)
+        doppler = cfg.max_doppler * np.cos(ang - cfg.velocity_angle)
+        lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
+        if self.sampled:
+            return doppler, (np.exp(1j * self.wn * (tx_x + rx_x)),
+                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase)))
+        dphase = self.wn * ((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
+        return doppler, np.exp(1j * dphase)
+
+    def freq_factor(self, occ):
+        """Per-lag frequency rotation exp(2j*pi*dW*delay) of one cluster.
+
+        The delay is fixed by the ladder slot, so the factor is cached
+        per slot for both models.
+        """
+        fac = self._freq_cache.get(occ.slot)
+        if fac is None:
+            fac = np.exp(1j * TWO_PI * self.dW * occ.delay)
+            self._freq_cache[occ.slot] = fac
+        return fac
 
     def _los_terms(self):
         """Per-lag phase ingredients of the direct path.
@@ -232,22 +282,22 @@ class _LagContext:
             f_y = los_doppler_from_offsets(otx_y, orx_y, cfg.ellipse,
                                            arr.tilt_tx, arr.tilt_rx,
                                            cfg.max_doppler, cfg.velocity_angle)
-            return self.wn * d_x, self.wn * d_y, f_x, f_y
-        # beam-domain direct path: the wave is carried by the beam
-        # pointing back at the transmitter, so the per-antenna phase uses
-        # that beam's scatter point on the first cluster's ellipse
-        ell = cfg.ellipse
-        d_rx_c = np.array([ell.semi_major + ell.focal_half])
-        d_tx_c = np.array([ell.semi_major - ell.focal_half])
-        ang = np.array([math.pi])
-        rx_x, rx_y = _pair_distances(d_rx_c, ang, arr.tilt_rx, orx_x, orx_y)
-        # the departure angle of the beam at pi is pi as well
-        tx_x, tx_y = _pair_distances(d_tx_c, ang, arr.tilt_tx, otx_x, otx_y)
-        f_c = center_los_doppler(cfg)
-        phase_x = self.wn * (rx_x[0] + tx_x[0])
-        phase_y = self.wn * (rx_y[0] + tx_y[0])
-        f = np.full(self.length, f_c)
-        return phase_x, phase_y, f, f
+            terms = (self.wn * d_x, self.wn * d_y, f_x, f_y)
+        else:
+            # beam-domain direct path: the wave is carried by the beam
+            # pointing back at the transmitter, so the per-antenna phase
+            # uses that beam's scatter point on the first cluster's ellipse
+            ell = cfg.ellipse
+            d_rx_c = np.array([ell.semi_major + ell.focal_half])
+            d_tx_c = np.array([ell.semi_major - ell.focal_half])
+            ang = np.array([math.pi])
+            rx_x, rx_y = _pair_distances(d_rx_c, ang, arr.tilt_rx, orx_x, orx_y)
+            # the departure angle of the beam at pi is pi as well
+            tx_x, tx_y = _pair_distances(d_tx_c, ang, arr.tilt_tx, otx_x, otx_y)
+            f = np.full(otx_x.size, center_los_doppler(cfg))
+            terms = (self.wn * (rx_x[0] + tx_x[0]),
+                     self.wn * (rx_y[0] + tx_y[0]), f, f)
+        return tuple(v[self.column] for v in terms)
 
     def los_phasors(self, t: float):
         """Reference/probe direct-path phases at evaluation time t."""
@@ -262,11 +312,9 @@ def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
     """One member's contribution (numerator, |X|^2 term, |Y|^2 term).
 
     In analytic mode the returned triple is the exact conditional
-    expectation over initial phases; in sampled mode (phase_rng given)
-    it is computed from one realized phase draw.
+    expectation over initial phases; in sampled mode it is computed from
+    one realized phase draw taken from phase_rng.
     """
-    cfg = ctx.config
-    arr = cfg.array
     if cluster_index is None:
         members = list(enumerate(clusters))
     else:
@@ -274,7 +322,7 @@ def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
             members = []
         else:
             members = [(cluster_index - 1, clusters[cluster_index - 1])]
-    sampled = phase_rng is not None
+    sampled = ctx.sampled
     if sampled:
         x_tot = np.zeros(ctx.length, dtype=complex)
         y_tot = np.zeros(ctx.length, dtype=complex)
@@ -282,29 +330,21 @@ def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
         v = np.zeros(ctx.length, dtype=complex)
         a = 0.0
         b = np.zeros(ctx.length)
-    otx_x, otx_y = ctx.off_tx
-    orx_x, orx_y = ctx.off_rx
     for pos, occ in members:
-        ang, wts, d_tx_c, d_rx_c, aod = ctx.ray_geometry(occ)
-        tx_x, tx_y = _pair_distances(d_tx_c, aod, arr.tilt_tx, otx_x, otx_y)
-        rx_x, rx_y = _pair_distances(d_rx_c, ang, arr.tilt_rx, orx_x, orx_y)
-        doppler = cfg.max_doppler * np.cos(ang - cfg.velocity_angle)
+        wts, doppler, tables = ctx.paths(occ)
         gate = (_pair_gate(occ.tx_chain, ctx.hazard_tx)
                 & _pair_gate(occ.rx_chain, ctx.hazard_rx)
                 & (budgets[pos] > ctx.decay * ctx.dL))
         p_eff = occ.power / (ctx.kfac + 1.0)
-        freq_fac = np.exp(1j * TWO_PI * ctx.dW * occ.delay)
+        freq_fac = ctx.freq_factor(occ)
         has_los = occ.index == 1 and ctx.kfac > 0
         if sampled:
-            phases = phase_rng.uniform(0.0, TWO_PI, ang.size)
-            amp = np.sqrt(p_eff * wts)
-            ph_x = (ctx.wn * (tx_x + rx_x) + TWO_PI * doppler[:, None] * t
-                    + phases[:, None])
-            ph_y = (ctx.wn * (tx_y + rx_y)
-                    + TWO_PI * doppler[:, None] * (t + ctx.dL)[None, :]
-                    + phases[:, None])
-            x_n = amp @ np.exp(1j * ph_x)
-            y_n = (amp @ np.exp(1j * ph_y)) * gate * np.conj(freq_fac)
+            phases = phase_rng.uniform(0.0, TWO_PI, wts.size)
+            diag = (np.sqrt(p_eff * wts)
+                    * np.exp(1j * (TWO_PI * doppler * t + phases)))
+            ex, ey = tables
+            x_n = (diag @ ex)[ctx.column]
+            y_n = (diag @ ey)[ctx.column] * gate * np.conj(freq_fac)
             if has_los:
                 phi_l = phase_rng.uniform(0.0, TWO_PI)
                 amp_l = math.sqrt(ctx.kfac / (ctx.kfac + 1.0))
@@ -314,9 +354,7 @@ def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
             x_tot += x_n
             y_tot += y_n
         else:
-            dphase = (ctx.wn * ((tx_x - tx_y) + (rx_x - rx_y))
-                      - TWO_PI * doppler[:, None] * ctx.dL[None, :])
-            pa = wts @ np.exp(1j * dphase)
+            pa = (wts @ tables)[ctx.column]
             v += gate * pa * freq_fac * p_eff
             a += p_eff
             b = b + gate * p_eff
@@ -365,12 +403,17 @@ def _accumulate(args):
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("BEAMCHAN_WORKERS", "1")
+    raw = os.environ.get("BEAMCHAN_WORKERS")
+    if raw is None:
+        return 1
     try:
         n = int(raw)
     except ValueError:
-        n = 1
-    return max(1, n)
+        raise ValueError(
+            f"BEAMCHAN_WORKERS must be an integer, got {raw!r}") from None
+    if n < 1:
+        raise ValueError(f"BEAMCHAN_WORKERS must be at least 1, got {n}")
+    return n
 
 
 def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
@@ -471,9 +514,9 @@ def stfcf(config: SimulationConfig, model: str = "gbsm",
           ensemble: int | None = None, seed: int | None = None) -> complex:
     """Joint space-time-frequency correlation at a single lag point.
 
-    The dedicated single-axis estimators are exact restrictions of this
-    one: fixing the other three lags at zero reproduces their values
-    bit for bit under the same seed.
+    The dedicated single-axis estimators are restrictions of this one:
+    fixing the other three lags at zero reproduces their values under
+    the same seed to within 1e-12 (only the summation order differs).
     """
     values, _, _, _ = _estimate(config, model, cluster_index,
                                 np.array([spacing_tx]), np.array([spacing_rx]),

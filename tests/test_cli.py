@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from beamchan.cli import main, run_experiment, write_output
+from beamchan.cli import _simulate_clusters, main, run_experiment, write_output
 from beamchan.config import (
     SimulationConfig,
     config_hash,
@@ -114,6 +114,36 @@ def test_simulate_writes_both_models(tmp_path, capsys):
         assert {(r[0], r[1]) for r in rows} == pairs
         for r in rows:
             float(r[3]), float(r[4]), float(r[5])
+
+
+def test_simulate_covers_the_array_within_visibility(tmp_path):
+    # a short array decorrelation distance leaves clusters visible to
+    # only part of each array, and births at later antennas
+    cfg = dict(SMALL, evolution={"array_decorrelation": 1.0})
+    path = tmp_path / "vis.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--time", "1"]) == 0
+    clusters = _simulate_clusters(load_config(path), 1.0)
+    assert any(len(c.visible_rx) < 4 or len(c.visible_tx) < 4
+               for c in clusters)
+    for m in ("gbsm", "bdcm"):
+        lines = (out / f"simulate_{m}.csv").read_text().splitlines()
+        data = [l for l in lines if not l.startswith("#")]
+        rows = [l.split(",") for l in data[1:]]
+        assert len(rows) == 4 * 4 * len(clusters)
+        nonzero = set()
+        for r in rows:
+            k, l, n = int(r[0]), int(r[1]), int(r[2])
+            c = clusters[n - 1]
+            h = complex(float(r[4]), float(r[5]))
+            if k in c.visible_rx and l in c.visible_tx:
+                assert h != 0
+                nonzero.add((k, l))
+            else:
+                assert h == 0
+        assert len(nonzero) > 1
 
 
 def test_reproduce_fig6_contains_known_row(tmp_path):

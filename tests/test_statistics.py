@@ -11,6 +11,7 @@ from scipy.special import i0, j0
 
 from beamchan.clusters import EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
+from beamchan import statistics
 from beamchan.gbsm import gbsm_matrix
 from beamchan.statistics import (
     CorrelationSeries,
@@ -86,22 +87,34 @@ def test_zero_lag_exact_in_sampled_mode():
     assert s2.values[0] == 1.0 + 0.0j
 
 
-def test_restriction_identities():
-    # the joint estimator restricted to one axis reproduces the dedicated
-    # estimators bit for bit (same member streams)
-    cfg = SimulationConfig()
-    s = space_ccf(cfg, ensemble=120, seed=9)
-    a = time_acf(cfg, ensemble=120, seed=9)
-    f = fcf(cfg, ensemble=120, seed=9)
+def _assert_restrictions(cfg, model):
+    s = space_ccf(cfg, model=model, ensemble=120, seed=9)
+    a = time_acf(cfg, model=model, ensemble=120, seed=9)
+    f = fcf(cfg, model=model, ensemble=120, seed=9)
     for i in (3, 11, 24):
-        pt = stfcf(cfg, spacing_rx=float(s.lag_axis[i]), ensemble=120, seed=9)
+        pt = stfcf(cfg, model=model, spacing_rx=float(s.lag_axis[i]),
+                   ensemble=120, seed=9)
         assert abs(pt - s.values[i]) < 1e-12
-        pt = stfcf(cfg, time_lag=float(a.lag_axis[i]), ensemble=120, seed=9)
+        pt = stfcf(cfg, model=model, time_lag=float(a.lag_axis[i]),
+                   ensemble=120, seed=9)
         assert abs(pt - a.values[i]) < 1e-12
     for i in (5, 20):
-        pt = stfcf(cfg, freq_lag=float(f.lag_axis[i]), cluster_index=None,
-                   ensemble=120, seed=9)
+        pt = stfcf(cfg, model=model, freq_lag=float(f.lag_axis[i]),
+                   cluster_index=None, ensemble=120, seed=9)
         assert abs(pt - f.values[i]) < 1e-12
+
+
+def test_restriction_identities():
+    # the joint estimator restricted to one axis reproduces the dedicated
+    # estimators up to summation order (same member streams)
+    _assert_restrictions(SimulationConfig(), "gbsm")
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+def test_restriction_identities_bdcm(mode):
+    # a single lag point builds one table column per delay slot, the
+    # dedicated estimators build the whole grid; both must agree
+    _assert_restrictions(SimulationConfig(estimator_mode=mode), "bdcm")
 
 
 def test_restriction_identities_sampled_mode():
@@ -121,6 +134,49 @@ def test_determinism_and_model_pairing():
     f_g = fcf(cfg, model="gbsm", ensemble=150, seed=21)
     f_b = fcf(cfg, model="bdcm", ensemble=150, seed=21)
     assert np.max(np.abs(f_g.values - f_b.values)) < 1e-12
+
+
+def _bdcm_curves(cfg):
+    kw = dict(model="bdcm", ensemble=40, seed=43, t=2.0)
+    joint = [stfcf(cfg, spacing_tx=0.05, spacing_rx=0.1, freq_lag=3e6,
+                   time_lag=0.02, cluster_index=c, **kw) for c in (1, None)]
+    return (space_ccf(cfg, **kw).values, time_acf(cfg, **kw).values,
+            fcf(cfg, **kw).values, np.array(joint))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+def test_slot_cache_matches_fresh_context_per_member(monkeypatch, mode, kfac):
+    # a chunk shares its per-slot phasor tables across members; chunks of
+    # one member build every table afresh and are the reference
+    cfg = SimulationConfig(estimator_mode=mode, rician_k=kfac)
+    shared = _bdcm_curves(cfg)
+    monkeypatch.setattr(statistics, "_CHUNK", 1)
+    fresh = _bdcm_curves(cfg)
+    for got, want in zip(shared, fresh):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch):
+    calls = []
+    pair_distances = statistics._pair_distances
+
+    def counting(*args):
+        calls.append(args)
+        return pair_distances(*args)
+
+    monkeypatch.setattr(statistics, "_pair_distances", counting)
+    cfg = SimulationConfig()   # K=0: no direct-path distance grids
+    ensemble, seed = 300, 47
+    fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
+    chunks = [range(s, min(s + statistics._CHUNK, ensemble))
+              for s in range(0, ensemble, statistics._CHUNK)]
+    assert len(chunks) == 2
+    slots = sum(len({c.slot for m in chunk
+                     for c in _member_state(cfg, seed, m, 1.0)})
+                for chunk in chunks)
+    # one table is one transmit and one receive distance grid
+    assert 0 < len(calls) <= 2 * slots
 
 
 # ----------------------------------------------------------------- oracles
@@ -294,9 +350,11 @@ def test_worker_env_does_not_change_results():
     code = (
         "import numpy as np\n"
         "from beamchan.config import SimulationConfig\n"
-        "from beamchan.statistics import time_acf\n"
+        "from beamchan.statistics import fcf, time_acf\n"
         "a = time_acf(SimulationConfig(), ensemble=300, seed=77)\n"
         "print(repr(a.values.tobytes().hex()))\n"
+        "f = fcf(SimulationConfig(), model='bdcm', ensemble=300, seed=77)\n"
+        "print(repr(f.values.tobytes().hex()))\n"
     )
     outs = []
     for workers in ("1", "2"):
@@ -305,3 +363,10 @@ def test_worker_env_does_not_change_results():
                              capture_output=True, text=True, check=True)
         outs.append(res.stdout.strip())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_worker_env_raises_naming_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("BEAMCHAN_WORKERS", raw)
+    with pytest.raises(ValueError, match="BEAMCHAN_WORKERS"):
+        space_ccf(SimulationConfig(), ensemble=1, seed=1)
