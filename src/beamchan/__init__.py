@@ -6,135 +6,39 @@ a beam-domain model built on a fixed virtual-angle grid.  Cluster
 visibility evolves along the array and time axes through a birth-death
 process.  Monte-Carlo correlation estimators and exact operation-count
 formulas round out the package.
+
+The top level exports the documented entry points; everything else is
+reachable through its submodule (``beamchan.geometry``,
+``beamchan.bdcm`` and so on).
 """
 __version__ = "0.1.0"
 
-from .geometry import (
-    SPEED_OF_LIGHT,
-    ArrayConfig,
-    EllipseConfig,
-    GeometryError,
-    VirtualAngleGrid,
-    antenna_distance_rx,
-    antenna_distance_tx,
-    aod_from_aoa,
-    center_distances,
-    los_doppler,
-    los_geometry,
-    nearest_beam,
-    virtual_angles,
-)
-from .clusters import (
-    Cluster,
-    EvolutionConfig,
-    array_survival,
-    evolve_array,
-    evolve_time,
-    initial_clusters,
-    time_decay_rate,
-    time_survival,
-)
-from .config import (
-    PRESET_NAMES,
-    SimulationConfig,
-    config_hash,
-    load_config,
-    loads_config,
-    preset,
-    save_config,
-)
-from .gbsm import (
-    ChannelRealization,
-    PhaseDraw,
-    draw_gbsm_phases,
-    gbsm_coefficient,
-    gbsm_matrix,
-)
-from .bdcm import (
-    BeamDomainChannel,
-    ResponseMatrix,
-    assemble_antenna_domain,
-    bdcm_matrix,
-    beam_domain_entries,
-    beam_weights,
-    draw_bdcm_phases,
-    los_beam_index,
-    response_matrix_rx,
-    response_matrix_tx,
-)
-from .statistics import (
-    CorrelationSeries,
-    fcf,
-    space_ccf,
-    stfcf,
-    time_acf,
-    transfer_function,
-)
-from .complexity import (
-    ComplexityReport,
-    complexity_sweep,
-    ro_bdcm,
-    ro_bdcm_split,
-    ro_gbsm,
-)
-from .cli import ExperimentOutput, run_experiment, write_output
+from .geometry import ArrayConfig, EllipseConfig
+from .clusters import EvolutionConfig, initial_clusters
+from .config import SimulationConfig, load_config, preset, save_config
+from .gbsm import gbsm_matrix
+from .bdcm import bdcm_matrix
+from .statistics import fcf, space_ccf, stfcf, time_acf
+from .complexity import ro_bdcm, ro_gbsm
+from .cli import run_experiment, write_output
 
 __all__ = [
-    "SPEED_OF_LIGHT",
     "ArrayConfig",
-    "BeamDomainChannel",
-    "ChannelRealization",
-    "Cluster",
-    "ComplexityReport",
-    "CorrelationSeries",
     "EllipseConfig",
     "EvolutionConfig",
-    "ExperimentOutput",
-    "GeometryError",
-    "PhaseDraw",
-    "PRESET_NAMES",
-    "ResponseMatrix",
     "SimulationConfig",
-    "VirtualAngleGrid",
-    "antenna_distance_rx",
-    "antenna_distance_tx",
-    "aod_from_aoa",
-    "array_survival",
-    "assemble_antenna_domain",
     "bdcm_matrix",
-    "beam_domain_entries",
-    "beam_weights",
-    "center_distances",
-    "complexity_sweep",
-    "config_hash",
-    "draw_bdcm_phases",
-    "draw_gbsm_phases",
-    "evolve_array",
-    "evolve_time",
     "fcf",
-    "gbsm_coefficient",
     "gbsm_matrix",
     "initial_clusters",
     "load_config",
-    "loads_config",
-    "los_beam_index",
-    "los_doppler",
-    "los_geometry",
-    "nearest_beam",
     "preset",
-    "response_matrix_rx",
-    "response_matrix_tx",
     "ro_bdcm",
-    "ro_bdcm_split",
     "ro_gbsm",
     "run_experiment",
     "save_config",
     "space_ccf",
     "stfcf",
     "time_acf",
-    "time_survival",
-    "time_decay_rate",
-    "transfer_function",
-    "virtual_angles",
     "write_output",
 ]

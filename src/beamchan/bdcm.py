@@ -21,20 +21,18 @@ from .clusters import Cluster
 from .gbsm import ChannelRealization, PhaseDraw, cluster_ellipse
 from .geometry import (
     VirtualAngleGrid,
-    antenna_distance_rx,
-    antenna_distance_tx,
+    antenna_distances,
+    antenna_offset,
+    ellipse_paths,
     nearest_beam,
-    rx_focal_distance,
+    ray_doppler,
 )
 
 __all__ = [
     "ResponseMatrix",
     "BeamDomainChannel",
-    "response_entry_tx",
-    "response_entry_rx",
     "response_matrix_tx",
     "response_matrix_rx",
-    "beam_doppler",
     "center_los_doppler",
     "los_beam_index",
     "beam_weights",
@@ -71,55 +69,34 @@ class BeamDomainChannel:
     cluster_uid: int = 0
 
 
-def _beam_distances(grid: VirtualAngleGrid, ellipse):
-    d_rx = rx_focal_distance(grid.aoa, ellipse)
-    d_tx = 2.0 * ellipse.semi_major - d_rx
-    return d_tx, d_rx
+def _array_distances(center, angles, tilt, count, spacing):
+    """(antennas, beams) distances from every antenna of one array side.
 
-
-def response_entry_tx(l: int, beam: int, grid: VirtualAngleGrid, ellipse,
-                      array, wavelength: float) -> complex:
-    """Unit phasor of the center-minus-antenna path difference at the transmitter."""
-    d_tx, _ = _beam_distances(grid, ellipse)
-    aod = grid.aod[beam - 1]
-    center = d_tx[beam - 1]
-    dist = antenna_distance_tx(center, aod, l, array)
-    return complex(np.exp(1j * TWO_PI / wavelength * (center - dist)))
-
-
-def response_entry_rx(k: int, beam: int, grid: VirtualAngleGrid, ellipse,
-                      array, wavelength: float) -> complex:
-    """Unit phasor of the antenna-minus-center path difference at the receiver."""
-    _, d_rx = _beam_distances(grid, ellipse)
-    aoa = grid.aoa[beam - 1]
-    center = d_rx[beam - 1]
-    dist = antenna_distance_rx(center, aoa, k, array)
-    return complex(np.exp(1j * TWO_PI / wavelength * (dist - center)))
+    Returned C-ordered: the rounding of the assembly product can depend
+    on the layout of its operands.
+    """
+    offsets = antenna_offset(np.arange(1, count + 1), count, spacing)
+    return np.ascontiguousarray(antenna_distances(center, angles, tilt, offsets).T)
 
 
 def response_matrix_tx(grid: VirtualAngleGrid, ellipse, array,
                        wavelength: float) -> ResponseMatrix:
-    d_tx, _ = _beam_distances(grid, ellipse)
-    rows = []
-    for l in range(1, array.num_tx + 1):
-        dist = antenna_distance_tx(d_tx, grid.aod, l, array)
-        rows.append(np.exp(1j * TWO_PI / wavelength * (d_tx - dist)))
-    return ResponseMatrix(entries=np.stack(rows), side="transmit")
+    """Unit phasors of the center-minus-antenna path differences at the transmitter."""
+    _, d_tx, _ = ellipse_paths(grid.aoa, ellipse)
+    dist = _array_distances(d_tx, grid.aod, array.tilt_tx, array.num_tx,
+                            array.spacing_tx)
+    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (d_tx - dist)),
+                          side="transmit")
 
 
 def response_matrix_rx(grid: VirtualAngleGrid, ellipse, array,
                        wavelength: float) -> ResponseMatrix:
-    _, d_rx = _beam_distances(grid, ellipse)
-    rows = []
-    for k in range(1, array.num_rx + 1):
-        dist = antenna_distance_rx(d_rx, grid.aoa, k, array)
-        rows.append(np.exp(1j * TWO_PI / wavelength * (dist - d_rx)))
-    return ResponseMatrix(entries=np.stack(rows), side="receive")
-
-
-def beam_doppler(beam: int, grid: VirtualAngleGrid, config) -> float:
-    """Doppler shift of beam ``beam`` (1-based)."""
-    return config.max_doppler * math.cos(grid.aoa[beam - 1] - config.velocity_angle)
+    """Unit phasors of the antenna-minus-center path differences at the receiver."""
+    _, _, d_rx = ellipse_paths(grid.aoa, ellipse)
+    dist = _array_distances(d_rx, grid.aoa, array.tilt_rx, array.num_rx,
+                            array.spacing_rx)
+    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (dist - d_rx)),
+                          side="receive")
 
 
 def center_los_doppler(config) -> float:
@@ -132,12 +109,11 @@ def center_los_doppler(config) -> float:
     return config.max_doppler * math.cos(beta - config.velocity_angle + inner)
 
 
-def los_beam_index(grid: VirtualAngleGrid, ellipse=None, array=None) -> int:
+def los_beam_index(grid: VirtualAngleGrid) -> int:
     """Beam whose angle is closest to the direct-path arrival direction.
 
     The direct path arrives at the receive center from the transmitter,
-    which sits at angle pi in the package frame regardless of the ellipse;
-    the arguments are accepted for signature stability.
+    which sits at angle pi in the package frame regardless of the ellipse.
     """
     return nearest_beam(math.pi, grid.num_beams)
 
@@ -171,11 +147,11 @@ def beam_domain_entries(cluster: Cluster, t: float, config,
     ellipse = cluster_ellipse(cluster, config)
     if grid is None:
         grid = VirtualAngleGrid.build(config.num_beams, ellipse)
-    d_tx, d_rx = _beam_distances(grid, ellipse)
+    _, d_tx, d_rx = ellipse_paths(grid.aoa, ellipse)
     kfac = config.rician_k
     weights = beam_weights(cluster.mean_aoa, config.kappa, grid,
                            config.beam_weighting)
-    doppler = config.max_doppler * np.cos(grid.aoa - config.velocity_angle)
+    doppler = ray_doppler(grid.aoa, config.max_doppler, config.velocity_angle)
     phase = (TWO_PI * doppler * t + phases.nlos[cluster.uid]
              + TWO_PI / config.wavelength * (d_rx + d_tx))
     nlos_diag = np.sqrt(weights * cluster.power / (kfac + 1.0)) * np.exp(1j * phase)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .bdcm import bdcm_matrix, draw_bdcm_phases
-from .clusters import evolve_array
 from .complexity import complexity_sweep
 from .config import (
     PRESET_NAMES,
@@ -33,19 +32,16 @@ from .config import (
 )
 from .gbsm import draw_gbsm_phases, gbsm_matrix
 from .statistics import (
-    _STREAM_ARRAY,
-    _STREAM_PHASE,
     CorrelationSeries,
-    _member_state,
-    _stream,
     fcf,
+    member_channel_state,
     space_ccf,
     time_acf,
 )
 
 __all__ = ["ExperimentOutput", "run_experiment", "write_output", "main"]
 
-EXPERIMENTS = ("fig3_ccf", "fig4_acf", "fig5_fcf", "fig6_complexity", "custom")
+EXPERIMENTS = ("fig3_ccf", "fig4_acf", "fig5_fcf", "fig6_complexity")
 
 
 @dataclass
@@ -78,7 +74,6 @@ def run_experiment(config: SimulationConfig, experiment: str,
     fig5_fcf   frequency correlation per model, without and with a direct
                path (K=0 and K=3)
     fig6_complexity  the closed-form cost table (no simulation)
-    custom     receive-spacing CCF of the given config as-is
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment '{experiment}'")
@@ -90,7 +85,7 @@ def run_experiment(config: SimulationConfig, experiment: str,
         out.table = complexity_sweep(range(1, 11), config.rays_per_cluster,
                                      20, [20, 200, 400])
         return out
-    if experiment in ("fig3_ccf", "custom"):
+    if experiment == "fig3_ccf":
         grid = np.linspace(0.0, 3.0 * config.wavelength, 31)
         t = config.time_samples[0]
         for m in _models(model):
@@ -204,18 +199,10 @@ def _load(args) -> SimulationConfig:
     return cfg.with_values(**updates) if updates else cfg
 
 
-def _simulate_clusters(config: SimulationConfig, t: float):
-    """Cluster set of member 0 at time t, evolved along both arrays."""
-    clusters = _member_state(config, config.seed, 0, t)
-    return evolve_array(clusters, config.array, config.evolution,
-                        _stream(config.seed, 0, _STREAM_ARRAY), config=config)
-
-
 def _cmd_simulate(args) -> int:
     config = _load(args)
     t = float(args.time)
-    clusters = _simulate_clusters(config, t)
-    rng = _stream(config.seed, 0, _STREAM_PHASE)
+    clusters, rng = member_channel_state(config, config.seed, 0, t)
     written = []
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -18,22 +18,19 @@ import numpy as np
 from .clusters import Cluster
 from .geometry import (
     EllipseConfig,
-    antenna_distance_rx,
-    antenna_distance_tx,
-    aod_from_aoa,
-    los_doppler,
-    los_geometry,
-    rx_focal_distance,
+    antenna_distances,
+    antenna_offset,
+    ellipse_paths,
+    los_doppler_from_offsets,
+    los_path_from_offsets,
+    ray_doppler,
 )
 
 __all__ = [
     "ChannelRealization",
     "PhaseDraw",
     "cluster_ellipse",
-    "ray_doppler",
-    "ray_geometry_phase",
     "draw_gbsm_phases",
-    "gbsm_coefficient",
     "gbsm_cluster_matrix",
     "gbsm_matrix",
 ]
@@ -52,6 +49,10 @@ class ChannelRealization:
 
     def transfer(self, k: int, l: int, freq: float) -> complex:
         """Frequency response at receive antenna k, transmit antenna l."""
+        num_rx, num_tx, _ = self.coeffs.shape
+        for side, index, count in (("receive", k, num_rx), ("transmit", l, num_tx)):
+            if not 1 <= index <= count:
+                raise ValueError(f"{side} antenna index {index} out of range 1..{count}")
         row = self.coeffs[k - 1, l - 1, :]
         return complex(np.sum(row * np.exp(-1j * TWO_PI * freq * self.delays)))
 
@@ -68,82 +69,35 @@ def cluster_ellipse(cluster: Cluster, config) -> EllipseConfig:
     return EllipseConfig(cluster.semi_major, config.ellipse.focal_half)
 
 
-def ray_doppler(aoas, config):
-    """Doppler shift of rays arriving from ``aoas``."""
-    return config.max_doppler * np.cos(np.asarray(aoas) - config.velocity_angle)
-
-
-def _ray_center_geometry(cluster: Cluster, config):
-    """Arrival/departure angles and center distances of the cluster rays."""
-    ellipse = cluster_ellipse(cluster, config)
-    aoas = cluster.ray_aoas
-    aods = aod_from_aoa(aoas, ellipse)
-    d_rx = rx_focal_distance(aoas, ellipse)
-    d_tx = 2.0 * ellipse.semi_major - d_rx
-    return aoas, aods, d_tx, d_rx
-
-
-def ray_geometry_phase(cluster: Cluster, k: int, l: int, config):
-    """Per-ray propagation phase (2 pi / lambda)(D_l^T + D_k^R)."""
-    aoas, aods, d_tx, d_rx = _ray_center_geometry(cluster, config)
-    dist_t = antenna_distance_tx(d_tx, aods, l, config.array)
-    dist_r = antenna_distance_rx(d_rx, aoas, k, config.array)
-    return TWO_PI / config.wavelength * (dist_t + dist_r)
-
-
 def draw_gbsm_phases(clusters, rng) -> PhaseDraw:
     """One uniform initial phase per ray per cluster, shared across antennas."""
     nlos = {c.uid: rng.uniform(0.0, TWO_PI, len(c.ray_aoas)) for c in clusters}
     return PhaseDraw(nlos=nlos, los=float(rng.uniform(0.0, TWO_PI)))
 
 
-def _is_visible(cluster: Cluster, k: int, l: int) -> bool:
-    return l in cluster.visible_tx and k in cluster.visible_rx
-
-
-def gbsm_coefficient(k: int, l: int, cluster: Cluster, t: float, config,
-                     phases: PhaseDraw | None = None, rng=None) -> complex:
-    """Channel coefficient of one cluster between antennas (k, l) at time t.
-
-    ``phases`` carries the realization's initial phases; when omitted they
-    are drawn from ``rng``.  Returns exactly 0 when the cluster is not in
-    the joint visibility set of the two antennas.
-    """
-    if not _is_visible(cluster, k, l):
-        return 0j
-    if phases is None:
-        if rng is None:
-            raise ValueError("either phases or rng must be given")
-        phases = draw_gbsm_phases([cluster], rng)
-    kfac = config.rician_k
-    psi = ray_geometry_phase(cluster, k, l, config)
-    freq = ray_doppler(cluster.ray_aoas, config)
-    rays = np.exp(1j * (TWO_PI * freq * t + phases.nlos[cluster.uid] + psi))
-    value = math.sqrt(cluster.power / ((kfac + 1.0) * len(rays))) * np.sum(rays)
-    if cluster.index == 1 and kfac > 0:
-        f_los = los_doppler(l, k, config.ellipse, config.array,
-                            config.max_doppler, config.velocity_angle)
-        _, _, dist_kl = los_geometry(l, k, config.ellipse, config.array)
-        phase = TWO_PI * f_los * t + phases.los + TWO_PI / config.wavelength * dist_kl
-        value += math.sqrt(kfac / (kfac + 1.0)) * np.exp(1j * phase)
-    return complex(value)
-
-
 def gbsm_cluster_matrix(cluster: Cluster, t: float, config,
                         phases: PhaseDraw) -> np.ndarray:
-    """All-antenna coefficient matrix of one cluster (vectorized)."""
+    """All-antenna coefficient matrix of one cluster.
+
+    Entries outside the cluster's joint visibility set are exactly zero.
+    """
     arr = config.array
     out = np.zeros((arr.num_rx, arr.num_tx), dtype=complex)
-    vis_rx = sorted(cluster.visible_rx)
-    vis_tx = sorted(cluster.visible_tx)
-    if not vis_rx or not vis_tx:
+    vis_rx = np.array(sorted(cluster.visible_rx), dtype=int)
+    vis_tx = np.array(sorted(cluster.visible_tx), dtype=int)
+    if not vis_rx.size or not vis_tx.size:
         return out
-    aoas, aods, d_tx, d_rx = _ray_center_geometry(cluster, config)
-    dist_t = np.stack([antenna_distance_tx(d_tx, aods, l, arr) for l in vis_tx])
-    dist_r = np.stack([antenna_distance_rx(d_rx, aoas, k, arr) for k in vis_rx])
+    off_rx = antenna_offset(vis_rx, arr.num_rx, arr.spacing_rx)
+    off_tx = antenna_offset(vis_tx, arr.num_tx, arr.spacing_tx)
+    aoas = cluster.ray_aoas
+    aods, d_tx, d_rx = ellipse_paths(aoas, cluster_ellipse(cluster, config))
+    # (antennas, rays), C-ordered so the ray sum below runs along rows
+    dist_t = np.ascontiguousarray(antenna_distances(d_tx, aods, arr.tilt_tx, off_tx).T)
+    dist_r = np.ascontiguousarray(antenna_distances(d_rx, aoas, arr.tilt_rx, off_rx).T)
     kfac = config.rician_k
     wavenum = TWO_PI / config.wavelength
-    carrier = TWO_PI * ray_doppler(aoas, config) * t + phases.nlos[cluster.uid]
+    carrier = (TWO_PI * ray_doppler(aoas, config.max_doppler, config.velocity_angle) * t
+               + phases.nlos[cluster.uid])
     # phase tensor over (rx, tx, ray)
     total = carrier[None, None, :] + wavenum * (
         dist_r[:, None, :] + dist_t[None, :, :]
@@ -151,17 +105,15 @@ def gbsm_cluster_matrix(cluster: Cluster, t: float, config,
     block = math.sqrt(cluster.power / ((kfac + 1.0) * len(aoas))) * np.sum(
         np.exp(1j * total), axis=2
     )
-    out[np.ix_([k - 1 for k in vis_rx], [l - 1 for l in vis_tx])] = block
     if cluster.index == 1 and kfac > 0:
-        amp = math.sqrt(kfac / (kfac + 1.0))
-        for k in vis_rx:
-            for l in vis_tx:
-                f_los = los_doppler(l, k, config.ellipse, arr,
-                                    config.max_doppler, config.velocity_angle)
-                _, _, dist_kl = los_geometry(l, k, config.ellipse, arr)
-                out[k - 1, l - 1] += amp * np.exp(
-                    1j * (TWO_PI * f_los * t + phases.los + wavenum * dist_kl)
-                )
+        geo = (off_tx[None, :], off_rx[:, None], config.ellipse,
+               arr.tilt_tx, arr.tilt_rx)
+        _, _, dist_kl = los_path_from_offsets(*geo)
+        f_los = los_doppler_from_offsets(*geo, config.max_doppler,
+                                         config.velocity_angle)
+        block += math.sqrt(kfac / (kfac + 1.0)) * np.exp(
+            1j * (TWO_PI * f_los * t + phases.los + wavenum * dist_kl))
+    out[np.ix_(vis_rx - 1, vis_tx - 1)] = block
     return out
 
 

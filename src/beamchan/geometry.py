@@ -24,23 +24,17 @@ __all__ = [
     "ArrayConfig",
     "EllipseConfig",
     "VirtualAngleGrid",
-    "GeometryError",
     "virtual_angles",
     "aod_from_aoa",
     "rx_focal_distance",
-    "center_distances",
-    "center_distances_sine_rule",
+    "ellipse_paths",
     "antenna_offset",
-    "antenna_distance_tx",
-    "antenna_distance_rx",
-    "los_geometry",
-    "los_doppler",
+    "antenna_distances",
+    "ray_doppler",
+    "los_path_from_offsets",
+    "los_doppler_from_offsets",
     "nearest_beam",
 ]
-
-
-class GeometryError(ValueError):
-    """Raised when a configuration is geometrically inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -110,82 +104,43 @@ def aod_from_aoa(aoa, ellipse: EllipseConfig):
     return np.arctan2(r * np.sin(aoa), r * np.cos(aoa) + 2.0 * f)
 
 
-def center_distances(aoa, aod, ellipse: EllipseConfig):
-    """Center-to-scatterer distances (tx_dist, rx_dist).
+def ellipse_paths(aoa, ellipse: EllipseConfig):
+    """Departure angles and center distances (aod, d_tx, d_rx) of the
+    scatterers placed on the ellipse at arrival angles ``aoa``.
 
-    Computed from the Cartesian placement implied by ``aoa``; the pair
-    satisfies tx_dist + rx_dist = 2*semi_major by construction.  ``aod``
-    is accepted for signature symmetry with the sine-rule cross-check
-    and is not needed numerically.
+    The pair satisfies d_tx + d_rx = 2*semi_major by construction.
     """
-    rx = rx_focal_distance(aoa, ellipse)
-    tx = 2.0 * ellipse.semi_major - rx
-    return tx, rx
+    d_rx = rx_focal_distance(aoa, ellipse)
+    return aod_from_aoa(aoa, ellipse), 2.0 * ellipse.semi_major - d_rx, d_rx
 
 
-def center_distances_sine_rule(aoa, aod, ellipse: EllipseConfig):
-    """Sine-rule form of the center distances, as a cross-check.
-
-    tx = 2a*sin(aoa)/(sin(aoa)+sin(aod)), rx = 2a*sin(aod)/(...): the
-    interior angle at the receive focus (pi - aoa here) faces the tx
-    side.  Degenerate collinear angles fall back to the a +- f closed
-    form.  Signs of the interior angles are handled through abs().
-    """
-    a, f = ellipse.semi_major, ellipse.focal_half
-    sa = np.abs(np.sin(aoa))
-    sd = np.abs(np.sin(aod))
-    denom = sa + sd
-    collinear = denom < 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tx = np.where(collinear, 0.0, 2.0 * a * sa / np.where(collinear, 1.0, denom))
-        rx = np.where(collinear, 0.0, 2.0 * a * sd / np.where(collinear, 1.0, denom))
-    # collinear scatterer: behind the receiver (aoa=0) or behind the
-    # transmitter (aoa=pi)
-    if np.any(collinear):
-        near = np.cos(aoa) > 0
-        tx = np.where(collinear, np.where(near, a + f, a - f), tx)
-        rx = np.where(collinear, np.where(near, a - f, a + f), rx)
-    return tx, rx
-
-
-def antenna_offset(index: int, count: int, spacing: float) -> float:
-    """Signed offset of antenna ``index`` (1-based) from the array center."""
+def antenna_offset(index, count: int, spacing: float):
+    """Signed offset of antenna ``index`` (1-based, scalar or array) from
+    the array center."""
+    index = np.asarray(index)
+    bad = index[(index < 1) | (index > count)]
+    if bad.size:
+        raise ValueError(f"antenna index {bad[0]} out of range 1..{count}")
     return (count - 2 * index + 1) * spacing / 2.0
 
 
-def antenna_distance_tx(center_dist, aod, antenna_index: int, array: ArrayConfig):
-    """Distance from transmit antenna ``antenna_index`` to the scatterer.
+def antenna_distances(center, angles, tilt: float, offsets):
+    """Exact antenna-to-scatterer distances, an (A, N) array.
 
-    Law of cosines between the center-to-scatterer segment and the
-    antenna offset along the array axis; this is the exact spherical
+    Law of cosines between the center-to-scatterer segments (A paths of
+    length ``center`` in direction ``angles``) and the N antenna
+    ``offsets`` along the array axis at ``tilt``: the spherical
     wavefront distance, no plane-wave approximation.
     """
-    if not 1 <= antenna_index <= array.num_tx:
-        raise ValueError(f"transmit antenna index {antenna_index} out of range")
-    off = antenna_offset(antenna_index, array.num_tx, array.spacing_tx)
-    return np.sqrt(
-        center_dist * center_dist
-        + off * off
-        - 2.0 * center_dist * off * np.cos(array.tilt_tx - aod)
-    )
+    c = np.asarray(center, dtype=float).reshape(-1, 1)
+    ca = np.cos(np.asarray(angles, dtype=float) - tilt).reshape(-1, 1)
+    o = np.asarray(offsets, dtype=float)
+    return np.sqrt(c * c + o * o - 2.0 * c * o * ca)
 
 
-def antenna_distance_rx(center_dist, aoa, antenna_index: int, array: ArrayConfig):
-    """Distance from receive antenna ``antenna_index`` to the scatterer."""
-    if not 1 <= antenna_index <= array.num_rx:
-        raise ValueError(f"receive antenna index {antenna_index} out of range")
-    off = antenna_offset(antenna_index, array.num_rx, array.spacing_rx)
-    return np.sqrt(
-        center_dist * center_dist
-        + off * off
-        - 2.0 * center_dist * off * np.cos(aoa - array.tilt_rx)
-    )
-
-
-def _clipped_asin(x: float, tol: float = 1e-9) -> float:
-    if abs(x) > 1.0 + tol:
-        raise GeometryError(f"arcsin argument {x} outside [-1, 1]")
-    return math.asin(min(1.0, max(-1.0, x)))
+def ray_doppler(aoas, max_doppler: float, velocity_angle: float):
+    """Doppler shift of rays or beams arriving from ``aoas``."""
+    return max_doppler * np.cos(np.asarray(aoas) - velocity_angle)
 
 
 def los_path_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
@@ -221,44 +176,6 @@ def los_doppler_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
                    * np.sin(alpha_l - tilt_rx), 0.0)
     inner = np.arcsin(np.clip(arg, -1.0, 1.0))
     return max_doppler * np.cos(tilt_rx - velocity_angle + inner)
-
-
-def los_geometry(antenna_l: int, antenna_k: int, ellipse: EllipseConfig,
-                 array: ArrayConfig) -> tuple[float, float, float]:
-    """Direct-path geometry between transmit antenna l and receive antenna k.
-
-    Returns (dist_l_center, los_aoa_l, dist_kl):
-      dist_l_center  distance from tx antenna l to the receive array center,
-      los_aoa_l      angle of that path against the x axis (as seen leaving
-                     antenna l toward the receive center),
-      dist_kl        distance from tx antenna l to receive antenna k.
-    """
-    if not 1 <= antenna_l <= array.num_tx:
-        raise ValueError(f"transmit antenna index {antenna_l} out of range")
-    if not 1 <= antenna_k <= array.num_rx:
-        raise ValueError(f"receive antenna index {antenna_k} out of range")
-    sep = 2.0 * ellipse.focal_half
-    off_t = antenna_offset(antenna_l, array.num_tx, array.spacing_tx)
-    dist_l = math.sqrt(sep * sep + off_t * off_t
-                       - 2.0 * sep * off_t * math.cos(array.tilt_tx))
-    # sin of the elevation of the l -> rx-center path; bounded by 1 because
-    # dist_l^2 - (off_t*sin(tilt))^2 = (sep - off_t*cos(tilt))^2 >= 0
-    alpha_l = _clipped_asin(off_t * math.sin(array.tilt_tx) / dist_l)
-    off_r = antenna_offset(antenna_k, array.num_rx, array.spacing_rx)
-    dist_kl = math.sqrt(dist_l * dist_l + off_r * off_r
-                        - 2.0 * dist_l * off_r * math.cos(alpha_l - array.tilt_rx))
-    return dist_l, alpha_l, dist_kl
-
-
-def los_doppler(antenna_l: int, antenna_k: int, ellipse: EllipseConfig,
-                array: ArrayConfig, max_doppler: float,
-                velocity_angle: float) -> float:
-    """Doppler shift of the direct path between antennas l and k."""
-    dist_l, alpha_l, dist_kl = los_geometry(antenna_l, antenna_k, ellipse, array)
-    # dist_kl >= dist_l*|sin(alpha_l - tilt_rx)| always, so the argument
-    # is in [-1, 1] up to roundoff
-    inner = _clipped_asin(dist_l / dist_kl * math.sin(alpha_l - array.tilt_rx))
-    return max_doppler * math.cos(array.tilt_rx - velocity_angle + inner)
 
 
 def nearest_beam(angle: float, num_beams: int) -> int:

@@ -44,22 +44,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bdcm import beam_weights, center_los_doppler
-from .clusters import initial_clusters, evolve_time, time_decay_rate
+from .clusters import evolve_array, evolve_time, initial_clusters, time_decay_rate
 from .config import SimulationConfig
-from .gbsm import ChannelRealization, cluster_ellipse
+from .gbsm import cluster_ellipse
 from .geometry import (
     VirtualAngleGrid,
-    antenna_offset,
-    aod_from_aoa,
+    antenna_distances,
+    ellipse_paths,
     los_doppler_from_offsets,
     los_path_from_offsets,
-    rx_focal_distance,
-    virtual_angles,
+    ray_doppler,
 )
 
 __all__ = [
     "CorrelationSeries",
-    "transfer_function",
+    "member_channel_state",
     "space_ccf",
     "time_acf",
     "fcf",
@@ -93,14 +92,6 @@ class CorrelationSeries:
     eval_time: float = 0.0
 
 
-def transfer_function(realization: ChannelRealization, k: int, l: int,
-                      freq: float, t: float | None = None) -> complex:
-    """Delay-phased sum of the cluster coefficients at antenna pair (k, l)."""
-    if t is not None and t != realization.time:
-        raise ValueError("realization was generated at a different time")
-    return realization.transfer(k, l, freq)
-
-
 def _stream(seed: int, member: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(member, purpose)))
@@ -120,32 +111,41 @@ def _member_state(config, seed, member, t):
     return clusters
 
 
+def member_channel_state(config, seed: int, member: int, t: float):
+    """Cluster set and phase generator of one ensemble member at time t.
+
+    The clusters are those the estimators see for (seed, member) at t,
+    then evolved along both arrays from the member's own array stream,
+    so every antenna pair carries its own visibility.  The returned
+    generator is the member's phase stream, for drawing the initial
+    phases of a channel realization.
+    """
+    clusters = evolve_array(_member_state(config, seed, member, t),
+                            config.array, config.evolution,
+                            _stream(seed, member, _STREAM_ARRAY), config=config)
+    return clusters, _stream(seed, member, _STREAM_PHASE)
+
+
 def _side_offsets(count: int, spacing_cfg: float, deltas: np.ndarray):
-    """Reference/probe antenna offsets per lag on one array side.
+    """Reference then probe antenna offsets per lag on one array side.
 
     A positive lag respaces the array to the lag and probes antennas 1
     and 2; a zero lag keeps both on antenna 1 at the configured spacing,
-    which makes the zero-lag correlation exact.
+    which makes the zero-lag correlation exact.  The result holds the
+    reference offsets of all lags followed by the probe offsets.
     """
     base = (count - 1) / 2.0
     off_cfg = base * spacing_cfg
     swept = deltas > 0
     off_x = np.where(swept, base * deltas, off_cfg)
     off_y = np.where(swept, (count - 3) / 2.0 * deltas, off_cfg)
-    return off_x, off_y
+    return np.concatenate([off_x, off_y])
 
 
-def _pair_distances(center, angles, tilt, off_x, off_y):
-    """Exact antenna-to-scatterer distances for both probe offsets.
-
-    center/angles are (A,) per ray or beam, offsets (L,) per lag; the
-    result is a pair of (A, L) arrays.
-    """
-    ca = np.cos(angles - tilt)[:, None]
-    c = np.asarray(center, dtype=float)[:, None]
-    dx = np.sqrt(c * c + off_x * off_x - 2.0 * c * off_x * ca)
-    dy = np.sqrt(c * c + off_y * off_y - 2.0 * c * off_y * ca)
-    return dx, dy
+def _split(values):
+    """Reference and probe halves of a per-offset array (last axis)."""
+    half = values.shape[-1] // 2
+    return values[..., :half], values[..., half:]
 
 
 def _pair_gate(chain, hazard: np.ndarray) -> np.ndarray:
@@ -195,7 +195,6 @@ class _LagContext:
         self.kfac = config.rician_k
         self._slot_cache: dict[int, tuple] = {}
         self._freq_cache: dict[int, np.ndarray] = {}
-        self._angles = virtual_angles(config.num_beams) if model == "bdcm" else None
         # direct-path per-lag geometry is cluster independent
         if self.kfac > 0:
             self._los = self._los_terms()
@@ -205,29 +204,21 @@ class _LagContext:
     def paths(self, occ):
         """(weights, doppler, tables) of one cluster's rays or beams."""
         if self.model == "gbsm":
-            ell = cluster_ellipse(occ, self.config)
             ang = occ.ray_aoas
-            d_rx = rx_focal_distance(ang, ell)
-            doppler, tables = self._tables(ang, 2.0 * ell.semi_major - d_rx,
-                                           d_rx, aod_from_aoa(ang, ell))
+            doppler, tables = self._tables(ang, cluster_ellipse(occ, self.config))
             return np.full(ang.size, 1.0 / ang.size), doppler, tables
         cached = self._slot_cache.get(occ.slot)
         if cached is None:
             ell = cluster_ellipse(occ, self.config)
-            d_rx = rx_focal_distance(self._angles, ell)
-            grid = VirtualAngleGrid(num_beams=self.config.num_beams,
-                                    aoa=self._angles,
-                                    aod=aod_from_aoa(self._angles, ell))
-            cached = (grid, *self._tables(self._angles,
-                                          2.0 * ell.semi_major - d_rx, d_rx,
-                                          grid.aod))
+            grid = VirtualAngleGrid.build(self.config.num_beams, ell)
+            cached = (grid, *self._tables(grid.aoa, ell))
             self._slot_cache[occ.slot] = cached
         grid, doppler, tables = cached
         wts = beam_weights(occ.mean_aoa, self.config.kappa, grid,
                            self.config.beam_weighting)
         return wts, doppler, tables
 
-    def _tables(self, ang, d_tx, d_rx, aod):
+    def _tables(self, ang, ellipse):
         """Per-path Doppler and phasor tables over the distinct lag columns.
 
         Analytic mode gives one (paths, columns) table exp(1j*dphase) of
@@ -237,11 +228,10 @@ class _LagContext:
         rotation is part of the tables in both modes.
         """
         cfg = self.config
-        otx_x, otx_y = self.off_tx
-        orx_x, orx_y = self.off_rx
-        tx_x, tx_y = _pair_distances(d_tx, aod, cfg.array.tilt_tx, otx_x, otx_y)
-        rx_x, rx_y = _pair_distances(d_rx, ang, cfg.array.tilt_rx, orx_x, orx_y)
-        doppler = cfg.max_doppler * np.cos(ang - cfg.velocity_angle)
+        aod, d_tx, d_rx = ellipse_paths(ang, ellipse)
+        tx_x, tx_y = _split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, self.off_tx))
+        rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
+        doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
         lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
         if self.sampled:
             return doppler, (np.exp(1j * self.wn * (tx_x + rx_x)),
@@ -269,34 +259,26 @@ class _LagContext:
         """
         cfg = self.config
         arr = cfg.array
-        otx_x, otx_y = self.off_tx
-        orx_x, orx_y = self.off_rx
         if self.model == "gbsm":
-            _, _, d_x = los_path_from_offsets(otx_x, orx_x, cfg.ellipse,
-                                              arr.tilt_tx, arr.tilt_rx)
-            _, _, d_y = los_path_from_offsets(otx_y, orx_y, cfg.ellipse,
-                                              arr.tilt_tx, arr.tilt_rx)
-            f_x = los_doppler_from_offsets(otx_x, orx_x, cfg.ellipse,
-                                           arr.tilt_tx, arr.tilt_rx,
-                                           cfg.max_doppler, cfg.velocity_angle)
-            f_y = los_doppler_from_offsets(otx_y, orx_y, cfg.ellipse,
-                                           arr.tilt_tx, arr.tilt_rx,
-                                           cfg.max_doppler, cfg.velocity_angle)
-            terms = (self.wn * d_x, self.wn * d_y, f_x, f_y)
+            geo = (self.off_tx, self.off_rx, cfg.ellipse, arr.tilt_tx, arr.tilt_rx)
+            _, _, dist = los_path_from_offsets(*geo)
+            doppler = los_doppler_from_offsets(*geo, cfg.max_doppler,
+                                               cfg.velocity_angle)
+            d_x, d_y = _split(dist)
+            f_x, f_y = _split(doppler)
         else:
             # beam-domain direct path: the wave is carried by the beam
             # pointing back at the transmitter, so the per-antenna phase
-            # uses that beam's scatter point on the first cluster's ellipse
-            ell = cfg.ellipse
-            d_rx_c = np.array([ell.semi_major + ell.focal_half])
-            d_tx_c = np.array([ell.semi_major - ell.focal_half])
-            ang = np.array([math.pi])
-            rx_x, rx_y = _pair_distances(d_rx_c, ang, arr.tilt_rx, orx_x, orx_y)
+            # uses that beam's scatter point on the first cluster's ellipse;
             # the departure angle of the beam at pi is pi as well
-            tx_x, tx_y = _pair_distances(d_tx_c, ang, arr.tilt_tx, otx_x, otx_y)
-            f = np.full(otx_x.size, center_los_doppler(cfg))
-            terms = (self.wn * (rx_x[0] + tx_x[0]),
-                     self.wn * (rx_y[0] + tx_y[0]), f, f)
+            ell = cfg.ellipse
+            rx = antenna_distances(ell.semi_major + ell.focal_half, math.pi,
+                                   arr.tilt_rx, self.off_rx)[0]
+            tx = antenna_distances(ell.semi_major - ell.focal_half, math.pi,
+                                   arr.tilt_tx, self.off_tx)[0]
+            d_x, d_y = _split(rx + tx)
+            f_x = f_y = np.full(d_x.size, center_los_doppler(cfg))
+        terms = (self.wn * d_x, self.wn * d_y, f_x, f_y)
         return tuple(v[self.column] for v in terms)
 
     def los_phasors(self, t: float):

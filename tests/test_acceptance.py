@@ -25,10 +25,9 @@ from beamchan.geometry import (
     ArrayConfig,
     EllipseConfig,
     VirtualAngleGrid,
-    antenna_distance_rx,
+    antenna_distances,
     antenna_offset,
-    aod_from_aoa,
-    center_distances,
+    ellipse_paths,
     rx_focal_distance,
 )
 from beamchan.statistics import fcf, space_ccf, time_acf
@@ -102,7 +101,7 @@ def test_criterion_2_ellipse_geometry_invariants():
         d_tx = np.hypot(px + ell.focal_half, py)
         worst_sum = max(worst_sum,
                         float(np.max(np.abs(d_tx + d_rx - 2.0 * a))) / (2.0 * a))
-        tx2, rx2 = center_distances(theta, aod_from_aoa(theta, ell), ell)
+        _, tx2, rx2 = ellipse_paths(theta, ell)
         worst_xcheck = max(worst_xcheck,
                            float(np.max(np.abs(tx2 - d_tx) / d_tx)),
                            float(np.max(np.abs(rx2 - d_rx) / d_rx)))
@@ -113,7 +112,7 @@ def test_criterion_2_ellipse_geometry_invariants():
     worst_far = 0.0
     for k in (1, 16, 32):
         off = antenna_offset(k, arr.num_rx, arr.spacing_rx)
-        exact = antenna_distance_rx(dist, theta, k, arr)
+        exact = antenna_distances(dist, theta, arr.tilt_rx, [off])[:, 0]
         planar = dist - off * np.cos(theta - arr.tilt_rx)
         worst_far = max(worst_far, float(np.max(np.abs(exact - planar) / dist)))
     elapsed = time.perf_counter() - start

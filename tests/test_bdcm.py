@@ -10,24 +10,22 @@ from beamchan.bdcm import (
     bdcm_cluster_matrix,
     bdcm_matrix,
     beam_domain_entries,
-    beam_doppler,
     beam_weights,
     center_los_doppler,
     draw_bdcm_phases,
     los_beam_index,
-    response_entry_rx,
-    response_entry_tx,
     response_matrix_rx,
     response_matrix_tx,
 )
 from beamchan.clusters import initial_clusters
 from beamchan.config import SimulationConfig
-from beamchan.gbsm import PhaseDraw, cluster_ellipse, gbsm_coefficient
+from beamchan.gbsm import PhaseDraw, cluster_ellipse, gbsm_cluster_matrix
 from beamchan.geometry import (
     ArrayConfig,
     EllipseConfig,
     VirtualAngleGrid,
     antenna_offset,
+    ray_doppler,
     rx_focal_distance,
 )
 
@@ -68,11 +66,11 @@ def test_response_entry_against_cartesian_oracle():
                     off * math.sin(arr.tilt_rx)])
     dist = math.hypot(*(scat - ant))
     want = TWO_PI / 0.12 * (dist - d)
-    got = response_entry_rx(k, m, grid, ell, arr, 0.12)
+    got = response_matrix_rx(grid, ell, arr, 0.12).entries[k - 1, m - 1]
     assert math.remainder(math.atan2(got.imag, got.real) - want, TWO_PI) == \
         pytest.approx(0.0, abs=1e-9)
     # transmit side carries the opposite sign convention
-    got_t = response_entry_tx(2, m, grid, ell, arr, 0.12)
+    got_t = response_matrix_tx(grid, ell, arr, 0.12).entries[2 - 1, m - 1]
     d_t = 2.0 * ell.semi_major - d
     off_t = antenna_offset(2, 3, 0.06)
     ant_t = np.array([-80.0 + off_t * math.cos(arr.tilt_tx),
@@ -128,7 +126,7 @@ def test_center_doppler_value():
     assert center_los_doppler(cfg) == pytest.approx(
         cfg.max_doppler * math.cos(cfg.velocity_angle), rel=1e-12)
     grid = VirtualAngleGrid.build(8, cfg.ellipse)
-    f = beam_doppler(3, grid, cfg)
+    f = ray_doppler(grid.aoa, cfg.max_doppler, cfg.velocity_angle)[3 - 1]
     assert f == pytest.approx(
         cfg.max_doppler * math.cos(grid.aoa[2] - cfg.velocity_angle), rel=1e-12)
 
@@ -186,8 +184,9 @@ def test_single_beam_telescopes_to_ray_phase():
         base.visible_rx = frozenset(range(1, cfg.array.num_rx + 1))
         phi0 = 0.4321
         t = 0.37
-        hg = gbsm_coefficient(2, 3, base, t, cfg,
-                              phases=PhaseDraw(nlos={base.uid: np.array([phi0])}, los=0.0))
+        hg = gbsm_cluster_matrix(
+            base, t, cfg,
+            PhaseDraw(nlos={base.uid: np.array([phi0])}, los=0.0))[2 - 1, 3 - 1]
         pb = PhaseDraw(nlos={base.uid: np.full(cfg.num_beams, phi0)}, los=0.0)
         bd = beam_domain_entries(base, t, cfg, pb, grid)
         only = np.zeros_like(bd.nlos_diag)

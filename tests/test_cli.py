@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from beamchan.cli import _simulate_clusters, main, run_experiment, write_output
+from beamchan.cli import main, run_experiment, write_output
 from beamchan.config import (
     SimulationConfig,
     config_hash,
@@ -11,6 +11,7 @@ from beamchan.config import (
     loads_config,
     save_config,
 )
+from beamchan.statistics import member_channel_state
 
 # small enough that every estimator call stays well under a second
 SMALL = {
@@ -125,7 +126,8 @@ def test_simulate_covers_the_array_within_visibility(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(path), "--out", str(out),
                  "--time", "1"]) == 0
-    clusters = _simulate_clusters(load_config(path), 1.0)
+    cfg = load_config(path)
+    clusters, _ = member_channel_state(cfg, cfg.seed, 0, 1.0)
     assert any(len(c.visible_rx) < 4 or len(c.visible_tx) < 4
                for c in clusters)
     for m in ("gbsm", "bdcm"):
@@ -183,12 +185,12 @@ def test_reproduce_overrides_reach_the_header(tmp_path):
 
 def test_rerun_is_byte_identical_and_seed_matters(tmp_path):
     cfg = loads_config(json.dumps(SMALL))
-    one = write_output(run_experiment(cfg, "custom", model="gbsm",
+    one = write_output(run_experiment(cfg, "fig3_ccf", model="gbsm",
                                       ensemble=40, seed=5), tmp_path / "a")
-    two = write_output(run_experiment(cfg, "custom", model="gbsm",
+    two = write_output(run_experiment(cfg, "fig3_ccf", model="gbsm",
                                       ensemble=40, seed=5), tmp_path / "b")
     assert [p.read_bytes() for p in one] == [p.read_bytes() for p in two]
-    other = write_output(run_experiment(cfg, "custom", model="gbsm",
+    other = write_output(run_experiment(cfg, "fig3_ccf", model="gbsm",
                                         ensemble=40, seed=6), tmp_path / "c")
     assert other[0].read_bytes() != one[0].read_bytes()
 

@@ -11,14 +11,89 @@ from beamchan.gbsm import (
     cluster_ellipse,
     draw_gbsm_phases,
     gbsm_cluster_matrix,
-    gbsm_coefficient,
     gbsm_matrix,
-    ray_doppler,
-    ray_geometry_phase,
 )
-from beamchan.geometry import ArrayConfig
+from beamchan.geometry import (
+    ArrayConfig,
+    antenna_offset,
+    aod_from_aoa,
+    ray_doppler,
+    rx_focal_distance,
+)
 
 TWO_PI = 2.0 * math.pi
+
+
+# ------------------------------------------------- scalar oracle
+# One antenna pair at a time, written out per entry: the per-ray law of
+# cosines on each side and the direct path in scalar math, so the
+# vectorized builder can be checked against an independent form.
+
+def ray_geometry_phase(cluster, k, l, config):
+    """Per-ray propagation phase (2 pi / lambda)(D_l^T + D_k^R)."""
+    arr = config.array
+    ell = cluster_ellipse(cluster, config)
+    aoas = cluster.ray_aoas
+    aods = aod_from_aoa(aoas, ell)
+    d_rx = rx_focal_distance(aoas, ell)
+    d_tx = 2.0 * ell.semi_major - d_rx
+    off_t = antenna_offset(l, arr.num_tx, arr.spacing_tx)
+    off_r = antenna_offset(k, arr.num_rx, arr.spacing_rx)
+    dist_t = np.sqrt(d_tx * d_tx + off_t * off_t
+                     - 2.0 * d_tx * off_t * np.cos(arr.tilt_tx - aods))
+    dist_r = np.sqrt(d_rx * d_rx + off_r * off_r
+                     - 2.0 * d_rx * off_r * np.cos(aoas - arr.tilt_rx))
+    return TWO_PI / config.wavelength * (dist_t + dist_r)
+
+
+def _clipped_asin(x):
+    return math.asin(min(1.0, max(-1.0, x)))
+
+
+def los_geometry(l, k, ellipse, arr):
+    """Direct path between transmit antenna l and receive antenna k:
+    (distance from l to the receive center, elevation of that path,
+    distance from l to k)."""
+    sep = 2.0 * ellipse.focal_half
+    off_t = antenna_offset(l, arr.num_tx, arr.spacing_tx)
+    dist_l = math.sqrt(sep * sep + off_t * off_t
+                       - 2.0 * sep * off_t * math.cos(arr.tilt_tx))
+    alpha_l = _clipped_asin(off_t * math.sin(arr.tilt_tx) / dist_l)
+    off_r = antenna_offset(k, arr.num_rx, arr.spacing_rx)
+    dist_kl = math.sqrt(dist_l * dist_l + off_r * off_r
+                        - 2.0 * dist_l * off_r * math.cos(alpha_l - arr.tilt_rx))
+    return dist_l, alpha_l, dist_kl
+
+
+def los_doppler(l, k, ellipse, arr, max_doppler, velocity_angle):
+    """Doppler shift of the direct path between antennas l and k."""
+    dist_l, alpha_l, dist_kl = los_geometry(l, k, ellipse, arr)
+    inner = _clipped_asin(dist_l / dist_kl * math.sin(alpha_l - arr.tilt_rx))
+    return max_doppler * math.cos(arr.tilt_rx - velocity_angle + inner)
+
+
+def gbsm_coefficient(k, l, cluster, t, config, phases):
+    """Channel coefficient of one cluster between antennas (k, l) at time t;
+    exactly 0 outside the cluster's joint visibility set."""
+    if l not in cluster.visible_tx or k not in cluster.visible_rx:
+        return 0j
+    kfac = config.rician_k
+    psi = ray_geometry_phase(cluster, k, l, config)
+    freq = config.max_doppler * np.cos(cluster.ray_aoas - config.velocity_angle)
+    rays = np.exp(1j * (TWO_PI * freq * t + phases.nlos[cluster.uid] + psi))
+    value = math.sqrt(cluster.power / ((kfac + 1.0) * len(rays))) * np.sum(rays)
+    if cluster.index == 1 and kfac > 0:
+        f_los = los_doppler(l, k, config.ellipse, config.array,
+                            config.max_doppler, config.velocity_angle)
+        _, _, dist_kl = los_geometry(l, k, config.ellipse, config.array)
+        phase = TWO_PI * f_los * t + phases.los + TWO_PI / config.wavelength * dist_kl
+        value += math.sqrt(kfac / (kfac + 1.0)) * np.exp(1j * phase)
+    return complex(value)
+
+
+def entry(cluster, k, l, t, config, phases):
+    """Coefficient (k, l) read from the vectorized builder."""
+    return complex(gbsm_cluster_matrix(cluster, t, config, phases)[k - 1, l - 1])
 
 
 def make_cluster(config, angles, power=1.0, index=1, uid=1, slot=0,
@@ -43,9 +118,9 @@ def test_single_ray_magnitude_and_phase_cancellation():
     c = make_cluster(cfg, [1.234], power=0.49)
     t = 0.8
     psi = ray_geometry_phase(c, 3, 5, cfg)[0]
-    f = ray_doppler(c.ray_aoas, cfg)[0]
+    f = ray_doppler(c.ray_aoas, cfg.max_doppler, cfg.velocity_angle)[0]
     phases = PhaseDraw(nlos={1: np.array([-psi - TWO_PI * f * t])}, los=0.0)
-    h = gbsm_coefficient(3, 5, c, t, cfg, phases=phases)
+    h = entry(c, 3, 5, t, cfg, phases)
     assert h == pytest.approx(0.7, rel=1e-12)
     assert abs(h.imag) < 1e-9
 
@@ -55,9 +130,9 @@ def test_invisible_pair_is_exactly_zero():
     c = make_cluster(cfg, [0.3, 1.1, 2.0], visible_rx=frozenset({1}),
                      visible_tx=frozenset({1, 2}))
     phases = draw_gbsm_phases([c], np.random.default_rng(0))
-    assert gbsm_coefficient(2, 1, c, 0.0, cfg, phases=phases) == 0j
-    assert gbsm_coefficient(1, 3, c, 0.0, cfg, phases=phases) == 0j
-    assert gbsm_coefficient(1, 2, c, 0.0, cfg, phases=phases) != 0j
+    assert entry(c, 2, 1, 0.0, cfg, phases) == 0j
+    assert entry(c, 1, 3, 0.0, cfg, phases) == 0j
+    assert entry(c, 1, 2, 0.0, cfg, phases) != 0j
 
 
 def test_magnitude_bound_and_doppler_bound():
@@ -67,10 +142,10 @@ def test_magnitude_bound_and_doppler_bound():
         angles = rng.uniform(-math.pi, math.pi, cfg.rays_per_cluster)
         c = make_cluster(cfg, angles, power=0.37)
         phases = draw_gbsm_phases([c], rng)
-        h = gbsm_coefficient(1, 1, c, 0.5, cfg, phases=phases)
+        h = entry(c, 1, 1, 0.5, cfg, phases)
         # fully coherent rays give the worst case sqrt(P * S)
         assert abs(h) <= math.sqrt(0.37 * cfg.rays_per_cluster) + 1e-12
-        f = ray_doppler(c.ray_aoas, cfg)
+        f = ray_doppler(c.ray_aoas, cfg.max_doppler, cfg.velocity_angle)
         assert np.all(np.abs(f) <= cfg.max_doppler + 1e-12)
 
 
@@ -83,7 +158,7 @@ def test_phase_draw_power_normalization():
     n = 20_000
     for _ in range(n):
         phases = draw_gbsm_phases([c], rng)
-        acc += abs(gbsm_coefficient(2, 2, c, 0.0, cfg, phases=phases)) ** 2
+        acc += abs(gbsm_coefficient(2, 2, c, 0.0, cfg, phases)) ** 2
     assert acc / n == pytest.approx(0.6, rel=0.03)
 
 
@@ -95,7 +170,7 @@ def test_rician_split_total_power():
     n = 20_000
     for _ in range(n):
         phases = draw_gbsm_phases([c], rng)
-        acc += abs(gbsm_coefficient(1, 1, c, 0.0, cfg, phases=phases)) ** 2
+        acc += abs(gbsm_coefficient(1, 1, c, 0.0, cfg, phases)) ** 2
     # direct power K/(K+1) plus diffuse power P/(K+1) with P = 1
     assert acc / n == pytest.approx(1.0, rel=0.03)
 
@@ -107,8 +182,8 @@ def test_direct_path_only_in_first_cluster():
     c1 = make_cluster(cfg, angles, power=0.5, index=1, uid=1)
     c2 = make_cluster(cfg, angles, power=0.5, index=2, uid=2)
     phases = PhaseDraw(nlos={1: np.zeros(4), 2: np.zeros(4)}, los=0.0)
-    h1 = gbsm_coefficient(1, 1, c1, 0.0, cfg, phases=phases)
-    h2 = gbsm_coefficient(1, 1, c2, 0.0, cfg, phases=phases)
+    h1 = entry(c1, 1, 1, 0.0, cfg, phases)
+    h2 = entry(c2, 1, 1, 0.0, cfg, phases)
     # identical diffuse parts, so the difference is exactly the direct term
     mag = abs(h1 - h2)
     assert mag == pytest.approx(math.sqrt(5.0 / 6.0), rel=1e-12)
@@ -121,8 +196,6 @@ def test_spherical_wavefront_not_planar():
     cfg = SimulationConfig(rician_k=0.0)
     c = make_cluster(cfg, [2.0])
     ell = cluster_ellipse(c, cfg)
-    from beamchan.geometry import antenna_offset, rx_focal_distance
-
     d = rx_focal_distance(2.0, ell)
     off = antenna_offset(1, cfg.array.num_rx, cfg.array.spacing_rx)
     exact = math.sqrt(d * d + off * off - 2 * d * off * math.cos(2.0 - cfg.array.tilt_rx))
@@ -151,7 +224,7 @@ def test_matrix_agrees_with_scalar_coefficients():
     mat = gbsm_cluster_matrix(c, t, cfg, phases)
     for k in range(1, 5):
         for l in range(1, 4):
-            want = gbsm_coefficient(k, l, c, t, cfg, phases=phases)
+            want = gbsm_coefficient(k, l, c, t, cfg, phases)
             assert mat[k - 1, l - 1] == pytest.approx(want, abs=1e-15)
 
 
@@ -187,8 +260,6 @@ def test_time_reversal_conjugate_pairing():
     c = make_cluster(cfg, [0.9, -1.7], power=1.0)
     psi = ray_geometry_phase(c, 2, 2, cfg)
     x = np.array([0.31, -1.2])
-    hp = gbsm_coefficient(2, 2, c, 0.6, cfg,
-                          phases=PhaseDraw(nlos={1: x - psi}, los=0.0))
-    hm = gbsm_coefficient(2, 2, c, -0.6, cfg,
-                          phases=PhaseDraw(nlos={1: -x - psi}, los=0.0))
+    hp = entry(c, 2, 2, 0.6, cfg, PhaseDraw(nlos={1: x - psi}, los=0.0))
+    hm = entry(c, 2, 2, -0.6, cfg, PhaseDraw(nlos={1: -x - psi}, los=0.0))
     assert hp == pytest.approx(hm.conjugate(), abs=1e-12)

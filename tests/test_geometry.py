@@ -8,22 +8,63 @@ from hypothesis import strategies as st
 from beamchan.geometry import (
     ArrayConfig,
     EllipseConfig,
-    GeometryError,
     VirtualAngleGrid,
-    antenna_distance_rx,
-    antenna_distance_tx,
+    antenna_distances,
     antenna_offset,
     aod_from_aoa,
-    center_distances,
-    center_distances_sine_rule,
-    los_doppler,
-    los_geometry,
+    ellipse_paths,
+    los_doppler_from_offsets,
+    los_path_from_offsets,
     nearest_beam,
     rx_focal_distance,
     virtual_angles,
 )
 
 ELLIPSE = EllipseConfig(semi_major=100.0, focal_half=80.0)
+
+
+def distance_tx(center, aod, index, arr):
+    """Distance from transmit antenna ``index`` through the kernel."""
+    off = antenna_offset(index, arr.num_tx, arr.spacing_tx)
+    return antenna_distances(center, aod, arr.tilt_tx, [off])[:, 0]
+
+
+def distance_rx(center, aoa, index, arr):
+    """Distance from receive antenna ``index`` through the kernel."""
+    off = antenna_offset(index, arr.num_rx, arr.spacing_rx)
+    return antenna_distances(center, aoa, arr.tilt_rx, [off])[:, 0]
+
+
+def los_args(l, k, arr):
+    """Offsets of transmit antenna l and receive antenna k, plus the frame."""
+    return (antenna_offset(l, arr.num_tx, arr.spacing_tx),
+            antenna_offset(k, arr.num_rx, arr.spacing_rx),
+            ELLIPSE, arr.tilt_tx, arr.tilt_rx)
+
+
+def center_distances_sine_rule(aoa, aod, ellipse):
+    """Sine-rule form of the center distances, as a cross-check.
+
+    tx = 2a*sin(aoa)/(sin(aoa)+sin(aod)), rx = 2a*sin(aod)/(...): the
+    interior angle at the receive focus (pi - aoa here) faces the tx
+    side.  Degenerate collinear angles fall back to the a +- f closed
+    form.  Signs of the interior angles are handled through abs().
+    """
+    a, f = ellipse.semi_major, ellipse.focal_half
+    sa = np.abs(np.sin(aoa))
+    sd = np.abs(np.sin(aod))
+    denom = sa + sd
+    collinear = denom < 1e-12
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tx = np.where(collinear, 0.0, 2.0 * a * sa / np.where(collinear, 1.0, denom))
+        rx = np.where(collinear, 0.0, 2.0 * a * sd / np.where(collinear, 1.0, denom))
+    # collinear scatterer: behind the receiver (aoa=0) or behind the
+    # transmitter (aoa=pi)
+    if np.any(collinear):
+        near = np.cos(aoa) > 0
+        tx = np.where(collinear, np.where(near, a + f, a - f), tx)
+        rx = np.where(collinear, np.where(near, a - f, a + f), rx)
+    return tx, rx
 
 
 def ellipses():
@@ -76,8 +117,7 @@ class TestAodFromAoa:
 
     @given(aoa=angles, ellipse=ellipses())
     def test_ellipse_sum_invariant(self, aoa, ellipse):
-        aod = aod_from_aoa(aoa, ellipse)
-        tx, rx = center_distances(aoa, aod, ellipse)
+        _, tx, rx = ellipse_paths(aoa, ellipse)
         assert tx + rx == pytest.approx(2.0 * ellipse.semi_major, rel=1e-9)
 
     @given(aoa=angles, ellipse=ellipses())
@@ -94,29 +134,26 @@ class TestAodFromAoa:
 
 class TestCenterDistances:
     def test_broadside_example(self):
-        aod = aod_from_aoa(math.pi / 2, ELLIPSE)
-        tx, rx = center_distances(math.pi / 2, aod, ELLIPSE)
+        _, tx, rx = ellipse_paths(math.pi / 2, ELLIPSE)
         assert tx == pytest.approx(164.0, rel=1e-12)
         assert rx == pytest.approx(36.0, rel=1e-12)
 
     def test_collinear_closed_form(self):
-        tx, rx = center_distances(0.0, 0.0, ELLIPSE)
+        _, tx, rx = ellipse_paths(0.0, ELLIPSE)
         assert (tx, rx) == (pytest.approx(180.0), pytest.approx(20.0))
-        tx, rx = center_distances(math.pi, math.pi, ELLIPSE)
+        _, tx, rx = ellipse_paths(math.pi, ELLIPSE)
         assert (tx, rx) == (pytest.approx(20.0), pytest.approx(180.0))
 
     @given(aoa=st.floats(0.05, math.pi - 0.05), ellipse=ellipses())
     def test_sine_rule_cross_check(self, aoa, ellipse):
-        aod = aod_from_aoa(aoa, ellipse)
-        tx, rx = center_distances(aoa, aod, ellipse)
+        aod, tx, rx = ellipse_paths(aoa, ellipse)
         tx2, rx2 = center_distances_sine_rule(aoa, aod, ellipse)
         assert tx == pytest.approx(tx2, rel=1e-9)
         assert rx == pytest.approx(rx2, rel=1e-9)
 
     @given(aoa=angles, ellipse=ellipses())
     def test_distances_bounded_by_ellipse_extremes(self, aoa, ellipse):
-        aod = aod_from_aoa(aoa, ellipse)
-        tx, rx = center_distances(aoa, aod, ellipse)
+        _, tx, rx = ellipse_paths(aoa, ellipse)
         lo = ellipse.semi_major - ellipse.focal_half
         hi = ellipse.semi_major + ellipse.focal_half
         assert lo * (1 - 1e-9) <= tx <= hi * (1 + 1e-9)
@@ -126,8 +163,7 @@ class TestCenterDistances:
     def test_law_of_sines_ratio(self, aoa, ellipse):
         # tx side faces the interior angle at the receive focus (sin = sin aoa),
         # rx side faces the interior angle at the transmit focus (sin = sin aod)
-        aod = aod_from_aoa(aoa, ellipse)
-        tx, rx = center_distances(aoa, aod, ellipse)
+        aod, tx, rx = ellipse_paths(aoa, ellipse)
         assert tx * abs(math.sin(aod)) == pytest.approx(
             rx * abs(math.sin(aoa)), rel=1e-9
         )
@@ -138,31 +174,38 @@ class TestAntennaDistances:
         # independent Cartesian oracle: antenna 1 at (-80, 0.03), scatterer
         # at (80, 36), so the distance is hypot(160, 35.97) ~ 163.9934 m
         arr = ArrayConfig(num_tx=2, num_rx=2, spacing_tx=0.06, spacing_rx=0.06)
-        d = antenna_distance_tx(164.0, 0.2213144423477913, 1, arr)
+        d = distance_tx(164.0, 0.2213144423477913, 1, arr)
         assert d == pytest.approx(math.hypot(160.0, 35.97), rel=1e-11)
 
     def test_receive_aligned_example(self):
         arr = ArrayConfig(num_tx=2, num_rx=2, spacing_tx=0.06, spacing_rx=0.06)
-        d = antenna_distance_rx(36.0, math.pi / 2, 1, arr)
+        d = distance_rx(36.0, math.pi / 2, 1, arr)
         assert d == pytest.approx(math.sqrt(36.0**2 + 0.03**2 - 36.0 * 0.06), rel=1e-12)
 
     def test_single_antenna_reduces_to_center(self):
         arr = ArrayConfig(num_tx=1, num_rx=1, spacing_tx=0.5, spacing_rx=0.5)
-        assert antenna_distance_tx(164.0, 0.3, 1, arr) == pytest.approx(164.0)
-        assert antenna_distance_rx(36.0, 1.1, 1, arr) == pytest.approx(36.0)
+        assert distance_tx(164.0, 0.3, 1, arr) == pytest.approx(164.0)
+        assert distance_rx(36.0, 1.1, 1, arr) == pytest.approx(36.0)
 
     def test_broadside_cross_term_vanishes(self):
         arr = ArrayConfig(num_tx=2, num_rx=2, spacing_tx=0.06, spacing_rx=0.06)
         aod = arr.tilt_tx - math.pi / 2
-        d = antenna_distance_tx(50.0, aod, 1, arr)
+        d = distance_tx(50.0, aod, 1, arr)
         assert d == pytest.approx(math.sqrt(50.0**2 + 0.03**2), rel=1e-12)
 
     def test_index_out_of_range(self):
         arr = ArrayConfig(num_tx=4, num_rx=4)
         with pytest.raises(ValueError):
-            antenna_distance_tx(100.0, 0.1, 5, arr)
+            antenna_offset(5, arr.num_tx, arr.spacing_tx)
         with pytest.raises(ValueError):
-            antenna_distance_rx(100.0, 0.1, 0, arr)
+            antenna_offset(0, arr.num_rx, arr.spacing_rx)
+        with pytest.raises(ValueError, match="index 5 out of range 1..4"):
+            antenna_offset(np.arange(1, 6), 4, 0.06)
+
+    def test_offset_accepts_index_arrays(self):
+        np.testing.assert_array_equal(
+            antenna_offset(np.arange(1, 9), 8, 0.06),
+            [antenna_offset(k, 8, 0.06) for k in range(1, 9)])
 
     def test_mirror_offsets_negate(self):
         for k in range(1, 9):
@@ -172,8 +215,8 @@ class TestAntennaDistances:
         arr = ArrayConfig(num_tx=8, num_rx=8, tilt_tx=math.pi / 2, tilt_rx=math.pi / 2)
         aoa = arr.tilt_rx - math.pi / 2  # perpendicular: cross term vanishes
         for k in (1, 2, 3):
-            assert antenna_distance_rx(40.0, aoa, k, arr) == pytest.approx(
-                antenna_distance_rx(40.0, aoa, 9 - k, arr), rel=1e-15
+            assert distance_rx(40.0, aoa, k, arr) == pytest.approx(
+                distance_rx(40.0, aoa, 9 - k, arr), rel=1e-15
             )
 
     @given(
@@ -188,16 +231,44 @@ class TestAntennaDistances:
         dist = 1e6 * spacing
         arr = ArrayConfig(num_tx=2, num_rx=2, spacing_tx=spacing, spacing_rx=spacing,
                           tilt_tx=beta, tilt_rx=beta)
-        d1 = antenna_distance_tx(dist, phi, 1, arr)
-        d2 = antenna_distance_tx(dist, phi, 2, arr)
+        d1 = distance_tx(dist, phi, 1, arr)
+        d2 = distance_tx(dist, phi, 2, arr)
         expected = (1 - 2) * spacing * math.cos(beta - phi)
         assert d1 - d2 == pytest.approx(expected, abs=1e-6 * spacing)
+
+    @given(
+        aoa=angles,
+        ellipse=ellipses(),
+        tilt_t=st.floats(0.0, math.pi - 1e-9),
+        tilt_r=st.floats(0.0, math.pi - 1e-9),
+        spacing=st.floats(0.001, 2.0),
+        num=st.integers(1, 16),
+    )
+    @settings(max_examples=100)
+    def test_kernel_against_cartesian_coordinates(self, aoa, ellipse, tilt_t,
+                                                  tilt_r, spacing, num):
+        # both sides from explicit coordinates: scatterer on the ellipse
+        # at arrival angle aoa, antennas displaced along the tilted axes
+        # around the transmit focus (-f, 0) and the receive focus (+f, 0)
+        f = ellipse.focal_half
+        aod, d_tx, d_rx = ellipse_paths(np.array([aoa]), ellipse)
+        scat = np.array([f + d_rx[0] * math.cos(aoa), d_rx[0] * math.sin(aoa)])
+        offsets = antenna_offset(np.arange(1, num + 1), num, spacing)
+        for center, angle, tilt, focus in ((d_tx, aod, tilt_t, -f),
+                                           (d_rx, [aoa], tilt_r, f)):
+            got = antenna_distances(center, angle, tilt, offsets)
+            assert got.shape == (1, num)
+            ant_x = focus + offsets * math.cos(tilt)
+            ant_y = offsets * math.sin(tilt)
+            want = np.hypot(scat[0] - ant_x, scat[1] - ant_y)
+            scale = ellipse.semi_major + np.abs(offsets)
+            assert np.all(np.abs(got[0] - want) <= 1e-9 * scale)
 
 
 class TestLosGeometry:
     def test_single_antennas_collapse_to_focal_separation(self):
         arr = ArrayConfig(num_tx=1, num_rx=1)
-        assert los_geometry(1, 1, ELLIPSE, arr) == (
+        assert tuple(map(float, los_path_from_offsets(*los_args(1, 1, arr)))) == (
             pytest.approx(160.0),
             pytest.approx(0.0),
             pytest.approx(160.0),
@@ -205,7 +276,7 @@ class TestLosGeometry:
 
     def test_two_element_broadside(self):
         arr = ArrayConfig(num_tx=2, num_rx=2, spacing_tx=0.06, spacing_rx=0.06)
-        dist_l, alpha_l, dist_kl = los_geometry(1, 1, ELLIPSE, arr)
+        dist_l, alpha_l, dist_kl = los_path_from_offsets(*los_args(1, 1, arr))
         assert dist_l == pytest.approx(math.sqrt(160.0**2 + 0.03**2), rel=1e-12)
         assert alpha_l == pytest.approx(math.asin(0.03 / dist_l), rel=1e-12)
 
@@ -213,7 +284,7 @@ class TestLosGeometry:
         arr = ArrayConfig(num_tx=5, num_rx=5, spacing_tx=0.1, spacing_rx=0.1,
                           tilt_tx=math.pi / 2, tilt_rx=math.pi / 2)
         off = antenna_offset(1, 5, 0.1)
-        dist_l, alpha_l, _ = los_geometry(1, 3, ELLIPSE, arr)
+        dist_l, alpha_l, _ = los_path_from_offsets(*los_args(1, 3, arr))
         assert dist_l == pytest.approx(math.hypot(160.0, off), rel=1e-12)
         assert alpha_l == pytest.approx(math.asin(off / dist_l), rel=1e-12)
 
@@ -230,14 +301,14 @@ class TestLosGeometry:
         arr = ArrayConfig(num_tx=num, num_rx=num, spacing_tx=spacing,
                           spacing_rx=spacing, tilt_tx=tilt_t, tilt_rx=tilt_r)
         l, k = min(l, num), min(k, num)
-        dist_l, alpha_l, dist_kl = los_geometry(l, k, ELLIPSE, arr)
+        dist_l, alpha_l, dist_kl = los_path_from_offsets(*los_args(l, k, arr))
         assert dist_l > 0 and dist_kl >= 0
-        f = los_doppler(l, k, ELLIPSE, arr, 33.33, math.pi / 6)
+        f = los_doppler_from_offsets(*los_args(l, k, arr), 33.33, math.pi / 6)
         assert abs(f) <= 33.33 * (1 + 1e-12)
 
     def test_center_doppler_matches_velocity_projection(self):
         arr = ArrayConfig(num_tx=1, num_rx=1)
-        f = los_doppler(1, 1, ELLIPSE, arr, 33.33, math.pi / 6)
+        f = los_doppler_from_offsets(*los_args(1, 1, arr), 33.33, math.pi / 6)
         assert f == pytest.approx(33.33 * math.cos(math.pi / 6), rel=1e-12)
 
 
@@ -275,5 +346,5 @@ class TestConfigValidation:
 
     def test_grid_pairs_satisfy_ellipse_sum(self):
         grid = VirtualAngleGrid.build(64, ELLIPSE)
-        tx, rx = center_distances(grid.aoa, grid.aod, ELLIPSE)
+        _, tx, rx = ellipse_paths(grid.aoa, ELLIPSE)
         np.testing.assert_allclose(tx + rx, 200.0, rtol=1e-12)

@@ -20,9 +20,9 @@ from beamchan.statistics import (
     space_ccf,
     stfcf,
     time_acf,
-    transfer_function,
 )
 from beamchan.clusters import initial_clusters
+from beamchan.geometry import ArrayConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,10 +46,8 @@ def test_transfer_function_single_cluster_and_zero_freq():
     # by its delay phase
     tau = real.delays[0]
     want = h * np.exp(-1j * TWO_PI * 1e6 * tau)
-    assert transfer_function(real, 1, 1, 1e6) == pytest.approx(want, abs=1e-15)
-    assert transfer_function(real, 1, 1, 0.0) == pytest.approx(h, abs=1e-15)
-    with pytest.raises(ValueError):
-        transfer_function(real, 1, 1, 0.0, t=0.5)
+    assert real.transfer(1, 1, 1e6) == pytest.approx(want, abs=1e-15)
+    assert real.transfer(1, 1, 0.0) == pytest.approx(h, abs=1e-15)
 
 
 def test_transfer_function_destructive_combination():
@@ -60,9 +58,23 @@ def test_transfer_function_destructive_combination():
     h1, h2 = real.coeffs[0, 0, 0], real.coeffs[0, 0, 1]
     dtau = real.delays[1] - real.delays[0]
     freq = 0.5 / dtau  # half-cycle phase difference between the two delays
-    got = transfer_function(real, 1, 1, freq)
+    got = real.transfer(1, 1, freq)
     want = np.exp(-1j * TWO_PI * freq * real.delays[0]) * (h1 - h2)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, l, side, index", [
+    (0, 1, "receive", 0), (4, 1, "receive", 4),
+    (1, 0, "transmit", 0), (1, 3, "transmit", 3),
+])
+def test_transfer_rejects_antennas_outside_the_array(k, l, side, index):
+    # index 0 used to wrap to the last antenna, num + 1 raised IndexError
+    cfg = frozen_config(array=ArrayConfig(num_tx=2, num_rx=3,
+                                          spacing_tx=0.06, spacing_rx=0.06))
+    rng = np.random.default_rng(2)
+    real = gbsm_matrix(0.0, initial_clusters(cfg, rng), cfg, rng=rng)
+    with pytest.raises(ValueError, match=f"{side} antenna index {index} out of range"):
+        real.transfer(k, l, 0.0)
 
 
 # ------------------------------------------------------------- exactness
@@ -159,13 +171,13 @@ def test_slot_cache_matches_fresh_context_per_member(monkeypatch, mode, kfac):
 
 def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch):
     calls = []
-    pair_distances = statistics._pair_distances
+    antenna_distances = statistics.antenna_distances
 
     def counting(*args):
         calls.append(args)
-        return pair_distances(*args)
+        return antenna_distances(*args)
 
-    monkeypatch.setattr(statistics, "_pair_distances", counting)
+    monkeypatch.setattr(statistics, "antenna_distances", counting)
     cfg = SimulationConfig()   # K=0: no direct-path distance grids
     ensemble, seed = 300, 47
     fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
@@ -339,7 +351,6 @@ def test_validation_errors():
         space_ccf(cfg, model="plane_wave", ensemble=10, seed=1)
     with pytest.raises(ValueError):
         space_ccf(cfg, spacing_grid=np.array([-0.1, 0.0]), ensemble=10, seed=1)
-    from beamchan.geometry import ArrayConfig
     narrow = SimulationConfig(array=ArrayConfig(num_tx=2, num_rx=1,
                                                 spacing_tx=0.06, spacing_rx=0.06))
     with pytest.raises(ValueError):
