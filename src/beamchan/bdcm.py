@@ -21,11 +21,11 @@ from .clusters import Cluster
 from .gbsm import ChannelRealization, PhaseDraw, cluster_ellipse
 from .geometry import (
     VirtualAngleGrid,
-    antenna_distances,
-    antenna_offset,
-    ellipse_paths,
+    antenna_distance_rx,
+    antenna_distance_tx,
     nearest_beam,
     ray_doppler,
+    rx_focal_distance,
 )
 
 __all__ = [
@@ -69,22 +69,11 @@ class BeamDomainChannel:
     cluster_uid: int = 0
 
 
-def _array_distances(center, angles, tilt, count, spacing):
-    """(antennas, beams) distances from every antenna of one array side.
-
-    Returned C-ordered: the rounding of the assembly product can depend
-    on the layout of its operands.
-    """
-    offsets = antenna_offset(np.arange(1, count + 1), count, spacing)
-    return np.ascontiguousarray(antenna_distances(center, angles, tilt, offsets).T)
-
-
 def response_matrix_tx(grid: VirtualAngleGrid, ellipse, array,
                        wavelength: float) -> ResponseMatrix:
     """Unit phasors of the center-minus-antenna path differences at the transmitter."""
-    _, d_tx, _ = ellipse_paths(grid.aoa, ellipse)
-    dist = _array_distances(d_tx, grid.aod, array.tilt_tx, array.num_tx,
-                            array.spacing_tx)
+    d_tx = 2.0 * ellipse.semi_major - rx_focal_distance(grid.aoa, ellipse)
+    dist = antenna_distance_tx(d_tx, grid.aod, np.arange(1, array.num_tx + 1), array)
     return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (d_tx - dist)),
                           side="transmit")
 
@@ -92,9 +81,8 @@ def response_matrix_tx(grid: VirtualAngleGrid, ellipse, array,
 def response_matrix_rx(grid: VirtualAngleGrid, ellipse, array,
                        wavelength: float) -> ResponseMatrix:
     """Unit phasors of the antenna-minus-center path differences at the receiver."""
-    _, _, d_rx = ellipse_paths(grid.aoa, ellipse)
-    dist = _array_distances(d_rx, grid.aoa, array.tilt_rx, array.num_rx,
-                            array.spacing_rx)
+    d_rx = rx_focal_distance(grid.aoa, ellipse)
+    dist = antenna_distance_rx(d_rx, grid.aoa, np.arange(1, array.num_rx + 1), array)
     return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (dist - d_rx)),
                           side="receive")
 
@@ -147,7 +135,8 @@ def beam_domain_entries(cluster: Cluster, t: float, config,
     ellipse = cluster_ellipse(cluster, config)
     if grid is None:
         grid = VirtualAngleGrid.build(config.num_beams, ellipse)
-    _, d_tx, d_rx = ellipse_paths(grid.aoa, ellipse)
+    d_rx = rx_focal_distance(grid.aoa, ellipse)
+    d_tx = 2.0 * ellipse.semi_major - d_rx
     kfac = config.rician_k
     weights = beam_weights(cluster.mean_aoa, config.kappa, grid,
                            config.beam_weighting)

@@ -18,12 +18,13 @@ import numpy as np
 from .clusters import Cluster
 from .geometry import (
     EllipseConfig,
-    antenna_distances,
-    antenna_offset,
-    ellipse_paths,
-    los_doppler_from_offsets,
-    los_path_from_offsets,
+    antenna_distance_rx,
+    antenna_distance_tx,
+    aod_from_aoa,
+    los_doppler,
+    los_geometry,
     ray_doppler,
+    rx_focal_distance,
 )
 
 __all__ = [
@@ -87,13 +88,12 @@ def gbsm_cluster_matrix(cluster: Cluster, t: float, config,
     vis_tx = np.array(sorted(cluster.visible_tx), dtype=int)
     if not vis_rx.size or not vis_tx.size:
         return out
-    off_rx = antenna_offset(vis_rx, arr.num_rx, arr.spacing_rx)
-    off_tx = antenna_offset(vis_tx, arr.num_tx, arr.spacing_tx)
     aoas = cluster.ray_aoas
-    aods, d_tx, d_rx = ellipse_paths(aoas, cluster_ellipse(cluster, config))
-    # (antennas, rays), C-ordered so the ray sum below runs along rows
-    dist_t = np.ascontiguousarray(antenna_distances(d_tx, aods, arr.tilt_tx, off_tx).T)
-    dist_r = np.ascontiguousarray(antenna_distances(d_rx, aoas, arr.tilt_rx, off_rx).T)
+    ellipse = cluster_ellipse(cluster, config)
+    d_rx = rx_focal_distance(aoas, ellipse)
+    d_tx = 2.0 * ellipse.semi_major - d_rx
+    dist_t = antenna_distance_tx(d_tx, aod_from_aoa(aoas, ellipse), vis_tx, arr)
+    dist_r = antenna_distance_rx(d_rx, aoas, vis_rx, arr)
     kfac = config.rician_k
     wavenum = TWO_PI / config.wavelength
     carrier = (TWO_PI * ray_doppler(aoas, config.max_doppler, config.velocity_angle) * t
@@ -106,11 +106,9 @@ def gbsm_cluster_matrix(cluster: Cluster, t: float, config,
         np.exp(1j * total), axis=2
     )
     if cluster.index == 1 and kfac > 0:
-        geo = (off_tx[None, :], off_rx[:, None], config.ellipse,
-               arr.tilt_tx, arr.tilt_rx)
-        _, _, dist_kl = los_path_from_offsets(*geo)
-        f_los = los_doppler_from_offsets(*geo, config.max_doppler,
-                                         config.velocity_angle)
+        pairs = (vis_tx[None, :], vis_rx[:, None], config.ellipse, arr)
+        _, _, dist_kl = los_geometry(*pairs)
+        f_los = los_doppler(*pairs, config.max_doppler, config.velocity_angle)
         block += math.sqrt(kfac / (kfac + 1.0)) * np.exp(
             1j * (TWO_PI * f_los * t + phases.los + wavenum * dist_kl))
     out[np.ix_(vis_rx - 1, vis_tx - 1)] = block

@@ -27,12 +27,15 @@ __all__ = [
     "virtual_angles",
     "aod_from_aoa",
     "rx_focal_distance",
-    "ellipse_paths",
     "antenna_offset",
     "antenna_distances",
+    "antenna_distance_tx",
+    "antenna_distance_rx",
     "ray_doppler",
     "los_path_from_offsets",
     "los_doppler_from_offsets",
+    "los_geometry",
+    "los_doppler",
     "nearest_beam",
 ]
 
@@ -104,16 +107,6 @@ def aod_from_aoa(aoa, ellipse: EllipseConfig):
     return np.arctan2(r * np.sin(aoa), r * np.cos(aoa) + 2.0 * f)
 
 
-def ellipse_paths(aoa, ellipse: EllipseConfig):
-    """Departure angles and center distances (aod, d_tx, d_rx) of the
-    scatterers placed on the ellipse at arrival angles ``aoa``.
-
-    The pair satisfies d_tx + d_rx = 2*semi_major by construction.
-    """
-    d_rx = rx_focal_distance(aoa, ellipse)
-    return aod_from_aoa(aoa, ellipse), 2.0 * ellipse.semi_major - d_rx, d_rx
-
-
 def antenna_offset(index, count: int, spacing: float):
     """Signed offset of antenna ``index`` (1-based, scalar or array) from
     the array center."""
@@ -136,6 +129,22 @@ def antenna_distances(center, angles, tilt: float, offsets):
     ca = np.cos(np.asarray(angles, dtype=float) - tilt).reshape(-1, 1)
     o = np.asarray(offsets, dtype=float)
     return np.sqrt(c * c + o * o - 2.0 * c * o * ca)
+
+
+def antenna_distance_tx(center_dist, aod, antenna_index, array: ArrayConfig):
+    """(antennas, paths) distances from the transmit antennas
+    ``antenna_index`` (1-based) to the scatterers at departure angles
+    ``aod``, C-ordered: the rounding of sums over paths can depend on
+    the layout."""
+    off = antenna_offset(antenna_index, array.num_tx, array.spacing_tx)
+    return np.ascontiguousarray(antenna_distances(center_dist, aod, array.tilt_tx, off).T)
+
+
+def antenna_distance_rx(center_dist, aoa, antenna_index, array: ArrayConfig):
+    """(antennas, paths) distances from the receive antennas
+    ``antenna_index`` (1-based) to the scatterers at arrival angles ``aoa``."""
+    off = antenna_offset(antenna_index, array.num_rx, array.spacing_rx)
+    return np.ascontiguousarray(antenna_distances(center_dist, aoa, array.tilt_rx, off).T)
 
 
 def ray_doppler(aoas, max_doppler: float, velocity_angle: float):
@@ -176,6 +185,26 @@ def los_doppler_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
                    * np.sin(alpha_l - tilt_rx), 0.0)
     inner = np.arcsin(np.clip(arg, -1.0, 1.0))
     return max_doppler * np.cos(tilt_rx - velocity_angle + inner)
+
+
+def _los_frame(antenna_l, antenna_k, ellipse, array: ArrayConfig):
+    return (antenna_offset(antenna_l, array.num_tx, array.spacing_tx),
+            antenna_offset(antenna_k, array.num_rx, array.spacing_rx),
+            ellipse, array.tilt_tx, array.tilt_rx)
+
+
+def los_geometry(antenna_l, antenna_k, ellipse: EllipseConfig, array: ArrayConfig):
+    """``los_path_from_offsets`` between transmit antennas ``antenna_l`` and
+    receive antennas ``antenna_k`` (1-based, broadcast against each other)."""
+    return los_path_from_offsets(*_los_frame(antenna_l, antenna_k, ellipse, array))
+
+
+def los_doppler(antenna_l, antenna_k, ellipse: EllipseConfig, array: ArrayConfig,
+                max_doppler: float, velocity_angle: float):
+    """``los_doppler_from_offsets`` between transmit antennas ``antenna_l``
+    and receive antennas ``antenna_k`` (1-based, broadcast)."""
+    return los_doppler_from_offsets(*_los_frame(antenna_l, antenna_k, ellipse, array),
+                                    max_doppler, velocity_angle)
 
 
 def nearest_beam(angle: float, num_beams: int) -> int:

@@ -50,10 +50,12 @@ from .gbsm import cluster_ellipse
 from .geometry import (
     VirtualAngleGrid,
     antenna_distances,
-    ellipse_paths,
+    aod_from_aoa,
     los_doppler_from_offsets,
     los_path_from_offsets,
     ray_doppler,
+    rx_focal_distance,
+    virtual_angles,
 )
 
 __all__ = [
@@ -186,6 +188,8 @@ class _LagContext:
         self.column = np.array([distinct.setdefault(key, len(distinct))
                                 for key in zip(self.dT, self.dR, self.dL)])
         col_tx, col_rx, self.col_time = (np.array(v) for v in zip(*distinct))
+        # [reference offsets of every column..., probe offsets...], so one
+        # kernel call per side covers both antennas; _split separates them
         self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, col_tx)
         self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, col_rx)
         hz = config.evolution.death_rate / config.evolution.array_decorrelation
@@ -195,6 +199,7 @@ class _LagContext:
         self.kfac = config.rician_k
         self._slot_cache: dict[int, tuple] = {}
         self._freq_cache: dict[int, np.ndarray] = {}
+        self._angles = virtual_angles(config.num_beams) if model == "bdcm" else None
         # direct-path per-lag geometry is cluster independent
         if self.kfac > 0:
             self._los = self._los_terms()
@@ -204,21 +209,23 @@ class _LagContext:
     def paths(self, occ):
         """(weights, doppler, tables) of one cluster's rays or beams."""
         if self.model == "gbsm":
+            ell = cluster_ellipse(occ, self.config)
             ang = occ.ray_aoas
-            doppler, tables = self._tables(ang, cluster_ellipse(occ, self.config))
+            doppler, tables = self._tables(ang, aod_from_aoa(ang, ell), ell)
             return np.full(ang.size, 1.0 / ang.size), doppler, tables
         cached = self._slot_cache.get(occ.slot)
         if cached is None:
             ell = cluster_ellipse(occ, self.config)
-            grid = VirtualAngleGrid.build(self.config.num_beams, ell)
-            cached = (grid, *self._tables(grid.aoa, ell))
+            grid = VirtualAngleGrid(num_beams=self.config.num_beams, aoa=self._angles,
+                                    aod=aod_from_aoa(self._angles, ell))
+            cached = (grid, *self._tables(grid.aoa, grid.aod, ell))
             self._slot_cache[occ.slot] = cached
         grid, doppler, tables = cached
         wts = beam_weights(occ.mean_aoa, self.config.kappa, grid,
                            self.config.beam_weighting)
         return wts, doppler, tables
 
-    def _tables(self, ang, ellipse):
+    def _tables(self, ang, aod, ellipse):
         """Per-path Doppler and phasor tables over the distinct lag columns.
 
         Analytic mode gives one (paths, columns) table exp(1j*dphase) of
@@ -228,7 +235,8 @@ class _LagContext:
         rotation is part of the tables in both modes.
         """
         cfg = self.config
-        aod, d_tx, d_rx = ellipse_paths(ang, ellipse)
+        d_rx = rx_focal_distance(ang, ellipse)
+        d_tx = 2.0 * ellipse.semi_major - d_rx
         tx_x, tx_y = _split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, self.off_tx))
         rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)

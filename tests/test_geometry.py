@@ -9,12 +9,13 @@ from beamchan.geometry import (
     ArrayConfig,
     EllipseConfig,
     VirtualAngleGrid,
+    antenna_distance_rx,
+    antenna_distance_tx,
     antenna_distances,
     antenna_offset,
     aod_from_aoa,
-    ellipse_paths,
-    los_doppler_from_offsets,
-    los_path_from_offsets,
+    los_doppler,
+    los_geometry,
     nearest_beam,
     rx_focal_distance,
     virtual_angles,
@@ -24,22 +25,19 @@ ELLIPSE = EllipseConfig(semi_major=100.0, focal_half=80.0)
 
 
 def distance_tx(center, aod, index, arr):
-    """Distance from transmit antenna ``index`` through the kernel."""
-    off = antenna_offset(index, arr.num_tx, arr.spacing_tx)
-    return antenna_distances(center, aod, arr.tilt_tx, [off])[:, 0]
+    """Distance from transmit antenna ``index`` (one row of the kernel)."""
+    return antenna_distance_tx(center, aod, [index], arr)[0]
 
 
 def distance_rx(center, aoa, index, arr):
-    """Distance from receive antenna ``index`` through the kernel."""
-    off = antenna_offset(index, arr.num_rx, arr.spacing_rx)
-    return antenna_distances(center, aoa, arr.tilt_rx, [off])[:, 0]
+    """Distance from receive antenna ``index`` (one row of the kernel)."""
+    return antenna_distance_rx(center, aoa, [index], arr)[0]
 
 
-def los_args(l, k, arr):
-    """Offsets of transmit antenna l and receive antenna k, plus the frame."""
-    return (antenna_offset(l, arr.num_tx, arr.spacing_tx),
-            antenna_offset(k, arr.num_rx, arr.spacing_rx),
-            ELLIPSE, arr.tilt_tx, arr.tilt_rx)
+def center_geometry(aoa, ellipse):
+    """(aod, d_tx, d_rx) of the scatterer at ``aoa``, as the models build it."""
+    d_rx = rx_focal_distance(aoa, ellipse)
+    return aod_from_aoa(aoa, ellipse), 2.0 * ellipse.semi_major - d_rx, d_rx
 
 
 def center_distances_sine_rule(aoa, aod, ellipse):
@@ -117,7 +115,7 @@ class TestAodFromAoa:
 
     @given(aoa=angles, ellipse=ellipses())
     def test_ellipse_sum_invariant(self, aoa, ellipse):
-        _, tx, rx = ellipse_paths(aoa, ellipse)
+        _, tx, rx = center_geometry(aoa, ellipse)
         assert tx + rx == pytest.approx(2.0 * ellipse.semi_major, rel=1e-9)
 
     @given(aoa=angles, ellipse=ellipses())
@@ -134,26 +132,26 @@ class TestAodFromAoa:
 
 class TestCenterDistances:
     def test_broadside_example(self):
-        _, tx, rx = ellipse_paths(math.pi / 2, ELLIPSE)
+        _, tx, rx = center_geometry(math.pi / 2, ELLIPSE)
         assert tx == pytest.approx(164.0, rel=1e-12)
         assert rx == pytest.approx(36.0, rel=1e-12)
 
     def test_collinear_closed_form(self):
-        _, tx, rx = ellipse_paths(0.0, ELLIPSE)
+        _, tx, rx = center_geometry(0.0, ELLIPSE)
         assert (tx, rx) == (pytest.approx(180.0), pytest.approx(20.0))
-        _, tx, rx = ellipse_paths(math.pi, ELLIPSE)
+        _, tx, rx = center_geometry(math.pi, ELLIPSE)
         assert (tx, rx) == (pytest.approx(20.0), pytest.approx(180.0))
 
     @given(aoa=st.floats(0.05, math.pi - 0.05), ellipse=ellipses())
     def test_sine_rule_cross_check(self, aoa, ellipse):
-        aod, tx, rx = ellipse_paths(aoa, ellipse)
+        aod, tx, rx = center_geometry(aoa, ellipse)
         tx2, rx2 = center_distances_sine_rule(aoa, aod, ellipse)
         assert tx == pytest.approx(tx2, rel=1e-9)
         assert rx == pytest.approx(rx2, rel=1e-9)
 
     @given(aoa=angles, ellipse=ellipses())
     def test_distances_bounded_by_ellipse_extremes(self, aoa, ellipse):
-        _, tx, rx = ellipse_paths(aoa, ellipse)
+        _, tx, rx = center_geometry(aoa, ellipse)
         lo = ellipse.semi_major - ellipse.focal_half
         hi = ellipse.semi_major + ellipse.focal_half
         assert lo * (1 - 1e-9) <= tx <= hi * (1 + 1e-9)
@@ -163,7 +161,7 @@ class TestCenterDistances:
     def test_law_of_sines_ratio(self, aoa, ellipse):
         # tx side faces the interior angle at the receive focus (sin = sin aoa),
         # rx side faces the interior angle at the transmit focus (sin = sin aod)
-        aod, tx, rx = ellipse_paths(aoa, ellipse)
+        aod, tx, rx = center_geometry(aoa, ellipse)
         assert tx * abs(math.sin(aod)) == pytest.approx(
             rx * abs(math.sin(aoa)), rel=1e-9
         )
@@ -251,24 +249,27 @@ class TestAntennaDistances:
         # at arrival angle aoa, antennas displaced along the tilted axes
         # around the transmit focus (-f, 0) and the receive focus (+f, 0)
         f = ellipse.focal_half
-        aod, d_tx, d_rx = ellipse_paths(np.array([aoa]), ellipse)
+        arr = ArrayConfig(num_tx=num, num_rx=num, spacing_tx=spacing,
+                          spacing_rx=spacing, tilt_tx=tilt_t, tilt_rx=tilt_r)
+        aod, d_tx, d_rx = center_geometry(np.array([aoa]), ellipse)
         scat = np.array([f + d_rx[0] * math.cos(aoa), d_rx[0] * math.sin(aoa)])
-        offsets = antenna_offset(np.arange(1, num + 1), num, spacing)
-        for center, angle, tilt, focus in ((d_tx, aod, tilt_t, -f),
-                                           (d_rx, [aoa], tilt_r, f)):
-            got = antenna_distances(center, angle, tilt, offsets)
-            assert got.shape == (1, num)
+        index = np.arange(1, num + 1)
+        offsets = antenna_offset(index, num, spacing)
+        for got, tilt, focus in (
+                (antenna_distance_tx(d_tx, aod, index, arr), tilt_t, -f),
+                (antenna_distance_rx(d_rx, [aoa], index, arr), tilt_r, f)):
+            assert got.shape == (num, 1) and got.flags.c_contiguous
             ant_x = focus + offsets * math.cos(tilt)
             ant_y = offsets * math.sin(tilt)
             want = np.hypot(scat[0] - ant_x, scat[1] - ant_y)
             scale = ellipse.semi_major + np.abs(offsets)
-            assert np.all(np.abs(got[0] - want) <= 1e-9 * scale)
+            assert np.all(np.abs(got[:, 0] - want) <= 1e-9 * scale)
 
 
 class TestLosGeometry:
     def test_single_antennas_collapse_to_focal_separation(self):
         arr = ArrayConfig(num_tx=1, num_rx=1)
-        assert tuple(map(float, los_path_from_offsets(*los_args(1, 1, arr)))) == (
+        assert tuple(map(float, los_geometry(1, 1, ELLIPSE, arr))) == (
             pytest.approx(160.0),
             pytest.approx(0.0),
             pytest.approx(160.0),
@@ -276,7 +277,7 @@ class TestLosGeometry:
 
     def test_two_element_broadside(self):
         arr = ArrayConfig(num_tx=2, num_rx=2, spacing_tx=0.06, spacing_rx=0.06)
-        dist_l, alpha_l, dist_kl = los_path_from_offsets(*los_args(1, 1, arr))
+        dist_l, alpha_l, dist_kl = los_geometry(1, 1, ELLIPSE, arr)
         assert dist_l == pytest.approx(math.sqrt(160.0**2 + 0.03**2), rel=1e-12)
         assert alpha_l == pytest.approx(math.asin(0.03 / dist_l), rel=1e-12)
 
@@ -284,7 +285,7 @@ class TestLosGeometry:
         arr = ArrayConfig(num_tx=5, num_rx=5, spacing_tx=0.1, spacing_rx=0.1,
                           tilt_tx=math.pi / 2, tilt_rx=math.pi / 2)
         off = antenna_offset(1, 5, 0.1)
-        dist_l, alpha_l, _ = los_path_from_offsets(*los_args(1, 3, arr))
+        dist_l, alpha_l, _ = los_geometry(1, 3, ELLIPSE, arr)
         assert dist_l == pytest.approx(math.hypot(160.0, off), rel=1e-12)
         assert alpha_l == pytest.approx(math.asin(off / dist_l), rel=1e-12)
 
@@ -301,14 +302,14 @@ class TestLosGeometry:
         arr = ArrayConfig(num_tx=num, num_rx=num, spacing_tx=spacing,
                           spacing_rx=spacing, tilt_tx=tilt_t, tilt_rx=tilt_r)
         l, k = min(l, num), min(k, num)
-        dist_l, alpha_l, dist_kl = los_path_from_offsets(*los_args(l, k, arr))
+        dist_l, alpha_l, dist_kl = los_geometry(l, k, ELLIPSE, arr)
         assert dist_l > 0 and dist_kl >= 0
-        f = los_doppler_from_offsets(*los_args(l, k, arr), 33.33, math.pi / 6)
+        f = los_doppler(l, k, ELLIPSE, arr, 33.33, math.pi / 6)
         assert abs(f) <= 33.33 * (1 + 1e-12)
 
     def test_center_doppler_matches_velocity_projection(self):
         arr = ArrayConfig(num_tx=1, num_rx=1)
-        f = los_doppler_from_offsets(*los_args(1, 1, arr), 33.33, math.pi / 6)
+        f = los_doppler(1, 1, ELLIPSE, arr, 33.33, math.pi / 6)
         assert f == pytest.approx(33.33 * math.cos(math.pi / 6), rel=1e-12)
 
 
@@ -346,5 +347,5 @@ class TestConfigValidation:
 
     def test_grid_pairs_satisfy_ellipse_sum(self):
         grid = VirtualAngleGrid.build(64, ELLIPSE)
-        _, tx, rx = ellipse_paths(grid.aoa, ELLIPSE)
+        _, tx, rx = center_geometry(grid.aoa, ELLIPSE)
         np.testing.assert_allclose(tx + rx, 200.0, rtol=1e-12)
