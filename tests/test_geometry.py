@@ -11,7 +11,6 @@ from beamchan.geometry import (
     VirtualAngleGrid,
     antenna_distance_rx,
     antenna_distance_tx,
-    antenna_distances,
     antenna_offset,
     aod_from_aoa,
     los_doppler,
@@ -288,6 +287,17 @@ class TestLosGeometry:
         dist_l, alpha_l, _ = los_geometry(1, 3, ELLIPSE, arr)
         assert dist_l == pytest.approx(math.hypot(160.0, off), rel=1e-12)
         assert alpha_l == pytest.approx(math.asin(off / dist_l), rel=1e-12)
+
+    def test_broadside_pairs_match_cartesian_coordinates(self):
+        # at broadside the direct path is the plain antenna-to-antenna
+        # distance; unequal sizes and spacings tell the two sides apart
+        arr = ArrayConfig(num_tx=4, num_rx=3, spacing_tx=0.5, spacing_rx=0.9)
+        l, k = np.arange(1, 5), np.arange(1, 4)
+        _, _, dist_kl = los_geometry(l[None, :], k[:, None], ELLIPSE, arr)
+        tx_y = antenna_offset(l, 4, 0.5)
+        rx_y = antenna_offset(k, 3, 0.9)
+        want = np.hypot(160.0, rx_y[:, None] - tx_y[None, :])
+        np.testing.assert_allclose(dist_kl, want, rtol=1e-12)
 
     @given(
         tilt_t=st.floats(0.0, math.pi - 1e-9),

@@ -22,7 +22,7 @@ from beamchan.statistics import (
     time_acf,
 )
 from beamchan.clusters import initial_clusters
-from beamchan.geometry import ArrayConfig
+from beamchan.geometry import ArrayConfig, EllipseConfig, rx_focal_distance, virtual_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,6 +189,39 @@ def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch):
                 for chunk in chunks)
     # one table is one transmit and one receive distance grid
     assert 0 < len(calls) <= 2 * slots
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_tables_match_cartesian_path_lengths(model):
+    # analytic tables against path lengths from explicit coordinates: the
+    # scatterer on the cluster's ellipse, reference and probe antennas on
+    # tilted arrays around the transmit focus (-f, 0) and receive focus (f, 0)
+    arr = ArrayConfig(num_tx=8, num_rx=6, spacing_tx=0.05, spacing_rx=0.08,
+                      tilt_tx=0.7, tilt_rx=1.9)
+    cfg = SimulationConfig(array=arr, num_beams=64)
+    lag_tx = np.array([0.0, 0.03, 0.0, 0.11])
+    lag_rx = np.array([0.0, 0.0, 0.07, 0.02])
+    ctx = statistics._LagContext(cfg, model, lag_tx, lag_rx, 0.0, 0.0)
+    occ = _member_state(cfg, 3, 0, 1.0)[0]
+    _, _, tables = ctx.paths(occ)
+    ang = occ.ray_aoas if model == "gbsm" else virtual_angles(cfg.num_beams)
+    f = cfg.ellipse.focal_half
+    r = rx_focal_distance(ang, EllipseConfig(occ.semi_major, f))
+    scat = np.stack([f + r * np.cos(ang), r * np.sin(ang)])[:, :, None]
+
+    def path_difference(num, spacing, tilt, lags, focus):
+        ref = np.where(lags > 0, (num - 1) / 2 * lags, (num - 1) / 2 * spacing)
+        probe = np.where(lags > 0, (num - 3) / 2 * lags, ref)
+        axis = np.array([[math.cos(tilt)], [math.sin(tilt)]])[:, None, :]
+        length = [np.hypot(*(scat - (np.array([[focus], [0.0]])[:, None, :]
+                                     + axis * off[None, None, :])))
+                  for off in (ref, probe)]
+        return length[0] - length[1]
+
+    dphase = TWO_PI / cfg.wavelength * (
+        path_difference(8, 0.05, 0.7, lag_tx, -f)
+        + path_difference(6, 0.08, 1.9, lag_rx, f))
+    assert np.max(np.abs(tables[:, ctx.column] - np.exp(1j * dphase))) < 1e-9
 
 
 # ----------------------------------------------------------------- oracles
