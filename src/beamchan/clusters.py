@@ -99,7 +99,6 @@ class Cluster:
     pdp_scale: float = 1.0
     tx_chain: np.ndarray | None = field(default=None, repr=False)
     rx_chain: np.ndarray | None = field(default=None, repr=False)
-    born_at: float = 0.0
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -127,7 +126,7 @@ def _pdp_weight(config, slot: int) -> float:
 
 
 def _new_cluster(config, rng, index: int, uid: int, slot: int, mean_aoa: float,
-                 pdp_scale: float, born_at: float) -> Cluster:
+                 pdp_scale: float) -> Cluster:
     a = _ladder_semi_major(config, slot)
     rays = _draw_rays(rng, mean_aoa, config.kappa, config.rays_per_cluster)
     tx_chain = rng.exponential(1.0, max(config.array.num_tx - 1, 0))
@@ -146,7 +145,6 @@ def _new_cluster(config, rng, index: int, uid: int, slot: int, mean_aoa: float,
         pdp_scale=pdp_scale,
         tx_chain=tx_chain,
         rx_chain=rx_chain,
-        born_at=born_at,
     )
 
 
@@ -170,7 +168,7 @@ def initial_clusters(config, rng_seed) -> list[Cluster]:
     for s in range(count):
         mean_aoa = config.mean_aoa if s == 0 else rng.uniform(-math.pi, math.pi)
         out.append(_new_cluster(config, rng, index=s + 1, uid=s + 1, slot=s,
-                                mean_aoa=mean_aoa, pdp_scale=pdp_scale, born_at=0.0))
+                                mean_aoa=mean_aoa, pdp_scale=pdp_scale))
     return out
 
 
@@ -223,7 +221,7 @@ def evolve_array(clusters: list[Cluster], array, evolution: EvolutionConfig,
                     slot = int(rng.integers(0, ladder))
                     c = _new_cluster(config, rng, index=0, uid=next_uid, slot=slot,
                                      mean_aoa=rng.uniform(-math.pi, math.pi),
-                                     pdp_scale=pdp_scale, born_at=0.0)
+                                     pdp_scale=pdp_scale)
                     chain = c.rx_chain if side == "rx" else c.tx_chain
                     born_set = _visible_steps(chain[antenna - 1:], hazard, antenna, count)
                     if side == "rx":
@@ -264,12 +262,11 @@ def evolve_time(clusters: list[Cluster], dt: float, config, rng) -> list[Cluster
     next_uid = max((c.uid for c in clusters), default=0) + 1
     ladder = max(len(clusters), 1)
     pdp_scale = clusters[0].pdp_scale if clusters else 1.0
-    new_time = (clusters[0].born_at if clusters else 0.0) + dt
     for b in range(births):
         slot = int(rng.integers(0, ladder))
         out.append(_new_cluster(config, rng, index=0, uid=next_uid + b, slot=slot,
                                 mean_aoa=rng.uniform(-math.pi, math.pi),
-                                pdp_scale=pdp_scale, born_at=new_time))
+                                pdp_scale=pdp_scale))
     for i, c in enumerate(out):
         c.index = i + 1
     return out

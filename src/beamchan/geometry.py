@@ -168,8 +168,9 @@ def los_path_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
     # bounded by 1 because dist_l^2 - (off*sin)^2 = (sep - off*cos)^2 >= 0
     arg = np.where(dist_l > 0.0, off_tx * np.sin(tilt_tx) / np.where(dist_l > 0.0, dist_l, 1.0), 0.0)
     alpha_l = np.arcsin(np.clip(arg, -1.0, 1.0))
+    # the receive center sees the transmit antenna at angle pi - alpha_l
     dist_kl = np.sqrt(dist_l * dist_l + off_rx * off_rx
-                      - 2.0 * dist_l * off_rx * np.cos(alpha_l - tilt_rx))
+                      + 2.0 * dist_l * off_rx * np.cos(alpha_l + tilt_rx))
     return dist_l, alpha_l, dist_kl
 
 
@@ -179,7 +180,8 @@ def los_doppler_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
     """Direct-path Doppler for raw antenna offsets (vectorized)."""
     dist_l, alpha_l, dist_kl = los_path_from_offsets(off_tx, off_rx, ellipse,
                                                      tilt_tx, tilt_rx)
-    # dist_kl >= dist_l*|sin(alpha_l - tilt_rx)| always
+    # at broadside dist_kl >= dist_l*|sin(alpha_l - tilt_rx)|; off broadside
+    # the ratio can pass 1 by about off_rx/dist_l, hence the clip
     arg = np.where(dist_kl > 0.0,
                    dist_l / np.where(dist_kl > 0.0, dist_kl, 1.0)
                    * np.sin(alpha_l - tilt_rx), 0.0)

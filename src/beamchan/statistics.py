@@ -166,13 +166,17 @@ class _LagContext:
     they are built over the distinct columns of that triple, in
     first-occurrence order, and scattered back to the full lag grid
     through ``column``.  Beam-domain tables depend on the cluster only
-    through its delay slot and are cached per slot.
+    through its delay slot and are cached per slot.  With K > 0 the
+    direct path is the last path of cluster 1; its Doppler differs
+    between antenna pairs, so its row also carries the rotation at the
+    call's one evaluation time t.
     """
 
-    def __init__(self, config, model, lag_tx, lag_rx, lag_freq, lag_time):
+    def __init__(self, config, model, t, lag_tx, lag_rx, lag_freq, lag_time):
         arr = config.array
         self.config = config
         self.model = model
+        self.t = t
         self.sampled = config.estimator_mode == "sampled"
         self.wn = TWO_PI / config.wavelength
         self.dT, self.dR, self.dW, self.dL = _broadcast_lags(
@@ -200,30 +204,53 @@ class _LagContext:
         self._slot_cache: dict[int, tuple] = {}
         self._freq_cache: dict[int, np.ndarray] = {}
         self._angles = virtual_angles(config.num_beams) if model == "bdcm" else None
-        # direct-path per-lag geometry is cluster independent
-        if self.kfac > 0:
-            self._los = self._los_terms()
-        else:
-            self._los = None
+        if model == "gbsm":
+            # the antenna-domain direct path joins the arrays, whatever the
+            # cluster: one row per call, built whatever K as it is one column
+            geo = (self.off_tx, self.off_rx, config.ellipse, arr.tilt_tx, arr.tilt_rx)
+            _, _, dist = los_path_from_offsets(*geo)
+            doppler = los_doppler_from_offsets(*geo, config.max_doppler,
+                                               config.velocity_angle)
+            self._direct = self._direct_row(_split(dist), _split(doppler))
 
     def paths(self, occ):
-        """(weights, doppler, tables) of one cluster's rays or beams."""
+        """(weights, power, doppler, tables) of one cluster's paths.
+
+        The paths are the rays or beams and, for cluster 1 with K > 0,
+        the direct path as the last one; ``weights`` are their fractions
+        of the cluster's total ``power``.
+        """
+        cfg = self.config
         if self.model == "gbsm":
-            ell = cluster_ellipse(occ, self.config)
+            ell = cluster_ellipse(occ, cfg)
             ang = occ.ray_aoas
-            doppler, tables = self._tables(ang, aod_from_aoa(ang, ell), ell)
-            return np.full(ang.size, 1.0 / ang.size), doppler, tables
-        cached = self._slot_cache.get(occ.slot)
-        if cached is None:
-            ell = cluster_ellipse(occ, self.config)
-            grid = VirtualAngleGrid(num_beams=self.config.num_beams, aoa=self._angles,
-                                    aod=aod_from_aoa(self._angles, ell))
-            cached = (grid, *self._tables(grid.aoa, grid.aod, ell))
-            self._slot_cache[occ.slot] = cached
-        grid, doppler, tables = cached
-        wts = beam_weights(occ.mean_aoa, self.config.kappa, grid,
-                           self.config.beam_weighting)
-        return wts, doppler, tables
+            doppler, tables, _ = self._tables(ang, aod_from_aoa(ang, ell), ell)
+            wts = np.full(ang.size, 1.0 / ang.size)
+            direct = self._direct
+        else:
+            cached = self._slot_cache.get(occ.slot)
+            if cached is None:
+                ell = cluster_ellipse(occ, cfg)
+                grid = VirtualAngleGrid(num_beams=cfg.num_beams, aoa=self._angles,
+                                        aod=aod_from_aoa(self._angles, ell))
+                doppler, tables, last = self._tables(grid.aoa, grid.aod, ell)
+                # the beam-domain direct path rides the slot's last beam
+                # (angle pi) with the array-center Doppler
+                f_c = center_los_doppler(cfg)
+                cached = (grid, doppler, tables, self._direct_row(last, (f_c, f_c)))
+                self._slot_cache[occ.slot] = cached
+            grid, doppler, tables, direct = cached
+            wts = beam_weights(occ.mean_aoa, cfg.kappa, grid, cfg.beam_weighting)
+        power = occ.power / (self.kfac + 1.0)
+        if occ.index == 1 and self.kfac > 0:
+            k_eff = self.kfac / (self.kfac + 1.0)
+            wts = np.append(power * wts, k_eff) / (power + k_eff)
+            power = power + k_eff
+            # the direct path's Doppler rotation at t is part of its row
+            doppler = np.append(doppler, 0.0)
+            tables = (tuple(map(np.vstack, zip(tables, direct))) if self.sampled
+                      else np.vstack([tables, direct]))
+        return wts, power, doppler, tables
 
     def _tables(self, ang, aod, ellipse):
         """Per-path Doppler and phasor tables over the distinct lag columns.
@@ -232,7 +259,8 @@ class _LagContext:
         the reference-minus-probe phase.  Sampled mode gives the reference
         and probe geometry phasors; the per-path phases and the Doppler
         rotation at t enter later as a diagonal.  The time-lag Doppler
-        rotation is part of the tables in both modes.
+        rotation is part of the tables in both modes.  The last item is
+        the reference and probe path lengths of the last path.
         """
         cfg = self.config
         d_rx = rx_focal_distance(ang, ellipse)
@@ -241,11 +269,22 @@ class _LagContext:
         rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
         lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
+        last = (tx_x[-1] + rx_x[-1], tx_y[-1] + rx_y[-1])
         if self.sampled:
             return doppler, (np.exp(1j * self.wn * (tx_x + rx_x)),
-                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase)))
+                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase))), last
         dphase = self.wn * ((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
-        return doppler, np.exp(1j * dphase)
+        return doppler, np.exp(1j * dphase), last
+
+    def _direct_row(self, lengths, dopplers):
+        """Direct-path table row from its reference and probe path lengths
+        and Doppler shifts per lag column, rotated to the evaluation time."""
+        (d_x, d_y), (f_x, f_y) = lengths, dopplers
+        px = self.wn * d_x + TWO_PI * f_x * self.t
+        py = self.wn * d_y + TWO_PI * f_y * (self.t + self.col_time)
+        if self.sampled:
+            return np.exp(1j * px), np.exp(1j * py)
+        return np.exp(1j * (px - py))
 
     def freq_factor(self, occ):
         """Per-lag frequency rotation exp(2j*pi*dW*delay) of one cluster.
@@ -259,45 +298,8 @@ class _LagContext:
             self._freq_cache[occ.slot] = fac
         return fac
 
-    def _los_terms(self):
-        """Per-lag phase ingredients of the direct path.
 
-        Returns (phase_x, phase_y, doppler_x, doppler_y): geometry phases
-        and Doppler shifts of the reference and probe antenna pairs.
-        """
-        cfg = self.config
-        arr = cfg.array
-        if self.model == "gbsm":
-            geo = (self.off_tx, self.off_rx, cfg.ellipse, arr.tilt_tx, arr.tilt_rx)
-            _, _, dist = los_path_from_offsets(*geo)
-            doppler = los_doppler_from_offsets(*geo, cfg.max_doppler,
-                                               cfg.velocity_angle)
-            d_x, d_y = _split(dist)
-            f_x, f_y = _split(doppler)
-        else:
-            # beam-domain direct path: the wave is carried by the beam
-            # pointing back at the transmitter, so the per-antenna phase
-            # uses that beam's scatter point on the first cluster's ellipse;
-            # the departure angle of the beam at pi is pi as well
-            ell = cfg.ellipse
-            rx = antenna_distances(ell.semi_major + ell.focal_half, math.pi,
-                                   arr.tilt_rx, self.off_rx)[0]
-            tx = antenna_distances(ell.semi_major - ell.focal_half, math.pi,
-                                   arr.tilt_tx, self.off_tx)[0]
-            d_x, d_y = _split(rx + tx)
-            f_x = f_y = np.full(d_x.size, center_los_doppler(cfg))
-        terms = (self.wn * d_x, self.wn * d_y, f_x, f_y)
-        return tuple(v[self.column] for v in terms)
-
-    def los_phasors(self, t: float):
-        """Reference/probe direct-path phases at evaluation time t."""
-        phase_x, phase_y, f_x, f_y = self._los
-        px = phase_x + TWO_PI * f_x * t
-        py = phase_y + TWO_PI * f_y * (t + self.dL)
-        return px, py, f_x, f_y
-
-
-def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
+def _member_terms(ctx: _LagContext, clusters, budgets, cluster_index,
                   phase_rng=None):
     """One member's contribution (numerator, |X|^2 term, |Y|^2 term).
 
@@ -307,11 +309,10 @@ def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
     """
     if cluster_index is None:
         members = list(enumerate(clusters))
+    elif cluster_index > len(clusters):
+        members = []
     else:
-        if cluster_index > len(clusters):
-            members = []
-        else:
-            members = [(cluster_index - 1, clusters[cluster_index - 1])]
+        members = [(cluster_index - 1, clusters[cluster_index - 1])]
     sampled = ctx.sampled
     if sampled:
         x_tot = np.zeros(ctx.length, dtype=complex)
@@ -321,39 +322,23 @@ def _member_terms(ctx: _LagContext, clusters, budgets, t, cluster_index,
         a = 0.0
         b = np.zeros(ctx.length)
     for pos, occ in members:
-        wts, doppler, tables = ctx.paths(occ)
+        wts, power, doppler, tables = ctx.paths(occ)
         gate = (_pair_gate(occ.tx_chain, ctx.hazard_tx)
                 & _pair_gate(occ.rx_chain, ctx.hazard_rx)
                 & (budgets[pos] > ctx.decay * ctx.dL))
-        p_eff = occ.power / (ctx.kfac + 1.0)
         freq_fac = ctx.freq_factor(occ)
-        has_los = occ.index == 1 and ctx.kfac > 0
         if sampled:
             phases = phase_rng.uniform(0.0, TWO_PI, wts.size)
-            diag = (np.sqrt(p_eff * wts)
-                    * np.exp(1j * (TWO_PI * doppler * t + phases)))
+            diag = (np.sqrt(power * wts)
+                    * np.exp(1j * (TWO_PI * doppler * ctx.t + phases)))
             ex, ey = tables
-            x_n = (diag @ ex)[ctx.column]
-            y_n = (diag @ ey)[ctx.column] * gate * np.conj(freq_fac)
-            if has_los:
-                phi_l = phase_rng.uniform(0.0, TWO_PI)
-                amp_l = math.sqrt(ctx.kfac / (ctx.kfac + 1.0))
-                px, py, fx, fy = ctx.los_phasors(t)
-                x_n = x_n + amp_l * np.exp(1j * (px + phi_l))
-                y_n = y_n + amp_l * np.exp(1j * (py + phi_l)) * gate * np.conj(freq_fac)
-            x_tot += x_n
-            y_tot += y_n
+            x_tot += (diag @ ex)[ctx.column]
+            y_tot += (diag @ ey)[ctx.column] * gate * np.conj(freq_fac)
         else:
             pa = (wts @ tables)[ctx.column]
-            v += gate * pa * freq_fac * p_eff
-            a += p_eff
-            b = b + gate * p_eff
-            if has_los:
-                k_eff = ctx.kfac / (ctx.kfac + 1.0)
-                px, py, fx, fy = ctx.los_phasors(t)
-                v += gate * k_eff * np.exp(1j * (px - py)) * freq_fac
-                a += k_eff
-                b = b + gate * k_eff
+            v += gate * pa * freq_fac * power
+            a += power
+            b = b + gate * power
     if sampled:
         return x_tot * np.conj(y_tot), np.abs(x_tot) ** 2, np.abs(y_tot) ** 2
     return v, a, b
@@ -363,7 +348,7 @@ def _accumulate(args):
     """Reduce one contiguous block of ensemble members."""
     (config, model, cluster_index, t, lag_tx, lag_rx, lag_freq, lag_time,
      seed, start, stop) = args
-    ctx = _LagContext(config, model, lag_tx, lag_rx, lag_freq, lag_time)
+    ctx = _LagContext(config, model, t, lag_tx, lag_rx, lag_freq, lag_time)
     sampled = config.estimator_mode == "sampled"
     num = np.zeros(ctx.length, dtype=complex)
     sq = np.zeros(ctx.length)
@@ -377,8 +362,7 @@ def _accumulate(args):
         budgets = _stream(seed, member, _STREAM_BUDGET).exponential(
             size=max(len(clusters), 1))
         phase_rng = (_stream(seed, member, _STREAM_PHASE) if sampled else None)
-        v, a, b = _member_terms(ctx, clusters, budgets, t, cluster_index,
-                                phase_rng)
+        v, a, b = _member_terms(ctx, clusters, budgets, cluster_index, phase_rng)
         num += v
         sq += np.abs(v) ** 2
         den_x = den_x + a

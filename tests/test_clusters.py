@@ -172,6 +172,29 @@ class TestEvolveArray:
         newborn = [c for c in with_births if c.uid > max(x.uid for x in clusters)]
         assert newborn and all(min(c.visible_rx.union(c.visible_tx)) >= 1 for c in newborn)
 
+    def test_birth_death_balance_along_the_array(self):
+        # mean count visible at receive antenna j: the initial set (empty
+        # draws rejected) plus the transmit-side newborns, all visible at
+        # receive antenna 1, decay by s_r per step while receive-side
+        # births fill the set back toward mu
+        mu, seeds = 5.0, 3000
+        evo = EvolutionConfig(death_rate=4.0, array_decorrelation=15.0)
+        arr = ArrayConfig(num_tx=6, num_rx=12, spacing_tx=3.0, spacing_rx=3.0)
+        cfg = small_config(array=arr, evolution=evo, mean_clusters=mu,
+                           rays_per_cluster=1)
+        counts = np.zeros((seeds, arr.num_rx))
+        for seed in range(seeds):
+            clusters = initial_clusters(cfg, seed)
+            for c in evolve_array(clusters, arr, evo, seed + 20_000, config=cfg):
+                counts[seed, np.fromiter(c.visible_rx, int) - 1] += 1
+        s_t, s_r = array_survival(3.0, evo), array_survival(3.0, evo)
+        n0 = mu / (1.0 - math.exp(-mu))
+        decay = s_r ** np.arange(arr.num_rx)
+        want = (n0 + (arr.num_tx - 1) * mu * (1.0 - s_t)) * decay + mu * (1.0 - decay)
+        err = counts.std(axis=0, ddof=1) / math.sqrt(seeds)
+        # four standard errors per antenna, as the other rate checks here
+        assert np.all(np.abs(counts.mean(axis=0) - want) <= 4 * err)
+
     def test_inputs_not_mutated(self):
         cfg = small_config()
         clusters = initial_clusters(cfg, 6)
@@ -218,7 +241,7 @@ class TestEvolveTime:
                 assert c.semi_major == olds[c.uid].semi_major
                 assert c.mean_aoa == olds[c.uid].mean_aoa
             else:
-                assert c.born_at > 0
+                assert c.uid > max(olds)
 
     def test_steady_state_mean_count(self):
         cfg = small_config(rays_per_cluster=1)

@@ -60,8 +60,9 @@ def los_geometry(l, k, ellipse, arr):
                        - 2.0 * sep * off_t * math.cos(arr.tilt_tx))
     alpha_l = _clipped_asin(off_t * math.sin(arr.tilt_tx) / dist_l)
     off_r = antenna_offset(k, arr.num_rx, arr.spacing_rx)
+    # the receive center sees antenna l at angle pi - alpha_l
     dist_kl = math.sqrt(dist_l * dist_l + off_r * off_r
-                        - 2.0 * dist_l * off_r * math.cos(alpha_l - arr.tilt_rx))
+                        + 2.0 * dist_l * off_r * math.cos(alpha_l + arr.tilt_rx))
     return dist_l, alpha_l, dist_kl
 
 

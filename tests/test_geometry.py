@@ -300,6 +300,35 @@ class TestLosGeometry:
         np.testing.assert_allclose(dist_kl, want, rtol=1e-12)
 
     @given(
+        tilt_t=st.floats(0.0, math.pi, exclude_max=True),
+        tilt_r=st.floats(0.0, math.pi, exclude_max=True),
+        spacing_t=st.floats(0.001, 1.0),
+        spacing_r=st.floats(0.001, 1.0),
+        num_t=st.integers(1, 16),
+        num_r=st.integers(1, 16),
+    )
+    @settings(max_examples=100)
+    def test_pairs_match_cartesian_coordinates_at_any_tilt(
+            self, tilt_t, tilt_r, spacing_t, spacing_r, num_t, num_r):
+        # every antenna pair from explicit coordinates: transmit antennas
+        # along the tilted axis around (-f, 0), receive antennas around
+        # (f, 0); offsets stay below 8 m against a 160 m focal separation
+        arr = ArrayConfig(num_tx=num_t, num_rx=num_r, spacing_tx=spacing_t,
+                          spacing_rx=spacing_r, tilt_tx=tilt_t, tilt_rx=tilt_r)
+        l, k = np.arange(1, num_t + 1), np.arange(1, num_r + 1)
+        dist_l, _, dist_kl = los_geometry(l[None, :], k[:, None], ELLIPSE, arr)
+        f = ELLIPSE.focal_half
+        off_t = antenna_offset(l, num_t, spacing_t)
+        off_r = antenna_offset(k, num_r, spacing_r)
+        tx = (-f + off_t * math.cos(tilt_t), off_t * math.sin(tilt_t))
+        rx = (f + off_r * math.cos(tilt_r), off_r * math.sin(tilt_r))
+        want_l = np.hypot(f - tx[0], tx[1])
+        want_kl = np.hypot(rx[0][:, None] - tx[0][None, :],
+                           rx[1][:, None] - tx[1][None, :])
+        assert np.max(np.abs(dist_l - want_l[None, :])) <= 1e-12 * 2 * f
+        assert np.max(np.abs(dist_kl - want_kl)) <= 1e-12 * 2 * f
+
+    @given(
         tilt_t=st.floats(0.0, math.pi - 1e-9),
         tilt_r=st.floats(0.0, math.pi - 1e-9),
         spacing=st.floats(0.001, 2.0),

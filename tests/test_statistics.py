@@ -3,16 +3,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import i0, j0
 
-from beamchan.clusters import EvolutionConfig, time_decay_rate
+from beamchan.bdcm import bdcm_cluster_matrix, draw_bdcm_phases
+from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import statistics
-from beamchan.gbsm import gbsm_matrix
+from beamchan.gbsm import draw_gbsm_phases, gbsm_cluster_matrix, gbsm_matrix
 from beamchan.statistics import (
     CorrelationSeries,
     _member_state,
@@ -22,7 +24,13 @@ from beamchan.statistics import (
     time_acf,
 )
 from beamchan.clusters import initial_clusters
-from beamchan.geometry import ArrayConfig, EllipseConfig, rx_focal_distance, virtual_angles
+from beamchan.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayConfig,
+    EllipseConfig,
+    rx_focal_distance,
+    virtual_angles,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,7 +177,8 @@ def test_slot_cache_matches_fresh_context_per_member(monkeypatch, mode, kfac):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch):
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch, kfac):
     calls = []
     antenna_distances = statistics.antenna_distances
 
@@ -178,7 +187,8 @@ def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch):
         return antenna_distances(*args)
 
     monkeypatch.setattr(statistics, "antenna_distances", counting)
-    cfg = SimulationConfig()   # K=0: no direct-path distance grids
+    # the direct path reads the last beam's grids: K > 0 adds no kernel call
+    cfg = SimulationConfig(rician_k=kfac)
     ensemble, seed = 300, 47
     fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
     chunks = [range(s, min(s + statistics._CHUNK, ensemble))
@@ -201,9 +211,9 @@ def test_tables_match_cartesian_path_lengths(model):
     cfg = SimulationConfig(array=arr, num_beams=64)
     lag_tx = np.array([0.0, 0.03, 0.0, 0.11])
     lag_rx = np.array([0.0, 0.0, 0.07, 0.02])
-    ctx = statistics._LagContext(cfg, model, lag_tx, lag_rx, 0.0, 0.0)
+    ctx = statistics._LagContext(cfg, model, 1.0, lag_tx, lag_rx, 0.0, 0.0)
     occ = _member_state(cfg, 3, 0, 1.0)[0]
-    _, _, tables = ctx.paths(occ)
+    _, _, _, tables = ctx.paths(occ)
     ang = occ.ray_aoas if model == "gbsm" else virtual_angles(cfg.num_beams)
     f = cfg.ellipse.focal_half
     r = rx_focal_distance(ang, EllipseConfig(occ.semi_major, f))
@@ -222,6 +232,37 @@ def test_tables_match_cartesian_path_lengths(model):
         path_difference(8, 0.05, 0.7, lag_tx, -f)
         + path_difference(6, 0.08, 1.9, lag_rx, f))
     assert np.max(np.abs(tables[:, ctx.column] - np.exp(1j * dphase))) < 1e-9
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+@pytest.mark.parametrize("slot", [0, 3])
+def test_direct_path_row_matches_builder(model, slot):
+    # cluster 1 with zero diffuse power carries only the direct path; its
+    # row for a receive spacing lag d and a time lag dL is the builder's
+    # h_ref(t) conj(h_probe(t + dL)) / k_eff on the array respaced to d,
+    # reference antenna 1 and probe antenna 2; the beam-domain direct path
+    # rides the last beam of the cluster's own ellipse, so the slot matters
+    cfg = SimulationConfig(rician_k=3.0, num_beams=64)
+    t, d, dL = 4.0, 0.09, 0.03
+    ctx = statistics._LagContext(cfg, model, t, 0.0, d, 0.0, dL)
+    semi = cfg.ellipse.semi_major + slot * SPEED_OF_LIGHT * cfg.delay_spacing / 2.0
+    occ = Cluster(index=1, uid=1, slot=slot, semi_major=semi,
+                  delay=2.0 * semi / SPEED_OF_LIGHT, power=0.0,
+                  mean_aoa=cfg.mean_aoa, ray_aoas=np.array([0.3, -1.1]),
+                  visible_tx=frozenset({1}), visible_rx=frozenset({1, 2}))
+    k_eff = 3.0 / 4.0
+    wts, power, _, tables = ctx.paths(occ)
+    assert power == k_eff and wts[-1] == 1.0 and not np.any(wts[:-1])
+    respaced = cfg.with_values(array=replace(cfg.array, spacing_rx=d))
+    rng = np.random.default_rng(5)
+    if model == "gbsm":
+        build, phases = gbsm_cluster_matrix, draw_gbsm_phases([occ], rng)
+    else:
+        build, phases = bdcm_cluster_matrix, draw_bdcm_phases([occ], cfg, rng)
+    h_ref = build(occ, t, respaced, phases)[0, 0]
+    h_probe = build(occ, t + dL, respaced, phases)[1, 0]
+    want = h_ref * np.conj(h_probe) / k_eff
+    assert abs(tables[-1, ctx.column[0]] - want) < 1e-10
 
 
 # ----------------------------------------------------------------- oracles
