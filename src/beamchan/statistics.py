@@ -204,14 +204,15 @@ class _LagContext:
         self._slot_cache: dict[int, tuple] = {}
         self._freq_cache: dict[int, np.ndarray] = {}
         self._angles = virtual_angles(config.num_beams) if model == "bdcm" else None
-        if model == "gbsm":
-            # the antenna-domain direct path joins the arrays, whatever the
-            # cluster: one row per call, built whatever K as it is one column
+        self._direct = None
+        if self.kfac > 0 and model == "gbsm":
+            # the antenna-domain direct path joins the arrays, whatever
+            # the cluster, so one row serves the whole call
             geo = (self.off_tx, self.off_rx, config.ellipse, arr.tilt_tx, arr.tilt_rx)
             _, _, dist = los_path_from_offsets(*geo)
             doppler = los_doppler_from_offsets(*geo, config.max_doppler,
                                                config.velocity_angle)
-            self._direct = self._direct_row(_split(dist), _split(doppler))
+            self._direct = self._direct_row(*_split(dist), *_split(doppler))
 
     def paths(self, occ):
         """(weights, power, doppler, tables) of one cluster's paths.
@@ -233,11 +234,10 @@ class _LagContext:
                 ell = cluster_ellipse(occ, cfg)
                 grid = VirtualAngleGrid(num_beams=cfg.num_beams, aoa=self._angles,
                                         aod=aod_from_aoa(self._angles, ell))
-                doppler, tables, last = self._tables(grid.aoa, grid.aod, ell)
                 # the beam-domain direct path rides the slot's last beam
                 # (angle pi) with the array-center Doppler
-                f_c = center_los_doppler(cfg)
-                cached = (grid, doppler, tables, self._direct_row(last, (f_c, f_c)))
+                f_c = center_los_doppler(cfg) if self.kfac > 0 else None
+                cached = (grid, *self._tables(grid.aoa, grid.aod, ell, f_c))
                 self._slot_cache[occ.slot] = cached
             grid, doppler, tables, direct = cached
             wts = beam_weights(occ.mean_aoa, cfg.kappa, grid, cfg.beam_weighting)
@@ -252,15 +252,15 @@ class _LagContext:
                       else np.vstack([tables, direct]))
         return wts, power, doppler, tables
 
-    def _tables(self, ang, aod, ellipse):
+    def _tables(self, ang, aod, ellipse, direct_doppler=None):
         """Per-path Doppler and phasor tables over the distinct lag columns.
 
         Analytic mode gives one (paths, columns) table exp(1j*dphase) of
         the reference-minus-probe phase.  Sampled mode gives the reference
         and probe geometry phasors; the per-path phases and the Doppler
         rotation at t enter later as a diagonal.  The time-lag Doppler
-        rotation is part of the tables in both modes.  The last item is
-        the reference and probe path lengths of the last path.
+        rotation is part of the tables in both modes.  The last item is the
+        row of a direct path along the last path, given its Doppler shift.
         """
         cfg = self.config
         d_rx = rx_focal_distance(ang, ellipse)
@@ -269,17 +269,17 @@ class _LagContext:
         rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
         lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
-        last = (tx_x[-1] + rx_x[-1], tx_y[-1] + rx_y[-1])
+        direct = None if direct_doppler is None else self._direct_row(
+            tx_x[-1] + rx_x[-1], tx_y[-1] + rx_y[-1], direct_doppler, direct_doppler)
         if self.sampled:
             return doppler, (np.exp(1j * self.wn * (tx_x + rx_x)),
-                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase))), last
+                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase))), direct
         dphase = self.wn * ((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
-        return doppler, np.exp(1j * dphase), last
+        return doppler, np.exp(1j * dphase), direct
 
-    def _direct_row(self, lengths, dopplers):
+    def _direct_row(self, d_x, d_y, f_x, f_y):
         """Direct-path table row from its reference and probe path lengths
         and Doppler shifts per lag column, rotated to the evaluation time."""
-        (d_x, d_y), (f_x, f_y) = lengths, dopplers
         px = self.wn * d_x + TWO_PI * f_x * self.t
         py = self.wn * d_y + TWO_PI * f_y * (self.t + self.col_time)
         if self.sampled:
@@ -313,8 +313,7 @@ def _member_terms(ctx: _LagContext, clusters, budgets, cluster_index,
         members = []
     else:
         members = [(cluster_index - 1, clusters[cluster_index - 1])]
-    sampled = ctx.sampled
-    if sampled:
+    if ctx.sampled:
         x_tot = np.zeros(ctx.length, dtype=complex)
         y_tot = np.zeros(ctx.length, dtype=complex)
     else:
@@ -327,7 +326,7 @@ def _member_terms(ctx: _LagContext, clusters, budgets, cluster_index,
                 & _pair_gate(occ.rx_chain, ctx.hazard_rx)
                 & (budgets[pos] > ctx.decay * ctx.dL))
         freq_fac = ctx.freq_factor(occ)
-        if sampled:
+        if ctx.sampled:
             phases = phase_rng.uniform(0.0, TWO_PI, wts.size)
             diag = (np.sqrt(power * wts)
                     * np.exp(1j * (TWO_PI * doppler * ctx.t + phases)))
@@ -339,7 +338,7 @@ def _member_terms(ctx: _LagContext, clusters, budgets, cluster_index,
             v += gate * pa * freq_fac * power
             a += power
             b = b + gate * power
-    if sampled:
+    if ctx.sampled:
         return x_tot * np.conj(y_tot), np.abs(x_tot) ** 2, np.abs(y_tot) ** 2
     return v, a, b
 
@@ -349,7 +348,6 @@ def _accumulate(args):
     (config, model, cluster_index, t, lag_tx, lag_rx, lag_freq, lag_time,
      seed, start, stop) = args
     ctx = _LagContext(config, model, t, lag_tx, lag_rx, lag_freq, lag_time)
-    sampled = config.estimator_mode == "sampled"
     num = np.zeros(ctx.length, dtype=complex)
     sq = np.zeros(ctx.length)
     den_x = np.zeros(ctx.length)
@@ -361,13 +359,13 @@ def _accumulate(args):
         clusters = _member_state(config, seed, member, t)
         budgets = _stream(seed, member, _STREAM_BUDGET).exponential(
             size=max(len(clusters), 1))
-        phase_rng = (_stream(seed, member, _STREAM_PHASE) if sampled else None)
+        phase_rng = (_stream(seed, member, _STREAM_PHASE) if ctx.sampled else None)
         v, a, b = _member_terms(ctx, clusters, budgets, cluster_index, phase_rng)
         num += v
         sq += np.abs(v) ** 2
         den_x = den_x + a
         den_y = den_y + b
-        if sampled:
+        if ctx.sampled:
             ok = (a * b) > 0
             r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
             pr_num += r
