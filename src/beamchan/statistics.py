@@ -260,7 +260,7 @@ class _LagContext:
         and probe geometry phasors; the per-path phases and the Doppler
         rotation at t enter later as a diagonal.  The time-lag Doppler
         rotation is part of the tables in both modes.  The last item is the
-        row of a direct path along the last path, given its Doppler shift.
+        direct-path row along the last path if ``direct_doppler`` is given.
         """
         cfg = self.config
         d_rx = rx_focal_distance(ang, ellipse)
