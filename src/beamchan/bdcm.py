@@ -168,27 +168,40 @@ def assemble_antenna_domain(beam: BeamDomainChannel, u_r: ResponseMatrix,
 def bdcm_cluster_matrix(cluster: Cluster, t: float, config,
                         phases: PhaseDraw) -> np.ndarray:
     """All-antenna coefficient matrix of one cluster, visibility gated."""
-    ellipse = cluster_ellipse(cluster, config)
-    grid = VirtualAngleGrid.build(config.num_beams, ellipse)
-    beam = beam_domain_entries(cluster, t, config, phases, grid)
-    u_t = response_matrix_tx(grid, ellipse, config.array, config.wavelength)
-    u_r = response_matrix_rx(grid, ellipse, config.array, config.wavelength)
-    out = assemble_antenna_domain(beam, u_r, u_t)
-    mask_rx = np.array([k + 1 in cluster.visible_rx for k in range(config.array.num_rx)])
-    mask_tx = np.array([l + 1 in cluster.visible_tx for l in range(config.array.num_tx)])
-    return out * mask_rx[:, None] * mask_tx[None, :]
+    return bdcm_matrix(t, [cluster], config, phases).coeffs[:, :, 0]
 
 
 def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
                 rng=None) -> ChannelRealization:
-    """Full (num_rx, num_tx, num_clusters) coefficient slice at time t."""
+    """Full (num_rx, num_tx, num_clusters) coefficient slice at time t.
+
+    The response matrices depend only on the cluster's ellipse, so they
+    are built once per distinct ``semi_major`` (one delay slot) and held
+    for one ellipse at a time.  Each cluster assembles only its visible
+    block from the visible rows of U_R and U_T; every other entry stays
+    exactly zero.
+    """
     if phases is None:
         if rng is None:
             raise ValueError("either phases or rng must be given")
         phases = draw_bdcm_phases(clusters, config, rng)
     arr = config.array
     coeffs = np.zeros((arr.num_rx, arr.num_tx, len(clusters)), dtype=complex)
+    by_ellipse: dict[float, list] = {}
     for i, c in enumerate(clusters):
-        coeffs[:, :, i] = bdcm_cluster_matrix(c, t, config, phases)
+        if c.visible_rx and c.visible_tx:
+            by_ellipse.setdefault(c.semi_major, []).append((i, c))
+    for members in by_ellipse.values():
+        ellipse = cluster_ellipse(members[0][1], config)
+        grid = VirtualAngleGrid.build(config.num_beams, ellipse)
+        u_r = response_matrix_rx(grid, ellipse, arr, config.wavelength).entries
+        u_t = response_matrix_tx(grid, ellipse, arr, config.wavelength).entries
+        for i, c in members:
+            rows = np.array(sorted(c.visible_rx)) - 1
+            cols = np.array(sorted(c.visible_tx)) - 1
+            beam = beam_domain_entries(c, t, config, phases, grid)
+            coeffs[rows[:, None], cols[None, :], i] = assemble_antenna_domain(
+                beam, ResponseMatrix(u_r[rows], "receive"),
+                ResponseMatrix(u_t[cols], "transmit"))
     delays = np.array([c.delay for c in clusters])
     return ChannelRealization(coeffs=coeffs, delays=delays, time=t, model="bdcm")

@@ -392,6 +392,8 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
               lag_freq, lag_time, t, ensemble, seed):
     if model not in ("gbsm", "bdcm"):
         raise ValueError(f"unknown model '{model}'")
+    if cluster_index is not None and cluster_index < 1:
+        raise ValueError(f"cluster_index must be at least 1, got {cluster_index}")
     ensemble = int(config.ensemble if ensemble is None else ensemble)
     if ensemble < 1:
         raise ValueError("ensemble must be at least 1")

@@ -1,9 +1,11 @@
 """Beam-domain model: structure, normalization, equivalence to the antenna domain."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from beamchan import bdcm
 from beamchan.bdcm import (
     BeamDomainChannel,
     assemble_antenna_domain,
@@ -17,7 +19,7 @@ from beamchan.bdcm import (
     response_matrix_rx,
     response_matrix_tx,
 )
-from beamchan.clusters import initial_clusters
+from beamchan.clusters import evolve_array, initial_clusters
 from beamchan.config import SimulationConfig
 from beamchan.gbsm import PhaseDraw, cluster_ellipse, gbsm_cluster_matrix
 from beamchan.geometry import (
@@ -226,3 +228,89 @@ def test_full_matrix_and_phase_requirements():
     assert real.model == "bdcm"
     with pytest.raises(ValueError):
         bdcm_matrix(0.3, clusters, cfg)
+
+
+def masked_full_assembly(cluster, t, config, phases):
+    """Oracle: U_R diag U_T^H over the whole array, masked afterwards."""
+    ellipse = cluster_ellipse(cluster, config)
+    grid = VirtualAngleGrid.build(config.num_beams, ellipse)
+    beam = beam_domain_entries(cluster, t, config, phases, grid)
+    u_t = response_matrix_tx(grid, ellipse, config.array, config.wavelength)
+    u_r = response_matrix_rx(grid, ellipse, config.array, config.wavelength)
+    diag = beam.los_diag + beam.nlos_diag
+    out = (u_r.entries * diag[None, :]) @ u_t.entries.conj().T
+    mask_rx = np.array([k + 1 in cluster.visible_rx for k in range(config.array.num_rx)])
+    mask_tx = np.array([l + 1 in cluster.visible_tx for l in range(config.array.num_tx)])
+    return out * mask_rx[:, None] * mask_tx[None, :]
+
+
+def clusters_with_edge_cases(cfg, seed):
+    """Evolved clusters plus three built ones.
+
+    Appended: a cluster in cluster 1's slot with non-contiguous
+    visibility on both sides, and two clusters on an ellipse that no
+    other cluster uses, one with no visible transmit antenna and one
+    with no visible receive antenna.
+    """
+    rng = np.random.default_rng(seed)
+    clusters = evolve_array(initial_clusters(cfg, rng), cfg.array, cfg.evolution,
+                            rng, config=cfg)
+    first, n, uid = clusters[0], len(clusters), max(c.uid for c in clusters)
+    far = max(c.semi_major for c in clusters) + 40.0
+    arr = cfg.array
+    return clusters + [
+        replace(first, index=n + 1, uid=uid + 1,
+                visible_rx=frozenset(range(1, arr.num_rx + 1, 2)),
+                visible_tx=frozenset({1, arr.num_tx})),
+        replace(first, index=n + 2, uid=uid + 2, semi_major=far,
+                visible_tx=frozenset()),
+        replace(first, index=n + 3, uid=uid + 3, semi_major=far,
+                visible_rx=frozenset()),
+    ]
+
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("num_rx,num_tx,tilt_tx,tilt_rx", [
+    (4, 3, math.pi / 2, math.pi / 2),
+    (3, 4, 0.7, 1.9),
+    (16, 12, 2.6, 0.3),
+    (64, 64, 0.7, 1.9),
+])
+def test_matrix_matches_masked_full_assembly(num_rx, num_tx, tilt_tx, tilt_rx, kfac):
+    arr = ArrayConfig(num_tx=num_tx, num_rx=num_rx, spacing_tx=0.06,
+                      spacing_rx=0.05, tilt_tx=tilt_tx, tilt_rx=tilt_rx)
+    cfg = SimulationConfig(array=arr, rician_k=kfac)
+    for seed in (21, 22):
+        clusters = clusters_with_edge_cases(cfg, seed)
+        phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(seed + 50))
+        got = bdcm_matrix(0.7, clusters, cfg, phases=phases).coeffs
+        both = [c.semi_major for c in clusters if c.visible_rx and c.visible_tx]
+        assert len(set(both)) < len(both)   # some ellipse holds several clusters
+        for i, c in enumerate(clusters):
+            want = masked_full_assembly(c, 0.7, cfg, phases)
+            assert np.max(np.abs(got[:, :, i] - want)) < 1e-12
+            assert np.array_equal(got[:, :, i] != 0, want != 0)
+        assert not got[:, :, -2:].any()
+
+
+def test_response_matrices_built_once_per_ellipse(monkeypatch):
+    calls = {"receive": [], "transmit": []}
+    for side, name in (("receive", "response_matrix_rx"), ("transmit", "response_matrix_tx")):
+        build = getattr(bdcm, name)
+
+        def counting(grid, ellipse, *args, build=build, side=side):
+            calls[side].append(ellipse.semi_major)
+            return build(grid, ellipse, *args)
+
+        monkeypatch.setattr(bdcm, name, counting)
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=12, num_rx=20), rician_k=3.0)
+    for seed in (31, 32, 33):
+        clusters = clusters_with_edge_cases(cfg, seed)
+        phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(seed))
+        for made in calls.values():
+            made.clear()
+        bdcm_matrix(0.2, clusters, cfg, phases=phases)
+        both = [c.semi_major for c in clusters if c.visible_rx and c.visible_tx]
+        assert len(set(both)) < len(both)
+        for made in calls.values():
+            assert sorted(made) == sorted(set(both))

@@ -431,6 +431,14 @@ def test_validation_errors():
         space_ccf(narrow, ensemble=10, seed=1)
 
 
+@pytest.mark.parametrize("index", [0, -1])
+@pytest.mark.parametrize("estimator", [space_ccf, time_acf, stfcf])
+def test_cluster_index_below_one_raises_naming_it(estimator, index):
+    # clusters are numbered from 1; 0 or -1 would wrap to the last cluster
+    with pytest.raises(ValueError, match="cluster_index"):
+        estimator(SimulationConfig(), cluster_index=index, ensemble=2, seed=1)
+
+
 def test_worker_env_does_not_change_results():
     code = (
         "import numpy as np\n"
