@@ -178,8 +178,8 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
     The response matrices depend only on the cluster's ellipse, so they
     are built once per distinct ``semi_major`` (one delay slot) and held
     for one ellipse at a time.  Each cluster assembles only its visible
-    block from the visible rows of U_R and U_T; every other entry stays
-    exactly zero.
+    block from views of the visible rows of U_R and U_T; every other
+    entry stays exactly zero.
     """
     if phases is None:
         if rng is None:
@@ -197,10 +197,9 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
         u_r = response_matrix_rx(grid, ellipse, arr, config.wavelength).entries
         u_t = response_matrix_tx(grid, ellipse, arr, config.wavelength).entries
         for i, c in members:
-            rows = np.array(sorted(c.visible_rx)) - 1
-            cols = np.array(sorted(c.visible_tx)) - 1
+            rows, cols = c.visible_block()
             beam = beam_domain_entries(c, t, config, phases, grid)
-            coeffs[rows[:, None], cols[None, :], i] = assemble_antenna_domain(
+            coeffs[rows, cols, i] = assemble_antenna_domain(
                 beam, ResponseMatrix(u_r[rows], "receive"),
                 ResponseMatrix(u_t[cols], "transmit"))
     delays = np.array([c.delay for c in clusters])

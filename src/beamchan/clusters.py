@@ -84,6 +84,8 @@ class Cluster:
     identity across evolution.  ``slot`` is the delay-ladder slot the
     semi-major axis was drawn from.  The chain arrays hold one
     unit-exponential survival budget per inter-antenna step.
+    Visibility is one interval of 1-based antenna indices per side (a
+    ``range``): from the antenna where the cluster is born to its first death.
     """
 
     index: int
@@ -94,11 +96,16 @@ class Cluster:
     power: float
     mean_aoa: float
     ray_aoas: np.ndarray = field(repr=False)
-    visible_tx: frozenset = frozenset({1})
-    visible_rx: frozenset = frozenset({1})
+    visible_tx: range = range(1, 2)
+    visible_rx: range = range(1, 2)
     pdp_scale: float = 1.0
     tx_chain: np.ndarray | None = field(default=None, repr=False)
     rx_chain: np.ndarray | None = field(default=None, repr=False)
+
+    def visible_block(self) -> tuple[slice, slice]:
+        """Zero-based (receive, transmit) slices of the visible antennas."""
+        return tuple(slice(v.start - 1, v.stop - 1, v.step)
+                     for v in (self.visible_rx, self.visible_tx))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -140,8 +147,6 @@ def _new_cluster(config, rng, index: int, uid: int, slot: int, mean_aoa: float,
         power=_pdp_weight(config, slot) * pdp_scale,
         mean_aoa=mean_aoa,
         ray_aoas=rays,
-        visible_tx=frozenset({1}),
-        visible_rx=frozenset({1}),
         pdp_scale=pdp_scale,
         tx_chain=tx_chain,
         rx_chain=rx_chain,
@@ -172,69 +177,60 @@ def initial_clusters(config, rng_seed) -> list[Cluster]:
     return out
 
 
-def _visible_steps(chain: np.ndarray, hazard: float, start: int, count: int) -> frozenset:
-    """Antenna indices visible along one array given per-step budgets."""
-    visible = [start]
-    for step, budget in enumerate(chain[: count - start]):
-        if budget <= hazard:
-            break
-        visible.append(start + step + 1)
-    return frozenset(visible)
+def _newborns(config, rng, count: int, parents: list[Cluster],
+              first_uid: int) -> list[Cluster]:
+    """``count`` fresh clusters numbered from ``first_uid``; each draws a ladder
+    slot over ``parents``, a uniform mean angle, then its rays and chains."""
+    ladder = max(len(parents), 1)
+    pdp_scale = parents[0].pdp_scale if parents else 1.0
+    out = []
+    for uid in range(first_uid, first_uid + count):
+        slot = int(rng.integers(0, ladder))
+        out.append(_new_cluster(config, rng, index=0, uid=uid, slot=slot,
+                                mean_aoa=rng.uniform(-math.pi, math.pi),
+                                pdp_scale=pdp_scale))
+    return out
+
+
+def _visible_steps(chain: np.ndarray, hazard: float, start: int, count: int) -> range:
+    """Antennas from ``start`` up to the first step whose budget is ``<= hazard``,
+    at most to ``count``; ``chain[0]`` is the budget of the step after ``start``."""
+    dead = chain[: count - start] <= hazard
+    return range(start, start + 1 + (int(dead.argmax()) if dead.any() else dead.size))
 
 
 def evolve_array(clusters: list[Cluster], array, evolution: EvolutionConfig,
                  rng, config=None) -> list[Cluster]:
     """Propagate cluster visibility across both arrays.
 
-    Every input cluster must be visible at antenna 1.  Each inter-antenna
-    step kills a cluster independently with the array survival
-    probability; at every subsequent antenna, fresh clusters are born
-    with mean count mean_clusters*(1 - survival) and stay visible from
+    Every input cluster must be visible at antenna 1 and carry its chains.
+    Each inter-antenna step kills a cluster independently with the array
+    survival probability; at every subsequent antenna, fresh clusters are
+    born with mean count mean_clusters*(1 - survival) and stay visible from
     their birth antenna onward.  Newborn attribute draws need the full
     simulation config; pass ``config`` to enable them (otherwise births
     are skipped, which is the right thing for pure visibility studies).
     Returns a new list; inputs are not mutated.
     """
+    if any(c.tx_chain is None or c.rx_chain is None for c in clusters):
+        raise ValueError("evolve_array needs every cluster's tx_chain and rx_chain")
     rng = _as_rng(rng)
     hazard_rx = evolution.death_rate * array.spacing_rx / evolution.array_decorrelation
     hazard_tx = evolution.death_rate * array.spacing_tx / evolution.array_decorrelation
-    out = []
-    for c in clusters:
-        tx_chain = c.tx_chain if c.tx_chain is not None else rng.exponential(1.0, max(array.num_tx - 1, 0))
-        rx_chain = c.rx_chain if c.rx_chain is not None else rng.exponential(1.0, max(array.num_rx - 1, 0))
-        out.append(replace(
-            c,
-            tx_chain=tx_chain,
-            rx_chain=rx_chain,
-            visible_tx=_visible_steps(tx_chain, hazard_tx, 1, array.num_tx),
-            visible_rx=_visible_steps(rx_chain, hazard_rx, 1, array.num_rx),
-        ))
+    born = [(c, 1, 1) for c in clusters]  # (cluster, birth antenna rx, tx)
     if config is not None and evolution.death_rate > 0:
         next_uid = max((c.uid for c in clusters), default=0) + 1
-        ladder = max(len(clusters), 1)
-        pdp_scale = clusters[0].pdp_scale if clusters else 1.0
         for side, hazard, count in (("rx", hazard_rx, array.num_rx),
                                     ("tx", hazard_tx, array.num_tx)):
             birth_mean = config.mean_cluster_count * (1.0 - math.exp(-hazard))
             for antenna in range(2, count + 1):
-                for _ in range(rng.poisson(birth_mean)):
-                    slot = int(rng.integers(0, ladder))
-                    c = _new_cluster(config, rng, index=0, uid=next_uid, slot=slot,
-                                     mean_aoa=rng.uniform(-math.pi, math.pi),
-                                     pdp_scale=pdp_scale)
-                    chain = c.rx_chain if side == "rx" else c.tx_chain
-                    born_set = _visible_steps(chain[antenna - 1:], hazard, antenna, count)
-                    if side == "rx":
-                        c = replace(c, visible_rx=born_set,
-                                    visible_tx=_visible_steps(c.tx_chain, hazard_tx, 1, array.num_tx))
-                    else:
-                        c = replace(c, visible_tx=born_set,
-                                    visible_rx=_visible_steps(c.rx_chain, hazard_rx, 1, array.num_rx))
-                    next_uid += 1
-                    out.append(c)
-    for i, c in enumerate(out):
-        c.index = i + 1
-    return out
+                newborn = _newborns(config, rng, rng.poisson(birth_mean), clusters, next_uid)
+                next_uid += len(newborn)
+                born += [(c, antenna, 1) if side == "rx" else (c, 1, antenna) for c in newborn]
+    return [replace(c, index=i + 1,
+                    visible_rx=_visible_steps(c.rx_chain[rx - 1:], hazard_rx, rx, array.num_rx),
+                    visible_tx=_visible_steps(c.tx_chain[tx - 1:], hazard_tx, tx, array.num_tx))
+            for i, (c, rx, tx) in enumerate(born)]
 
 
 def evolve_time(clusters: list[Cluster], dt: float, config, rng) -> list[Cluster]:
@@ -259,14 +255,8 @@ def evolve_time(clusters: list[Cluster], dt: float, config, rng) -> list[Cluster
     births = rng.poisson(config.mean_cluster_count * (1.0 - surv))
     if not out and births == 0:
         births = 1  # reject the empty ensemble, like the initial draw
-    next_uid = max((c.uid for c in clusters), default=0) + 1
-    ladder = max(len(clusters), 1)
-    pdp_scale = clusters[0].pdp_scale if clusters else 1.0
-    for b in range(births):
-        slot = int(rng.integers(0, ladder))
-        out.append(_new_cluster(config, rng, index=0, uid=next_uid + b, slot=slot,
-                                mean_aoa=rng.uniform(-math.pi, math.pi),
-                                pdp_scale=pdp_scale))
+    out += _newborns(config, rng, births, clusters,
+                     max((c.uid for c in clusters), default=0) + 1)
     for i, c in enumerate(out):
         c.index = i + 1
     return out

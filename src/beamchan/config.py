@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .clusters import EvolutionConfig
-from .geometry import ArrayConfig, EllipseConfig
+from .geometry import ArrayConfig, EllipseConfig, require_integers
 
 __all__ = [
     "SimulationConfig",
@@ -55,6 +55,7 @@ class SimulationConfig:
     beam_weighting: str = "von_mises"
 
     def __post_init__(self):
+        require_integers(self, "rays_per_cluster", "num_beams", "ensemble", "seed")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
         if self.max_doppler < 0:

@@ -82,37 +82,7 @@ def gbsm_cluster_matrix(cluster: Cluster, t: float, config,
 
     Entries outside the cluster's joint visibility set are exactly zero.
     """
-    arr = config.array
-    out = np.zeros((arr.num_rx, arr.num_tx), dtype=complex)
-    vis_rx = np.array(sorted(cluster.visible_rx), dtype=int)
-    vis_tx = np.array(sorted(cluster.visible_tx), dtype=int)
-    if not vis_rx.size or not vis_tx.size:
-        return out
-    aoas = cluster.ray_aoas
-    ellipse = cluster_ellipse(cluster, config)
-    d_rx = rx_focal_distance(aoas, ellipse)
-    d_tx = 2.0 * ellipse.semi_major - d_rx
-    dist_t = antenna_distance_tx(d_tx, aod_from_aoa(aoas, ellipse), vis_tx, arr)
-    dist_r = antenna_distance_rx(d_rx, aoas, vis_rx, arr)
-    kfac = config.rician_k
-    wavenum = TWO_PI / config.wavelength
-    carrier = (TWO_PI * ray_doppler(aoas, config.max_doppler, config.velocity_angle) * t
-               + phases.nlos[cluster.uid])
-    # phase tensor over (rx, tx, ray)
-    total = carrier[None, None, :] + wavenum * (
-        dist_r[:, None, :] + dist_t[None, :, :]
-    )
-    block = math.sqrt(cluster.power / ((kfac + 1.0) * len(aoas))) * np.sum(
-        np.exp(1j * total), axis=2
-    )
-    if cluster.index == 1 and kfac > 0:
-        pairs = (vis_tx[None, :], vis_rx[:, None], config.ellipse, arr)
-        _, _, dist_kl = los_geometry(*pairs)
-        f_los = los_doppler(*pairs, config.max_doppler, config.velocity_angle)
-        block += math.sqrt(kfac / (kfac + 1.0)) * np.exp(
-            1j * (TWO_PI * f_los * t + phases.los + wavenum * dist_kl))
-    out[np.ix_(vis_rx - 1, vis_tx - 1)] = block
-    return out
+    return gbsm_matrix(t, [cluster], config, phases).coeffs[:, :, 0]
 
 
 def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
@@ -123,8 +93,33 @@ def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
             raise ValueError("either phases or rng must be given")
         phases = draw_gbsm_phases(clusters, rng)
     arr = config.array
+    kfac = config.rician_k
+    wavenum = TWO_PI / config.wavelength
     coeffs = np.zeros((arr.num_rx, arr.num_tx, len(clusters)), dtype=complex)
     for i, c in enumerate(clusters):
-        coeffs[:, :, i] = gbsm_cluster_matrix(c, t, config, phases)
+        vis_rx, vis_tx = np.asarray(c.visible_rx), np.asarray(c.visible_tx)
+        aoas = c.ray_aoas
+        ellipse = cluster_ellipse(c, config)
+        d_rx = rx_focal_distance(aoas, ellipse)
+        d_tx = 2.0 * ellipse.semi_major - d_rx
+        dist_t = antenna_distance_tx(d_tx, aod_from_aoa(aoas, ellipse), vis_tx, arr)
+        dist_r = antenna_distance_rx(d_rx, aoas, vis_rx, arr)
+        carrier = (TWO_PI * ray_doppler(aoas, config.max_doppler, config.velocity_angle) * t
+                   + phases.nlos[c.uid])
+        # phase tensor over (rx, tx, ray)
+        total = carrier[None, None, :] + wavenum * (
+            dist_r[:, None, :] + dist_t[None, :, :]
+        )
+        block = math.sqrt(c.power / ((kfac + 1.0) * len(aoas))) * np.sum(
+            np.exp(1j * total), axis=2
+        )
+        if c.index == 1 and kfac > 0:
+            pairs = (vis_tx[None, :], vis_rx[:, None], config.ellipse, arr)
+            _, _, dist_kl = los_geometry(*pairs)
+            f_los = los_doppler(*pairs, config.max_doppler, config.velocity_angle)
+            block += math.sqrt(kfac / (kfac + 1.0)) * np.exp(
+                1j * (TWO_PI * f_los * t + phases.los + wavenum * dist_kl))
+        rows, cols = c.visible_block()
+        coeffs[rows, cols, i] = block
     delays = np.array([c.delay for c in clusters])
     return ChannelRealization(coeffs=coeffs, delays=delays, time=t, model="gbsm")

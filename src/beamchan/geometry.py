@@ -13,6 +13,7 @@ Everything in this module is pure and deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,14 @@ __all__ = [
 ]
 
 
+def require_integers(owner, *names: str) -> None:
+    """Raise ValueError naming each field in ``names`` that is a bool or not an integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Transmit and receive uniform linear arrays.
@@ -56,6 +65,7 @@ class ArrayConfig:
     tilt_rx: float = math.pi / 2
 
     def __post_init__(self):
+        require_integers(self, "num_tx", "num_rx")
         if self.num_tx < 1 or self.num_rx < 1:
             raise ValueError("antenna counts must be at least 1")
         if self.spacing_tx <= 0 or self.spacing_rx <= 0:

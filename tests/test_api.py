@@ -3,6 +3,8 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import beamchan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +39,28 @@ def test_documented_imports_resolve():
     for name in sorted(names):
         assert hasattr(beamchan, name), name
         assert name in beamchan.__all__, name
+
+
+def quickstart_realization_lines():
+    """The Quickstart's imports, config line and realization paragraph."""
+    block = re.findall(r"```python\n(.*?)```", README, flags=re.S)[0]
+    keep = [p for p in block.split("\n\n")
+            if p.startswith(("import ", "cfg = ", "# one channel realization"))]
+    assert len(keep) == 3, keep
+    return "\n\n".join(keep)
+
+
+def test_quickstart_realization_fills_each_visible_block():
+    namespace = {}
+    exec(compile(quickstart_realization_lines(), "README.md", "exec"), namespace)
+    clusters = namespace["clusters"]
+    assert any(len(c.visible_rx) > 1 and len(c.visible_tx) > 1 for c in clusters)
+    for real in (namespace["h"], namespace["hb"]):
+        num_rx, num_tx, count = real.coeffs.shape
+        assert count == len(clusters)
+        for i, c in enumerate(clusters):
+            rx = np.array([k in c.visible_rx for k in range(1, num_rx + 1)])
+            tx = np.array([l in c.visible_tx for l in range(1, num_tx + 1)])
+            block = rx[:, None] & tx[None, :]
+            assert np.all(real.coeffs[:, :, i][block] != 0), (real.model, i)
+            assert np.all(real.coeffs[:, :, i][~block] == 0), (real.model, i)

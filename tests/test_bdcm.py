@@ -182,8 +182,8 @@ def test_single_beam_telescopes_to_ray_phase():
         theta = grid.aoa[m - 1]
         base.ray_aoas = np.array([theta])
         base.mean_aoa = float(theta)
-        base.visible_tx = frozenset(range(1, cfg.array.num_tx + 1))
-        base.visible_rx = frozenset(range(1, cfg.array.num_rx + 1))
+        base.visible_tx = range(1, cfg.array.num_tx + 1)
+        base.visible_rx = range(1, cfg.array.num_rx + 1)
         phi0 = 0.4321
         t = 0.37
         hg = gbsm_cluster_matrix(
@@ -209,8 +209,8 @@ def test_cluster_matrix_visibility_gating():
     rng = np.random.default_rng(13)
     clusters = initial_clusters(cfg, rng)
     c = clusters[0]
-    c.visible_rx = frozenset({2, 4})
-    c.visible_tx = frozenset({1})
+    c.visible_rx = range(2, 5, 2)
+    c.visible_tx = range(1, 2)
     phases = draw_bdcm_phases(clusters, cfg, rng)
     mat = bdcm_cluster_matrix(c, 0.2, cfg, phases)
     assert mat.shape == (4, 3)
@@ -260,12 +260,12 @@ def clusters_with_edge_cases(cfg, seed):
     arr = cfg.array
     return clusters + [
         replace(first, index=n + 1, uid=uid + 1,
-                visible_rx=frozenset(range(1, arr.num_rx + 1, 2)),
-                visible_tx=frozenset({1, arr.num_tx})),
+                visible_rx=range(1, arr.num_rx + 1, 2),
+                visible_tx=range(1, arr.num_tx + 1, arr.num_tx - 1)),
         replace(first, index=n + 2, uid=uid + 2, semi_major=far,
-                visible_tx=frozenset()),
+                visible_tx=range(1, 1)),
         replace(first, index=n + 3, uid=uid + 3, semi_major=far,
-                visible_rx=frozenset()),
+                visible_rx=range(1, 1)),
     ]
 
 

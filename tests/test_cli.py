@@ -11,6 +11,7 @@ from beamchan.config import (
     loads_config,
     save_config,
 )
+from beamchan.geometry import ArrayConfig
 from beamchan.statistics import member_channel_state
 
 # small enough that every estimator call stays well under a second
@@ -55,6 +56,41 @@ def test_config_errors_name_the_offending_key():
         loads_config("{nope")
     with pytest.raises(ValueError, match="array.bogus"):
         loads_config('{"array": {"bogus": 3}}')
+
+
+# integer fields given a value that is not an integer: floats, bools and
+# strings, at the top level and in the array section
+NOT_INTEGERS = [
+    ("rays_per_cluster", 5.0), ("num_beams", 16.0), ("ensemble", 10.5),
+    ("seed", 1.5), ("seed", True), ("ensemble", "10"),
+    ("num_tx", 4.5), ("num_rx", False),
+]
+
+
+def not_integer_config(name, value):
+    if name in ("num_tx", "num_rx"):
+        return dict(SMALL, array=dict(SMALL["array"], **{name: value}))
+    return dict(SMALL, **{name: value})
+
+
+@pytest.mark.parametrize("name,value", NOT_INTEGERS)
+def test_integer_fields_reject_other_values(name, value):
+    owner = ArrayConfig if name in ("num_tx", "num_rx") else SimulationConfig
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        owner(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        loads_config(json.dumps(not_integer_config(name, value)))
+
+
+@pytest.mark.parametrize("name,value", NOT_INTEGERS)
+def test_simulate_rejects_a_non_integer_field(tmp_path, capsys, name, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(not_integer_config(name, value)), encoding="utf-8")
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and f"{name} must be an integer" in err
+    assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------------- arg parsing

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamchan.clusters import (
     EvolutionConfig,
+    _visible_steps,
     array_survival,
     evolve_array,
     evolve_time,
@@ -99,8 +103,8 @@ class TestInitialClusters:
     def test_initially_visible_to_antenna_one(self):
         cfg = small_config()
         for c in initial_clusters(cfg, 9):
-            assert c.visible_tx == frozenset({1})
-            assert c.visible_rx == frozenset({1})
+            assert c.visible_tx == range(1, 2)
+            assert c.visible_rx == range(1, 2)
 
     def test_deterministic_under_seed(self):
         cfg = small_config()
@@ -110,6 +114,44 @@ class TestInitialClusters:
         for ca, cb in zip(a, b):
             assert ca.power == cb.power
             np.testing.assert_array_equal(ca.ray_aoas, cb.ray_aoas)
+
+
+def visible_steps_loop(chain, hazard, start, count):
+    """Oracle: walk the array from ``start`` one step at a time and stop at
+    the first step whose budget is at most the hazard."""
+    visible = [start]
+    for step, budget in enumerate(chain[: count - start]):
+        if budget <= hazard:
+            break
+        visible.append(start + step + 1)
+    return visible
+
+
+# few distinct values, so budgets equal to the hazard come up often
+budgets = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def walks(draw):
+    count = draw(st.integers(1, 12))
+    start = draw(st.integers(1, count))
+    chain = draw(st.lists(budgets, max_size=count + 2))
+    return chain, draw(budgets), start, count
+
+
+class TestVisibleSteps:
+    @given(walk=walks())
+    @example(walk=([], 0.5, 1, 6))                       # empty chain
+    @example(walk=([0.0] * 5, 0.5, 1, 6))                # every step dead
+    @example(walk=([2.0] * 5, 0.5, 1, 6))                # every step alive
+    @example(walk=([0.5, 2.0], 0.5, 1, 3))               # budget equal to hazard
+    @example(walk=([2.0, 2.0], 0.5, 4, 4))               # start == count
+    @settings(max_examples=300)
+    def test_matches_the_step_loop(self, walk):
+        chain, hazard, start, count = walk
+        got = _visible_steps(np.array(chain), hazard, start, count)
+        assert isinstance(got, range) and got.step == 1
+        assert list(got) == visible_steps_loop(chain, hazard, start, count)
 
 
 class TestEvolveArray:
@@ -122,8 +164,8 @@ class TestEvolveArray:
         clusters = initial_clusters(cfg, 1)
         evolved = evolve_array(clusters, cfg.array, cfg.evolution, 2)
         for c in evolved:
-            assert c.visible_tx == frozenset(range(1, 9))
-            assert c.visible_rx == frozenset(range(1, 9))
+            assert c.visible_tx == range(1, 9)
+            assert c.visible_rx == range(1, 9)
 
     def test_huge_hazard_shrinks_to_birth_antenna(self):
         cfg = small_config(
@@ -133,8 +175,8 @@ class TestEvolveArray:
         clusters = initial_clusters(cfg, 1)
         evolved = evolve_array(clusters, cfg.array, cfg.evolution, 2)
         for c in evolved:
-            assert c.visible_tx == frozenset({1})
-            assert c.visible_rx == frozenset({1})
+            assert c.visible_tx == range(1, 2)
+            assert c.visible_rx == range(1, 2)
 
     def test_visibility_is_contiguous_from_antenna_one(self):
         cfg = small_config(
@@ -170,7 +212,7 @@ class TestEvolveArray:
         assert len(bare) == len(clusters)
         assert len(with_births) > len(clusters)
         newborn = [c for c in with_births if c.uid > max(x.uid for x in clusters)]
-        assert newborn and all(min(c.visible_rx.union(c.visible_tx)) >= 1 for c in newborn)
+        assert newborn and all(min([*c.visible_rx, *c.visible_tx]) >= 1 for c in newborn)
 
     def test_birth_death_balance_along_the_array(self):
         # mean count visible at receive antenna j: the initial set (empty
@@ -194,6 +236,12 @@ class TestEvolveArray:
         err = counts.std(axis=0, ddof=1) / math.sqrt(seeds)
         # four standard errors per antenna, as the other rate checks here
         assert np.all(np.abs(counts.mean(axis=0) - want) <= 4 * err)
+
+    def test_clusters_without_chains_rejected(self):
+        cfg = small_config()
+        bare = replace(initial_clusters(cfg, 6)[0], tx_chain=None)
+        with pytest.raises(ValueError, match="tx_chain and rx_chain"):
+            evolve_array([bare], cfg.array, cfg.evolution, 8)
 
     def test_inputs_not_mutated(self):
         cfg = small_config()

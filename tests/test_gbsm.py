@@ -101,9 +101,9 @@ def make_cluster(config, angles, power=1.0, index=1, uid=1, slot=0,
                  visible_tx=None, visible_rx=None):
     arr = config.array
     if visible_tx is None:
-        visible_tx = frozenset(range(1, arr.num_tx + 1))
+        visible_tx = range(1, arr.num_tx + 1)
     if visible_rx is None:
-        visible_rx = frozenset(range(1, arr.num_rx + 1))
+        visible_rx = range(1, arr.num_rx + 1)
     semi = config.ellipse.semi_major + slot * 299_792_458.0 * config.delay_spacing / 2.0
     return Cluster(index=index, uid=uid, slot=slot, semi_major=semi,
                    delay=2.0 * semi / 299_792_458.0, power=power,
@@ -128,8 +128,8 @@ def test_single_ray_magnitude_and_phase_cancellation():
 
 def test_invisible_pair_is_exactly_zero():
     cfg = SimulationConfig(rician_k=0.0)
-    c = make_cluster(cfg, [0.3, 1.1, 2.0], visible_rx=frozenset({1}),
-                     visible_tx=frozenset({1, 2}))
+    c = make_cluster(cfg, [0.3, 1.1, 2.0], visible_rx=range(1, 2),
+                     visible_tx=range(1, 3))
     phases = draw_gbsm_phases([c], np.random.default_rng(0))
     assert entry(c, 2, 1, 0.0, cfg, phases) == 0j
     assert entry(c, 1, 3, 0.0, cfg, phases) == 0j
@@ -218,8 +218,8 @@ def test_matrix_agrees_with_scalar_coefficients():
     rng = np.random.default_rng(9)
     clusters = initial_clusters(cfg, rng)
     c = clusters[0]
-    c.visible_rx = frozenset({1, 3})
-    c.visible_tx = frozenset({1, 2})
+    c.visible_rx = range(1, 4, 2)
+    c.visible_tx = range(1, 3)
     phases = draw_gbsm_phases(clusters, rng)
     t = 0.25
     mat = gbsm_cluster_matrix(c, t, cfg, phases)

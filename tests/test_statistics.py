@@ -249,7 +249,7 @@ def test_direct_path_row_matches_builder(model, slot):
     occ = Cluster(index=1, uid=1, slot=slot, semi_major=semi,
                   delay=2.0 * semi / SPEED_OF_LIGHT, power=0.0,
                   mean_aoa=cfg.mean_aoa, ray_aoas=np.array([0.3, -1.1]),
-                  visible_tx=frozenset({1}), visible_rx=frozenset({1, 2}))
+                  visible_tx=range(1, 2), visible_rx=range(1, 3))
     k_eff = 3.0 / 4.0
     wts, power, _, tables = ctx.paths(occ)
     assert power == k_eff and wts[-1] == 1.0 and not np.any(wts[:-1])
