@@ -11,6 +11,8 @@ The top level exports the documented entry points; everything else is
 reachable through its submodule (``beamchan.geometry``,
 ``beamchan.bdcm`` and so on).
 """
+import importlib
+
 __version__ = "0.1.0"
 
 from .geometry import ArrayConfig, EllipseConfig
@@ -20,7 +22,6 @@ from .gbsm import gbsm_matrix
 from .bdcm import bdcm_matrix
 from .statistics import fcf, space_ccf, stfcf, time_acf
 from .complexity import ro_bdcm, ro_gbsm
-from .cli import run_experiment, write_output
 
 __all__ = [
     "ArrayConfig",
@@ -42,3 +43,12 @@ __all__ = [
     "time_acf",
     "write_output",
 ]
+
+
+def __getattr__(name):
+    # the CLI module loads on first use, so that ``python -m beamchan.cli``
+    # runs it once, as __main__, rather than after this package imported it
+    if name in ("cli", "run_experiment", "write_output"):
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -106,20 +106,23 @@ def los_beam_index(grid: VirtualAngleGrid) -> int:
     return nearest_beam(math.pi, grid.num_beams)
 
 
-def beam_weights(mean_aoa: float, kappa: float, grid: VirtualAngleGrid,
+def beam_weights(mean_aoa, kappa: float, grid: VirtualAngleGrid,
                  weighting: str = "von_mises") -> np.ndarray:
     """Per-beam power fractions of one cluster (sum to one).
 
     ``von_mises`` spreads the cluster power over the grid following the
-    cluster's angular density; ``uniform`` assigns 1/M to every beam.
+    cluster's angular density; ``uniform`` assigns 1/M to every beam.  An
+    array of mean angles gives one row of fractions per entry, beams on
+    the last axis.
     """
     m = grid.num_beams
+    mean = np.asarray(mean_aoa, dtype=float)[..., None]
     if weighting == "uniform" or kappa <= 0:
-        return np.full(m, 1.0 / m)
+        return np.full(mean.shape[:-1] + (m,), 1.0 / m)
     if weighting != "von_mises":
         raise ValueError(f"unknown beam weighting '{weighting}'")
-    w = np.exp(kappa * (np.cos(grid.aoa - mean_aoa) - 1.0))
-    return w / w.sum()
+    w = np.exp(kappa * (np.cos(grid.aoa - mean) - 1.0))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def draw_bdcm_phases(clusters, config, rng) -> PhaseDraw:

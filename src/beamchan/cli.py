@@ -31,6 +31,7 @@ from .config import (
     preset,
 )
 from .gbsm import draw_gbsm_phases, gbsm_matrix
+from .geometry import require_integer
 from .statistics import (
     CorrelationSeries,
     fcf,
@@ -77,8 +78,11 @@ def run_experiment(config: SimulationConfig, experiment: str,
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment '{experiment}'")
-    seed = config.seed if seed is None else int(seed)
-    ensemble = config.ensemble if ensemble is None else int(ensemble)
+    seed = config.seed if seed is None else seed
+    ensemble = config.ensemble if ensemble is None else ensemble
+    require_integer("seed", seed)
+    require_integer("ensemble", ensemble)
+    seed, ensemble = int(seed), int(ensemble)
     out = ExperimentOutput(experiment=experiment, config=config, seed=seed,
                            ensemble=ensemble)
     if experiment == "fig6_complexity":

@@ -41,12 +41,16 @@ __all__ = [
 ]
 
 
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` if ``value`` is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_integers(owner, *names: str) -> None:
-    """Raise ValueError naming each field in ``names`` that is a bool or not an integer."""
+    """``require_integer`` on each field of ``owner`` in ``names``."""
     for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integer(name, getattr(owner, name))
 
 
 @dataclass(frozen=True)

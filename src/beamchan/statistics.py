@@ -33,6 +33,16 @@ Seeding: member j, purpose p draws from SeedSequence(entropy=seed,
 spawn_key=(j, p)).  Enlarging the ensemble never perturbs existing
 members, and model choice does not enter the state streams, so paired
 model comparisons see identical cluster histories.
+
+Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
+do not depend on the worker count, and each chunk in blocks of bounded
+size.  Each member's cluster state is drawn on its own, then the clusters
+an estimate reads are stacked over the block: GBSM builds one phasor
+table over all their rays and averages it per cluster in one product;
+BDCM calls ``beam_weights`` once over their mean angles and multiplies
+them by each delay slot's beam table, which is built once per chunk.  The
+tables run the distance kernel over the distinct spacing pairs only.
+Against a loop over single clusters only the summation order differs.
 """
 from __future__ import annotations
 
@@ -40,13 +50,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bdcm import beam_weights, center_los_doppler
 from .clusters import evolve_array, evolve_time, initial_clusters, time_decay_rate
 from .config import SimulationConfig
-from .gbsm import cluster_ellipse
 from .geometry import (
     VirtualAngleGrid,
     antenna_distances,
@@ -54,6 +64,7 @@ from .geometry import (
     los_doppler_from_offsets,
     los_path_from_offsets,
     ray_doppler,
+    require_integer,
     rx_focal_distance,
     virtual_angles,
 )
@@ -72,6 +83,10 @@ TWO_PI = 2.0 * math.pi
 # members per worker chunk; fixed so that results do not depend on the
 # worker count, only on the (seed, member) pairs
 _CHUNK = 256
+# a chunk is evaluated in blocks of about this many real per-path entries
+# (``_LagContext.cost``), 128 KiB per array, which keeps a block's
+# temporaries under about a megabyte for any ray or beam count
+_BLOCK_ELEMENTS = 1 << 14
 
 _STREAM_INIT = 0
 _STREAM_EVOLVE = 1
@@ -150,13 +165,41 @@ def _split(values):
     return values[..., :half], values[..., half:]
 
 
-def _pair_gate(chain, hazard: np.ndarray) -> np.ndarray:
-    """Survival of the probe antenna on one side, per lag."""
-    if hazard.size == 0 or not np.any(hazard > 0):
-        return np.ones(hazard.shape, dtype=bool)
-    if len(chain) == 0:
-        raise ValueError("spacing lag probes antenna 2 of a single-antenna array")
-    return np.where(hazard > 0, chain[0] > hazard, True)
+def _distinct(*keys):
+    """Index of each entry's key tuple among the distinct tuples (first
+    occurrence order), then the distinct values of each key."""
+    seen: dict[tuple, int] = {}
+    index = np.array([seen.setdefault(key, len(seen)) for key in zip(*keys)])
+    return (index, *(np.array(v) for v in zip(*seen)))
+
+
+class _PathEllipses(NamedTuple):
+    """One ellipse per path: stands in for an ``EllipseConfig`` in the
+    geometry functions, which read both fields elementwise."""
+
+    semi_major: np.ndarray
+    focal_half: float
+
+
+class _Picked(NamedTuple):
+    """What an estimate reads of one cluster of one member."""
+
+    power: float
+    index: int
+    delay: float
+    semi_major: float
+    mean_aoa: float
+    budget: float     # survival budget on the time axis
+    tx_first: float   # budget of the first step of each array chain, read
+    rx_first: float   # only under a spacing lag on that side
+    ray_aoas: np.ndarray
+
+
+def _by_member(member, rows, count: int):
+    """Sum of ``rows`` per member index, in row order."""
+    out = np.zeros((count,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(out, member, rows)
+    return out
 
 
 class _LagContext:
@@ -165,11 +208,14 @@ class _LagContext:
     The phasor tables depend on the lags through (dT, dR, dL) only, so
     they are built over the distinct columns of that triple, in
     first-occurrence order, and scattered back to the full lag grid
-    through ``column``.  Beam-domain tables depend on the cluster only
-    through its delay slot and are cached per slot.  With K > 0 the
-    direct path is the last path of cluster 1; its Doppler differs
-    between antenna pairs, so its row also carries the rotation at the
-    call's one evaluation time t.
+    through ``column``.  Within a column the path geometry depends on
+    (dT, dR) only and a time lag only adds a Doppler phase, so the
+    distance kernel runs over the distinct spacing pairs (``col_space``)
+    and the Doppler phase over the distinct time lags (``col_lag``); the
+    two phases meet per column before the one complex exponential.  With
+    K > 0 the direct path is one more path of cluster 1; its Doppler
+    differs between antenna pairs, so its row also carries the rotation
+    at the call's one evaluation time t.
     """
 
     def __init__(self, config, model, t, lag_tx, lag_rx, lag_freq, lag_time):
@@ -188,163 +234,229 @@ class _LagContext:
             raise ValueError("receive spacing lag needs at least two receive antennas")
         if np.any(self.dT < 0) or np.any(self.dR < 0):
             raise ValueError("spacing lags must be non-negative")
-        distinct: dict[tuple, int] = {}
-        self.column = np.array([distinct.setdefault(key, len(distinct))
-                                for key in zip(self.dT, self.dR, self.dL)])
-        col_tx, col_rx, self.col_time = (np.array(v) for v in zip(*distinct))
-        # [reference offsets of every column..., probe offsets...], so one
-        # kernel call per side covers both antennas; _split separates them
-        self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, col_tx)
-        self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, col_rx)
+        self.column, col_tx, col_rx, self.col_time = _distinct(self.dT, self.dR, self.dL)
+        self.width = self.col_time.size
+        self.col_space, space_tx, space_rx = _distinct(col_tx, col_rx)
+        self.col_lag, self.lag_time = _distinct(self.col_time)
+        # [reference offsets of every spacing pair..., probe offsets...], so
+        # one kernel call per side covers both antennas; _split separates them
+        self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, space_tx)
+        self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, space_rx)
         hz = config.evolution.death_rate / config.evolution.array_decorrelation
         self.hazard_tx = hz * self.dT
         self.hazard_rx = hz * self.dR
+        self.probe_tx = bool(np.any(self.hazard_tx > 0))
+        self.probe_rx = bool(np.any(self.hazard_rx > 0))
         self.decay = time_decay_rate(config.evolution)
         self.kfac = config.rician_k
-        self._slot_cache: dict[int, tuple] = {}
-        self._freq_cache: dict[int, np.ndarray] = {}
-        self._angles = virtual_angles(config.num_beams) if model == "bdcm" else None
-        self._direct = None
-        if self.kfac > 0 and model == "gbsm":
+        self.k_eff = self.kfac / (self.kfac + 1.0)
+        self.direct_rows = None
+        if model == "bdcm":
+            angles = virtual_angles(config.num_beams)
+            # beam weights read only the arrival angles, which every slot shares
+            self.grid = VirtualAngleGrid(num_beams=config.num_beams, aoa=angles,
+                                         aod=aod_from_aoa(angles, config.ellipse))
+            self.beam_doppler = ray_doppler(angles, config.max_doppler,
+                                            config.velocity_angle)
+            self._slot_tables: dict[float, tuple] = {}
+            # the beam-domain direct path rides each slot's last beam with
+            # the array-center Doppler
+            self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
+        elif self.kfac > 0:
             # the antenna-domain direct path joins the arrays, whatever
             # the cluster, so one row serves the whole call
             geo = (self.off_tx, self.off_rx, config.ellipse, arr.tilt_tx, arr.tilt_rx)
             _, _, dist = los_path_from_offsets(*geo)
             doppler = los_doppler_from_offsets(*geo, config.max_doppler,
                                                config.velocity_angle)
-            self._direct = self._direct_row(*_split(dist), *_split(doppler))
+            self.direct_rows = self._direct_row(*(self._columns(v[None]) for v in
+                                                  (*_split(dist), *_split(doppler))))
 
-    def paths(self, occ):
-        """(weights, power, doppler, tables) of one cluster's paths.
+    def _columns(self, values):
+        """Spacing-pair values (last axis) spread to the distinct lag columns."""
+        return values[..., self.col_space]
 
-        The paths are the rays or beams and, for cluster 1 with K > 0,
-        the direct path as the last one; ``weights`` are their fractions
-        of the cluster's total ``power``.
-        """
-        cfg = self.config
-        if self.model == "gbsm":
-            ell = cluster_ellipse(occ, cfg)
-            ang = occ.ray_aoas
-            doppler, tables, _ = self._tables(ang, aod_from_aoa(ang, ell), ell)
-            wts = np.full(ang.size, 1.0 / ang.size)
-            direct = self._direct
+    def pick(self, clusters, budgets, cluster_index) -> list[_Picked]:
+        """The clusters an estimate reads among one member's ``clusters``."""
+        if cluster_index is None:
+            positions = range(len(clusters))
         else:
-            cached = self._slot_cache.get(occ.slot)
-            if cached is None:
-                ell = cluster_ellipse(occ, cfg)
-                grid = VirtualAngleGrid(num_beams=cfg.num_beams, aoa=self._angles,
-                                        aod=aod_from_aoa(self._angles, ell))
-                # the beam-domain direct path rides the slot's last beam
-                # (angle pi) with the array-center Doppler
-                f_c = center_los_doppler(cfg) if self.kfac > 0 else None
-                cached = (grid, *self._tables(grid.aoa, grid.aod, ell, f_c))
-                self._slot_cache[occ.slot] = cached
-            grid, doppler, tables, direct = cached
-            wts = beam_weights(occ.mean_aoa, cfg.kappa, grid, cfg.beam_weighting)
-        power = occ.power / (self.kfac + 1.0)
-        if occ.index == 1 and self.kfac > 0:
-            k_eff = self.kfac / (self.kfac + 1.0)
-            wts = np.append(power * wts, k_eff) / (power + k_eff)
-            power = power + k_eff
-            # the direct path's Doppler rotation at t is part of its row
-            doppler = np.append(doppler, 0.0)
-            tables = (tuple(map(np.vstack, zip(tables, direct))) if self.sampled
-                      else np.vstack([tables, direct]))
-        return wts, power, doppler, tables
+            positions = range(cluster_index - 1, min(cluster_index, len(clusters)))
+        out = []
+        for p in positions:
+            c = clusters[p]
+            out.append(_Picked(c.power, c.index, c.delay, c.semi_major, c.mean_aoa,
+                               budgets[p], c.tx_chain[0] if self.probe_tx else 0.0,
+                               c.rx_chain[0] if self.probe_rx else 0.0, c.ray_aoas))
+        return out
 
-    def _tables(self, ang, aod, ellipse, direct_doppler=None):
+    def paths(self, picked):
+        """Per picked cluster: its ray or beam count, and whether it also
+        carries the direct path (cluster 1 with K > 0)."""
+        if self.model == "gbsm":
+            count = np.array([c.ray_aoas.size for c in picked], dtype=int)
+        else:
+            count = np.full(len(picked), self.config.num_beams)
+        return count, np.array([c.index == 1 for c in picked], dtype=bool) & (self.kfac > 0)
+
+    def cost(self, picked) -> int:
+        """Real entries the picked clusters add to a block's per-path
+        arrays: rays x (complex lag columns + a few per-ray values) for
+        GBSM, clusters x beams for BDCM (whose tables are per slot and
+        built once per context, see ``slot_tables``)."""
+        if self.model == "gbsm":
+            return 2 * (self.width + 8) * sum(c.ray_aoas.size for c in picked)
+        return self.config.num_beams * len(picked)
+
+    def slot_tables(self, semi_major):
+        """Beam tables of one delay slot's ellipse and, with K > 0, its
+        direct-path rows; built once per context, that is once per chunk."""
+        cached = self._slot_tables.get(semi_major)
+        if cached is None:
+            _, tables, rows = self.tables(self.grid.aoa, semi_major, self.kfac > 0)
+            cached = self._slot_tables[semi_major] = (tables, rows)
+        return cached
+
+    def tables(self, ang, semi_major, direct=False):
         """Per-path Doppler and phasor tables over the distinct lag columns.
 
-        Analytic mode gives one (paths, columns) table exp(1j*dphase) of
-        the reference-minus-probe phase.  Sampled mode gives the reference
-        and probe geometry phasors; the per-path phases and the Doppler
-        rotation at t enter later as a diagonal.  The time-lag Doppler
-        rotation is part of the tables in both modes.  The last item is the
-        direct-path row along the last path if ``direct_doppler`` is given.
+        Path p arrives at ``ang[p]`` from the ellipse ``semi_major[p]``
+        (or one ``semi_major`` for all).  Analytic mode gives one (paths,
+        columns) table exp(1j*dphase) of the reference-minus-probe phase.
+        Sampled mode gives the reference and probe geometry phasors; the
+        per-path phases and the Doppler rotation at t enter later as a
+        diagonal.  The time-lag Doppler rotation is part of the tables in
+        both modes.  With ``direct``, the last item holds the direct-path
+        row along the last path (a delay slot's beam at angle pi), in the
+        same form as the tables.
         """
         cfg = self.config
-        d_rx = rx_focal_distance(ang, ellipse)
-        d_tx = 2.0 * ellipse.semi_major - d_rx
-        tx_x, tx_y = _split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, self.off_tx))
+        ell = _PathEllipses(semi_major, cfg.ellipse.focal_half)
+        d_rx = rx_focal_distance(ang, ell)
+        d_tx = 2.0 * semi_major - d_rx
+        tx_x, tx_y = _split(antenna_distances(d_tx, aod_from_aoa(ang, ell),
+                                              cfg.array.tilt_tx, self.off_tx))
         rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
-        lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
-        direct = None if direct_doppler is None else self._direct_row(
-            tx_x[-1] + rx_x[-1], tx_y[-1] + rx_y[-1], direct_doppler, direct_doppler)
+        lag_phase = (TWO_PI * doppler[:, None] * self.lag_time[None, :])[:, self.col_lag]
+        rows = None if not direct else self._direct_row(
+            self._columns(tx_x[-1:] + rx_x[-1:]), self._columns(tx_y[-1:] + rx_y[-1:]),
+            self.center_doppler, self.center_doppler)
         if self.sampled:
-            return doppler, (np.exp(1j * self.wn * (tx_x + rx_x)),
-                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase))), direct
-        dphase = self.wn * ((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
-        return doppler, np.exp(1j * dphase), direct
+            return doppler, (self._columns(np.exp(1j * self.wn * (tx_x + rx_x))),
+                             np.exp(1j * (self.wn * self._columns(tx_y + rx_y)
+                                          + lag_phase))), rows
+        dphase = self.wn * self._columns((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
+        return doppler, (np.exp(1j * dphase),), rows
 
     def _direct_row(self, d_x, d_y, f_x, f_y):
-        """Direct-path table row from its reference and probe path lengths
+        """Direct-path table rows from their reference and probe path lengths
         and Doppler shifts per lag column, rotated to the evaluation time."""
         px = self.wn * d_x + TWO_PI * f_x * self.t
         py = self.wn * d_y + TWO_PI * f_y * (self.t + self.col_time)
         if self.sampled:
             return np.exp(1j * px), np.exp(1j * py)
-        return np.exp(1j * (px - py))
-
-    def freq_factor(self, occ):
-        """Per-lag frequency rotation exp(2j*pi*dW*delay) of one cluster.
-
-        The delay is fixed by the ladder slot, so the factor is cached
-        per slot for both models.
-        """
-        fac = self._freq_cache.get(occ.slot)
-        if fac is None:
-            fac = np.exp(1j * TWO_PI * self.dW * occ.delay)
-            self._freq_cache[occ.slot] = fac
-        return fac
+        return (np.exp(1j * (px - py)),)
 
 
-def _member_terms(ctx: _LagContext, clusters, budgets, cluster_index,
-                  phase_rng=None):
-    """One member's contribution (numerator, |X|^2 term, |Y|^2 term).
+def _block_terms(ctx: _LagContext, block, phases=None):
+    """Per-member (numerator, |X|^2 term, |Y|^2 term) of a block of members.
 
-    In analytic mode the returned triple is the exact conditional
-    expectation over initial phases; in sampled mode it is computed from
-    one realized phase draw taken from phase_rng.
+    ``block`` holds each member's picked clusters (``_LagContext.pick``)
+    and, in sampled mode, ``phases`` each member's phase draw, one per
+    path in cluster order.  The picked clusters of the whole block are
+    evaluated together: one table build over all their paths, then one
+    ray-averaged product (GBSM) or one product per delay slot against
+    that slot's beam table (BDCM).  Each cluster's term is gated, rotated
+    by its delay and summed into its member's row.  In analytic mode a
+    row is the member's exact conditional expectation over initial
+    phases; in sampled mode it comes from the member's realized phases.
     """
-    if cluster_index is None:
-        members = list(enumerate(clusters))
-    elif cluster_index > len(clusters):
-        members = []
+    cfg = ctx.config
+    n = len(block)
+    picked = [c for rows in block for c in rows]
+    if not picked:
+        zero = np.zeros((n, ctx.length))
+        return (zero + 0j, zero, zero) if ctx.sampled else (zero + 0j, np.zeros(n), zero)
+    member = np.repeat(np.arange(n), [len(rows) for rows in block])
+    *scalars, rays = zip(*picked)
+    power, _, delay, semi_major, mean_aoa, budget, tx_first, rx_first = map(np.array, scalars)
+    paths, direct = ctx.paths(picked)
+    power = power / (ctx.kfac + 1.0)
+    total = np.where(direct, power + ctx.k_eff, power)
+    gate = budget[:, None] > ctx.decay * ctx.dL
+    # the probe on antenna 2 sees the cluster if it survives the first step
+    if ctx.probe_tx:
+        gate &= (tx_first[:, None] > ctx.hazard_tx) | (ctx.hazard_tx <= 0)
+    if ctx.probe_rx:
+        gate &= (rx_first[:, None] > ctx.hazard_rx) | (ctx.hazard_rx <= 0)
+    delays, which = np.unique(delay, return_inverse=True)
+    freq = np.exp(1j * TWO_PI * ctx.dW * delays[:, None])[which]
+    if ctx.model == "gbsm":
+        doppler, tables, _ = ctx.tables(np.concatenate(rays), np.repeat(semi_major, paths))
+        weights = np.repeat(1.0 / paths, paths)
+        starts = np.cumsum(paths) - paths
+
+        def spread(per_cluster):
+            return np.repeat(per_cluster, paths)
+
+        def products(w):
+            return ([np.add.reduceat(w[:, None] * table, starts, axis=0)
+                     for table in tables], ctx.direct_rows)
     else:
-        members = [(cluster_index - 1, clusters[cluster_index - 1])]
+        doppler = ctx.beam_doppler
+        weights = beam_weights(mean_aoa, cfg.kappa, ctx.grid, cfg.beam_weighting)
+
+        def spread(per_cluster):
+            return per_cluster[:, None]
+
+        def products(w):
+            kinds = 2 if ctx.sampled else 1
+            out = [np.empty((w.shape[0], ctx.width), dtype=complex) for _ in range(kinds)]
+            rows = [np.empty((np.count_nonzero(direct), ctx.width), dtype=complex)
+                    for _ in range(kinds)]
+            # the inverse form: plain np.unique imports numpy.ma on first use
+            semi, slot = np.unique(semi_major, return_inverse=True)
+            for s, a in enumerate(semi):
+                tables, slot_rows = ctx.slot_tables(a)
+                mine = slot == s
+                for o, table in zip(out, tables):
+                    o[mine] = w[mine] @ table
+                for r, row in zip(rows, slot_rows or ()):
+                    r[mine[direct]] = row
+            return out, rows
+    # cluster 1 shares its total power with the direct path, weight k_eff / total
+    weights *= spread(np.where(direct, power / total, 1.0))
+    w_direct = ctx.k_eff / total[direct]
     if ctx.sampled:
-        x_tot = np.zeros(ctx.length, dtype=complex)
-        y_tot = np.zeros(ctx.length, dtype=complex)
+        flat = np.concatenate(phases)
+        at_direct = (np.cumsum(paths + direct) - 1)[direct]
+        angle = (TWO_PI * doppler * ctx.t
+                 + np.delete(flat, at_direct).reshape(weights.shape))
+        coef = np.sqrt(spread(total) * weights) * np.exp(1j * angle)
+        coef_direct = np.sqrt(total[direct] * w_direct) * np.exp(1j * flat[at_direct])
     else:
-        v = np.zeros(ctx.length, dtype=complex)
-        a = 0.0
-        b = np.zeros(ctx.length)
-    for pos, occ in members:
-        wts, power, doppler, tables = ctx.paths(occ)
-        gate = (_pair_gate(occ.tx_chain, ctx.hazard_tx)
-                & _pair_gate(occ.rx_chain, ctx.hazard_rx)
-                & (budgets[pos] > ctx.decay * ctx.dL))
-        freq_fac = ctx.freq_factor(occ)
-        if ctx.sampled:
-            phases = phase_rng.uniform(0.0, TWO_PI, wts.size)
-            diag = (np.sqrt(power * wts)
-                    * np.exp(1j * (TWO_PI * doppler * ctx.t + phases)))
-            ex, ey = tables
-            x_tot += (diag @ ex)[ctx.column]
-            y_tot += (diag @ ey)[ctx.column] * gate * np.conj(freq_fac)
-        else:
-            pa = (wts @ tables)[ctx.column]
-            v += gate * pa * freq_fac * power
-            a += power
-            b = b + gate * power
+        coef, coef_direct = weights, w_direct
+    out, rows = products(coef)
+    if direct.any():
+        for o, row in zip(out, rows):
+            o[direct] += coef_direct[:, None] * row
     if ctx.sampled:
+        x_tot = _by_member(member, out[0][:, ctx.column], n)
+        y_tot = _by_member(member, out[1][:, ctx.column] * gate * np.conj(freq), n)
         return x_tot * np.conj(y_tot), np.abs(x_tot) ** 2, np.abs(y_tot) ** 2
-    return v, a, b
+    term = gate * out[0][:, ctx.column] * freq * total[:, None]
+    return (_by_member(member, term, n), np.bincount(member, total, minlength=n),
+            _by_member(member, gate * total[:, None], n))
 
 
 def _accumulate(args):
-    """Reduce one contiguous block of ensemble members."""
+    """Reduce one contiguous chunk of ensemble members.
+
+    Members are evaluated in blocks: a block closes once its largest
+    arrays reach ``_BLOCK_ELEMENTS`` entries or the chunk ends, which
+    bounds the memory of one evaluation for any ray or beam count.
+    """
     (config, model, cluster_index, t, lag_tx, lag_rx, lag_freq, lag_time,
      seed, start, stop) = args
     ctx = _LagContext(config, model, t, lag_tx, lag_rx, lag_freq, lag_time)
@@ -355,22 +467,32 @@ def _accumulate(args):
     pr_num = np.zeros(ctx.length, dtype=complex)
     pr_sq = np.zeros(ctx.length)
     pr_cnt = np.zeros(ctx.length, dtype=np.int64)
+    block, phases, cost = [], [], 0
     for member in range(start, stop):
         clusters = _member_state(config, seed, member, t)
         budgets = _stream(seed, member, _STREAM_BUDGET).exponential(
             size=max(len(clusters), 1))
-        phase_rng = (_stream(seed, member, _STREAM_PHASE) if ctx.sampled else None)
-        v, a, b = _member_terms(ctx, clusters, budgets, cluster_index, phase_rng)
-        num += v
-        sq += np.abs(v) ** 2
-        den_x = den_x + a
-        den_y = den_y + b
+        picked = ctx.pick(clusters, budgets, cluster_index)
+        block.append(picked)
+        if ctx.sampled:
+            count, direct = ctx.paths(picked)
+            phases.append(_stream(seed, member, _STREAM_PHASE).uniform(
+                0.0, TWO_PI, int(count.sum() + direct.sum())))
+        cost += ctx.cost(picked)
+        if cost < _BLOCK_ELEMENTS and member < stop - 1:
+            continue
+        v, a, b = _block_terms(ctx, block, phases)
+        block, phases, cost = [], [], 0
+        num += v.sum(axis=0)
+        sq += (np.abs(v) ** 2).sum(axis=0)
+        den_x = den_x + a.sum(axis=0)
+        den_y = den_y + b.sum(axis=0)
         if ctx.sampled:
             ok = (a * b) > 0
             r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
-            pr_num += r
-            pr_sq += np.abs(r) ** 2
-            pr_cnt += ok.astype(np.int64)
+            pr_num += r.sum(axis=0)
+            pr_sq += (np.abs(r) ** 2).sum(axis=0)
+            pr_cnt += ok.sum(axis=0)
     return num, sq, den_x, den_y, pr_num, pr_sq, pr_cnt
 
 
@@ -394,10 +516,13 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
         raise ValueError(f"unknown model '{model}'")
     if cluster_index is not None and cluster_index < 1:
         raise ValueError(f"cluster_index must be at least 1, got {cluster_index}")
-    ensemble = int(config.ensemble if ensemble is None else ensemble)
+    ensemble = config.ensemble if ensemble is None else ensemble
+    seed = config.seed if seed is None else seed
+    require_integer("ensemble", ensemble)
+    require_integer("seed", seed)
+    ensemble, seed = int(ensemble), int(seed)
     if ensemble < 1:
         raise ValueError("ensemble must be at least 1")
-    seed = int(config.seed if seed is None else seed)
     if config.normalization == "per_realization" and config.estimator_mode != "sampled":
         raise ValueError("per_realization normalization needs estimator_mode='sampled'")
     blocks = [(config, model, cluster_index, t, lag_tx, lag_rx, lag_freq,

@@ -1,8 +1,11 @@
 """Command-line surface: config files, CSV shapes, byte-stable reruns."""
 import json
+import subprocess
+import sys
 
 import pytest
 
+import beamchan
 from beamchan.cli import main, run_experiment, write_output
 from beamchan.config import (
     SimulationConfig,
@@ -91,6 +94,27 @@ def test_simulate_rejects_a_non_integer_field(tmp_path, capsys, name, value):
     assert rc == 1
     assert err.startswith("error:") and f"{name} must be an integer" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,value", [("ensemble", 10.7), ("ensemble", True),
+                                        ("seed", 3.9), ("seed", "3")])
+@pytest.mark.parametrize("experiment", ["fig3_ccf", "fig6_complexity"])
+def test_run_experiment_rejects_a_non_integer_argument(experiment, name, value):
+    # these used to be truncated by int(): 10.7 ran 10 members, True ran 1
+    cfg = loads_config(json.dumps(SMALL))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_experiment(cfg, experiment, **{name: value})
+
+
+@pytest.mark.parametrize("module", ["beamchan", "beamchan.cli"])
+def test_module_entry_points_run_without_warnings(module):
+    # the package used to import beamchan.cli itself, so running it as
+    # __main__ warned that it was already in sys.modules
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          module, "--version"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"beamchan {beamchan.__version__}"
+    assert res.stderr == ""
 
 
 # -------------------------------------------------------------- arg parsing

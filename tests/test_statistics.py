@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0, j0
 
-from beamchan.bdcm import bdcm_cluster_matrix, draw_bdcm_phases
+from beamchan.bdcm import beam_weights, bdcm_cluster_matrix, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import statistics
@@ -28,6 +28,11 @@ from beamchan.geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     EllipseConfig,
+    antenna_distances,
+    aod_from_aoa,
+    los_doppler_from_offsets,
+    los_path_from_offsets,
+    ray_doppler,
     rx_focal_distance,
     virtual_angles,
 )
@@ -201,6 +206,59 @@ def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch, kfac):
     assert 0 < len(calls) <= 2 * slots
 
 
+def _recording(monkeypatch, name):
+    """Calls of ``statistics.<name>`` made while the test runs."""
+    calls = []
+    original = getattr(statistics, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(statistics, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("one_block_per_chunk", [False, True])
+def test_gbsm_distance_kernel_runs_once_per_side_per_block(monkeypatch,
+                                                           one_block_per_chunk):
+    # every cluster of a block shares one kernel call per side, whatever
+    # the members' cluster counts; the tilts tell the two sides apart
+    if one_block_per_chunk:
+        monkeypatch.setattr(statistics, "_BLOCK_ELEMENTS", 1 << 40)
+    kernel = _recording(monkeypatch, "antenna_distances")
+    blocks = _recording(monkeypatch, "_block_terms")
+    cfg = SimulationConfig(array=ArrayConfig(tilt_tx=0.7, tilt_rx=1.9))
+    ensemble, seed = 300, 61
+    stfcf(cfg, spacing_tx=0.06, spacing_rx=0.12, cluster_index=None,
+          ensemble=ensemble, seed=seed)
+    assert sum(len(args[1]) for args in blocks) == ensemble
+    assert sorted(args[2] for args in kernel) == [0.7] * len(blocks) + [1.9] * len(blocks)
+    clusters = sum(len(_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
+    assert 10 * len(blocks) < clusters
+    if one_block_per_chunk:
+        assert len(blocks) == 2
+
+
+@pytest.mark.parametrize("one_block_per_chunk", [False, True])
+def test_bdcm_beam_weights_once_per_block(monkeypatch, one_block_per_chunk):
+    # one call over the stacked mean angles of every cluster in the block
+    if one_block_per_chunk:
+        monkeypatch.setattr(statistics, "_BLOCK_ELEMENTS", 1 << 40)
+    weights = _recording(monkeypatch, "beam_weights")
+    blocks = _recording(monkeypatch, "_block_terms")
+    cfg = SimulationConfig()
+    ensemble, seed = 300, 47
+    fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
+    assert len(weights) == len(blocks)
+    picked = [sum(map(len, args[1])) for args in blocks]
+    assert [np.size(args[0]) for args in weights] == picked
+    clusters = sum(len(_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
+    assert sum(picked) == clusters and 10 * len(blocks) < clusters
+    if one_block_per_chunk:
+        assert len(blocks) == 2
+
+
 @pytest.mark.parametrize("model", ["gbsm", "bdcm"])
 def test_tables_match_cartesian_path_lengths(model):
     # analytic tables against path lengths from explicit coordinates: the
@@ -213,8 +271,8 @@ def test_tables_match_cartesian_path_lengths(model):
     lag_rx = np.array([0.0, 0.0, 0.07, 0.02])
     ctx = statistics._LagContext(cfg, model, 1.0, lag_tx, lag_rx, 0.0, 0.0)
     occ = _member_state(cfg, 3, 0, 1.0)[0]
-    _, _, _, tables = ctx.paths(occ)
     ang = occ.ray_aoas if model == "gbsm" else virtual_angles(cfg.num_beams)
+    _, (tables,), _ = ctx.tables(ang, np.full(ang.size, occ.semi_major))
     f = cfg.ellipse.focal_half
     r = rx_focal_distance(ang, EllipseConfig(occ.semi_major, f))
     scat = np.stack([f + r * np.cos(ang), r * np.sin(ang)])[:, :, None]
@@ -249,10 +307,12 @@ def test_direct_path_row_matches_builder(model, slot):
     occ = Cluster(index=1, uid=1, slot=slot, semi_major=semi,
                   delay=2.0 * semi / SPEED_OF_LIGHT, power=0.0,
                   mean_aoa=cfg.mean_aoa, ray_aoas=np.array([0.3, -1.1]),
-                  visible_tx=range(1, 2), visible_rx=range(1, 3))
+                  visible_tx=range(1, 2), visible_rx=range(1, 3),
+                  rx_chain=np.array([10.0]))
     k_eff = 3.0 / 4.0
-    wts, power, _, tables = ctx.paths(occ)
-    assert power == k_eff and wts[-1] == 1.0 and not np.any(wts[:-1])
+    # survival budgets far above the lag hazards keep both gates open
+    v, a, b = statistics._block_terms(ctx, [ctx.pick([occ], np.array([10.0]), 1)])
+    assert a[0] == k_eff and b[0, 0] == k_eff
     respaced = cfg.with_values(array=replace(cfg.array, spacing_rx=d))
     rng = np.random.default_rng(5)
     if model == "gbsm":
@@ -262,7 +322,175 @@ def test_direct_path_row_matches_builder(model, slot):
     h_ref = build(occ, t, respaced, phases)[0, 0]
     h_probe = build(occ, t + dL, respaced, phases)[1, 0]
     want = h_ref * np.conj(h_probe) / k_eff
-    assert abs(tables[-1, ctx.column[0]] - want) < 1e-10
+    assert abs(v[0, 0] / k_eff - want) < 1e-10
+
+
+# ------------------------------------------------- per-cluster oracle
+
+class PerClusterContext(statistics._LagContext):
+    """The estimators' former per-cluster evaluation, kept as the oracle of
+    the batched one: tables over the full (dT, dR, dL) columns, built per
+    GBSM cluster and per BDCM slot, reduced one cluster at a time."""
+
+    def __init__(self, config, model, t, *lags):
+        super().__init__(config, model, t, *lags)
+        tx, rx = (np.array([0.0] * self.width) for _ in range(2))
+        for lag_tx, lag_rx, col in zip(self.dT, self.dR, self.column):
+            tx[col], rx[col] = lag_tx, lag_rx
+        arr = config.array
+        self.off_tx = statistics._side_offsets(arr.num_tx, arr.spacing_tx, tx)
+        self.off_rx = statistics._side_offsets(arr.num_rx, arr.spacing_rx, rx)
+        self.slot_cache = {}
+
+    def cluster_paths(self, occ):
+        cfg = self.config
+        ell = EllipseConfig(occ.semi_major, cfg.ellipse.focal_half)
+        if self.model == "gbsm":
+            ang = occ.ray_aoas
+            doppler, tables, _ = self.path_tables(ang, aod_from_aoa(ang, ell), ell)
+            wts = np.full(ang.size, 1.0 / ang.size)
+            direct = self.los_row()
+        else:
+            if occ.slot not in self.slot_cache:
+                ang = self.grid.aoa
+                self.slot_cache[occ.slot] = self.path_tables(
+                    ang, aod_from_aoa(ang, ell), ell, self.kfac > 0)
+            doppler, tables, direct = self.slot_cache[occ.slot]
+            wts = beam_weights(occ.mean_aoa, cfg.kappa, self.grid, cfg.beam_weighting)
+        power = occ.power / (self.kfac + 1.0)
+        if occ.index == 1 and self.kfac > 0:
+            k_eff = self.kfac / (self.kfac + 1.0)
+            wts = np.append(power * wts, k_eff) / (power + k_eff)
+            power = power + k_eff
+            doppler = np.append(doppler, 0.0)
+            tables = (tuple(map(np.vstack, zip(tables, direct))) if self.sampled
+                      else np.vstack([tables, direct]))
+        return wts, power, doppler, tables
+
+    def los_row(self):
+        cfg, arr = self.config, self.config.array
+        geo = (self.off_tx, self.off_rx, cfg.ellipse, arr.tilt_tx, arr.tilt_rx)
+        _, _, dist = los_path_from_offsets(*geo)
+        doppler = los_doppler_from_offsets(*geo, cfg.max_doppler, cfg.velocity_angle)
+        split = statistics._split
+        return self.direct_row(*split(dist), *split(doppler))
+
+    def direct_row(self, *geometry):
+        row = self._direct_row(*geometry)
+        return row if self.sampled else row[0]
+
+    def path_tables(self, ang, aod, ellipse, with_direct=False):
+        cfg = self.config
+        split = statistics._split
+        d_rx = rx_focal_distance(ang, ellipse)
+        d_tx = 2.0 * ellipse.semi_major - d_rx
+        tx_x, tx_y = split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, self.off_tx))
+        rx_x, rx_y = split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
+        doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
+        lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
+        direct = None if not with_direct else self.direct_row(
+            tx_x[-1] + rx_x[-1], tx_y[-1] + rx_y[-1],
+            self.center_doppler, self.center_doppler)
+        if self.sampled:
+            return doppler, (np.exp(1j * self.wn * (tx_x + rx_x)),
+                             np.exp(1j * (self.wn * (tx_y + rx_y) + lag_phase))), direct
+        dphase = self.wn * ((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
+        return doppler, np.exp(1j * dphase), direct
+
+
+def pair_gate(chain, hazard):
+    if not np.any(hazard > 0):
+        return np.ones(hazard.shape, dtype=bool)
+    return np.where(hazard > 0, chain[0] > hazard, True)
+
+
+def per_cluster_terms(ctx, clusters, budgets, cluster_index, phase_rng):
+    if cluster_index is None:
+        members = list(enumerate(clusters))
+    elif cluster_index > len(clusters):
+        members = []
+    else:
+        members = [(cluster_index - 1, clusters[cluster_index - 1])]
+    x_tot = np.zeros(ctx.length, dtype=complex)
+    y_tot = np.zeros(ctx.length, dtype=complex)
+    v = np.zeros(ctx.length, dtype=complex)
+    a = 0.0
+    b = np.zeros(ctx.length)
+    for pos, occ in members:
+        wts, power, doppler, tables = ctx.cluster_paths(occ)
+        gate = (pair_gate(occ.tx_chain, ctx.hazard_tx)
+                & pair_gate(occ.rx_chain, ctx.hazard_rx)
+                & (budgets[pos] > ctx.decay * ctx.dL))
+        freq_fac = np.exp(1j * TWO_PI * ctx.dW * occ.delay)
+        if ctx.sampled:
+            phases = phase_rng.uniform(0.0, TWO_PI, wts.size)
+            diag = (np.sqrt(power * wts)
+                    * np.exp(1j * (TWO_PI * doppler * ctx.t + phases)))
+            ex, ey = tables
+            x_tot += (diag @ ex)[ctx.column]
+            y_tot += (diag @ ey)[ctx.column] * gate * np.conj(freq_fac)
+        else:
+            pa = (wts @ tables)[ctx.column]
+            v += gate * pa * freq_fac * power
+            a += power
+            b = b + gate * power
+    if ctx.sampled:
+        return x_tot * np.conj(y_tot), np.abs(x_tot) ** 2, np.abs(y_tot) ** 2
+    return v, a, b
+
+
+def per_cluster_accumulate(args):
+    """Drop-in for ``statistics._accumulate``, one member at a time."""
+    (config, model, cluster_index, t, lag_tx, lag_rx, lag_freq, lag_time,
+     seed, start, stop) = args
+    ctx = PerClusterContext(config, model, t, lag_tx, lag_rx, lag_freq, lag_time)
+    sums = [np.zeros(ctx.length, dtype=dtype)
+            for dtype in (complex, float, float, float, complex, float, np.int64)]
+    for member in range(start, stop):
+        clusters = _member_state(config, seed, member, t)
+        budgets = statistics._stream(seed, member, statistics._STREAM_BUDGET).exponential(
+            size=max(len(clusters), 1))
+        phase_rng = statistics._stream(seed, member, statistics._STREAM_PHASE)
+        v, a, b = per_cluster_terms(ctx, clusters, budgets, cluster_index, phase_rng)
+        ok = (a * b) > 0
+        r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
+        for total, term in zip(sums, (v, np.abs(v) ** 2, a, b, r, np.abs(r) ** 2, ok)):
+            total += term
+    return tuple(sums)
+
+
+def _all_estimates(cfg, model, cluster_index):
+    kw = dict(model=model, ensemble=40, seed=53, t=2.0)
+    out = [space_ccf(cfg, cluster_index=cluster_index, **kw).values,
+           time_acf(cfg, cluster_index=cluster_index, **kw).values,
+           fcf(cfg, freq_lag_grid=np.linspace(0.0, 4e6, 9), **kw).values]
+    out += [stfcf(cfg, spacing_tx=0.05, spacing_rx=0.1, freq_lag=3e6,
+                  time_lag=0.02, cluster_index=cluster_index, **kw)]
+    return out
+
+
+@pytest.mark.parametrize("cluster_index", [1, None, 20])
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("mode", ["analytic", "sampled", "per_realization"])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_batched_terms_match_per_cluster_oracle(monkeypatch, model, mode, kfac,
+                                                cluster_index):
+    # chunks of 16 members and small blocks, so chunk ends, block ends and
+    # one-member blocks all occur
+    cfg = SimulationConfig(rician_k=kfac, num_beams=64,
+                           estimator_mode="analytic" if mode == "analytic" else "sampled",
+                           normalization="per_realization" if mode == "per_realization"
+                           else "standard")
+    if cluster_index == 20:
+        counts = [len(_member_state(cfg, 53, m, 2.0)) for m in range(40)]
+        assert min(counts) < 20 <= max(counts)
+    monkeypatch.setattr(statistics, "_CHUNK", 16)
+    monkeypatch.setattr(statistics, "_BLOCK_ELEMENTS", 3000)
+    batched = _all_estimates(cfg, model, cluster_index)
+    monkeypatch.setattr(statistics, "_accumulate", per_cluster_accumulate)
+    oracle = _all_estimates(cfg, model, cluster_index)
+    for got, want in zip(batched, oracle):
+        assert np.max(np.abs(np.asarray(got) - want)) < 1e-12
 
 
 # ----------------------------------------------------------------- oracles
@@ -437,6 +665,24 @@ def test_cluster_index_below_one_raises_naming_it(estimator, index):
     # clusters are numbered from 1; 0 or -1 would wrap to the last cluster
     with pytest.raises(ValueError, match="cluster_index"):
         estimator(SimulationConfig(), cluster_index=index, ensemble=2, seed=1)
+
+
+@pytest.mark.parametrize("name, value", [("ensemble", 10.7), ("ensemble", True),
+                                         ("ensemble", "10"), ("seed", 3.9),
+                                         ("seed", False), ("seed", np.float64(2.0))])
+@pytest.mark.parametrize("estimator", [space_ccf, time_acf, fcf, stfcf])
+def test_ensemble_and_seed_reject_non_integers_by_name(estimator, name, value):
+    # these used to be truncated by int(): 10.7 ran 10 members, True ran 1
+    kw = {"ensemble": 2, "seed": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        estimator(SimulationConfig(), **kw)
+
+
+def test_ensemble_and_seed_take_numpy_integers_and_none():
+    cfg = SimulationConfig(ensemble=3, seed=5)
+    got = space_ccf(cfg, ensemble=np.int64(3), seed=np.int32(5))
+    assert got.ensemble == 3
+    assert np.array_equal(got.values, space_ccf(cfg).values)
 
 
 def test_worker_env_does_not_change_results():
