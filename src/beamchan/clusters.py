@@ -15,11 +15,15 @@ Survival along the array is stored as a chain of unit-exponential budgets
 (one per inter-antenna step), which makes the per-step coin flips
 reproducible for any spacing: the cluster survives a step of length x
 (in hazard units) exactly when the step's budget exceeds x.
+
+``ClusterDraws`` holds the draw steps that ``initial_clusters``,
+``evolve_time``, ``evolve_array`` and the correlation estimators share, so
+every random draw of a cluster history is made in one place.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,37 +124,111 @@ def _draw_rays(rng, mean_aoa: float, kappa: float, count: int) -> np.ndarray:
     return rng.vonmises(mean_aoa, kappa, count)
 
 
-def _ladder_semi_major(config, slot: int) -> float:
-    return config.ellipse.semi_major + slot * SPEED_OF_LIGHT * config.delay_spacing / 2.0
+def _copied(c: Cluster) -> Cluster:
+    """Shallow copy of a cluster; its arrays are shared, nothing writes them."""
+    out = object.__new__(Cluster)
+    out.__dict__.update(c.__dict__)
+    return out
 
 
-def _pdp_weight(config, slot: int) -> float:
-    # exponential power-delay profile in excess delay; the time constant is
-    # the mean excess delay of the average-length ladder
-    mean_count = config.mean_cluster_count
-    tau0 = config.delay_spacing * max((mean_count - 1.0) / 2.0, 1.0)
-    return math.exp(-slot * config.delay_spacing / tau0)
+def _parentage(clusters: list[Cluster]) -> tuple[int, float, int]:
+    """Ladder length, power scale and first free uid of newborns among ``clusters``."""
+    return (max(len(clusters), 1), clusters[0].pdp_scale if clusters else 1.0,
+            max((c.uid for c in clusters), default=0) + 1)
 
 
-def _new_cluster(config, rng, index: int, uid: int, slot: int, mean_aoa: float,
-                 pdp_scale: float) -> Cluster:
-    a = _ladder_semi_major(config, slot)
-    rays = _draw_rays(rng, mean_aoa, config.kappa, config.rays_per_cluster)
-    tx_chain = rng.exponential(1.0, max(config.array.num_tx - 1, 0))
-    rx_chain = rng.exponential(1.0, max(config.array.num_rx - 1, 0))
-    return Cluster(
-        index=index,
-        uid=uid,
-        slot=slot,
-        semi_major=a,
-        delay=2.0 * a / SPEED_OF_LIGHT,
-        power=_pdp_weight(config, slot) * pdp_scale,
-        mean_aoa=mean_aoa,
-        ray_aoas=rays,
-        pdp_scale=pdp_scale,
-        tx_chain=tx_chain,
-        rx_chain=rx_chain,
-    )
+class ClusterDraws:
+    """The draw steps of a cluster history, with the config-derived
+    constants they share computed once per instance.
+
+    Every random draw of a history goes through these steps in a fixed
+    order.  The initial stream holds the count, then per cluster its mean
+    angle (after the first), its rays and both array chains.  The evolve
+    stream holds the survival coin flips and the birth count, then per
+    newborn its ladder slot, mean angle, rays and chains.  The fates read
+    only the ensemble size, so a caller that reads a few clusters can stop
+    drawing after the last one it reads without moving any other draw.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.kappa = config.kappa
+        self.rays = config.rays_per_cluster
+        self.tx_steps = max(config.array.num_tx - 1, 0)
+        self.steps = self.tx_steps + max(config.array.num_rx - 1, 0)
+        self.mean_count = config.mean_cluster_count
+        # exponential power-delay profile in excess delay; the time constant
+        # is the mean excess delay of the average-length ladder
+        self.tau0 = config.delay_spacing * max((self.mean_count - 1.0) / 2.0, 1.0)
+        self._slots: list[tuple[float, float, float]] = []
+        self._scales: dict[int, float] = {}
+
+    def slot(self, slot: int) -> tuple[float, float, float]:
+        """Semi-major axis, delay and power-delay weight of a ladder slot."""
+        cfg, slots = self.config, self._slots
+        while len(slots) <= slot:
+            s = len(slots)
+            a = cfg.ellipse.semi_major + s * SPEED_OF_LIGHT * cfg.delay_spacing / 2.0
+            slots.append((a, 2.0 * a / SPEED_OF_LIGHT,
+                          math.exp(-s * cfg.delay_spacing / self.tau0)))
+        return slots[slot]
+
+    def pdp_scale(self, count: int) -> float:
+        """Power scale that normalizes an initial set of ``count`` clusters."""
+        scale = self._scales.get(count)
+        if scale is None:
+            weights = np.array([self.slot(s)[2] for s in range(count)])
+            scale = self._scales[count] = 1.0 / weights.sum()
+        return scale
+
+    def count(self, rng) -> int:
+        """Initial cluster count: Poisson with the steady-state mean, empty
+        draws rejected."""
+        count = 0
+        while count == 0:
+            count = int(rng.poisson(self.mean_count))
+        return count
+
+    def initial(self, rng, count: int, stop: int) -> list[Cluster]:
+        """The first ``stop`` clusters of an initial set of ``count``."""
+        scale = self.pdp_scale(count)
+        out = []
+        for s in range(stop):
+            mean_aoa = self.config.mean_aoa if s == 0 else rng.uniform(-math.pi, math.pi)
+            out.append(_new_cluster(self, rng, s + 1, s + 1, s, mean_aoa, scale))
+        return out
+
+    def fates(self, rng, count: int, dt: float) -> tuple[np.ndarray, int]:
+        """Positions of the survivors among ``count`` clusters after ``dt``
+        seconds, and the birth count."""
+        surv = time_survival(dt, self.config.evolution)
+        alive = (rng.random(count) < surv).nonzero()[0]
+        births = int(rng.poisson(self.mean_count * (1.0 - surv)))
+        if alive.size == 0 and births == 0:
+            births = 1  # reject the empty ensemble, like the initial draw
+        return alive, births
+
+    def newborns(self, rng, count: int, ladder: int, pdp_scale: float,
+                 first_uid: int) -> list[Cluster]:
+        """``count`` fresh clusters numbered from ``first_uid``; each draws a
+        slot below ``ladder``, a uniform mean angle, then its rays and chains."""
+        out = []
+        for uid in range(first_uid, first_uid + count):
+            slot = int(rng.integers(0, ladder))
+            out.append(_new_cluster(self, rng, 0, uid, slot,
+                                    rng.uniform(-math.pi, math.pi), pdp_scale))
+        return out
+
+
+def _new_cluster(draws: ClusterDraws, rng, index: int, uid: int, slot: int,
+                 mean_aoa: float, pdp_scale: float) -> Cluster:
+    """The one per-cluster draw: rays, then both array chains in one call."""
+    semi_major, delay, weight = draws.slot(slot)
+    rays = _draw_rays(rng, mean_aoa, draws.kappa, draws.rays)
+    chains = rng.exponential(1.0, draws.steps)
+    return Cluster(index, uid, slot, semi_major, delay, weight * pdp_scale, mean_aoa,
+                   rays, pdp_scale=pdp_scale, tx_chain=chains[:draws.tx_steps],
+                   rx_chain=chains[draws.tx_steps:])
 
 
 def initial_clusters(config, rng_seed) -> list[Cluster]:
@@ -163,40 +241,28 @@ def initial_clusters(config, rng_seed) -> list[Cluster]:
     cluster starts visible to antenna 1 on both arrays.
     """
     rng = _as_rng(rng_seed)
-    mean_count = config.mean_cluster_count
-    count = 0
-    while count == 0:
-        count = rng.poisson(mean_count)
-    weights = np.array([_pdp_weight(config, s) for s in range(count)])
-    pdp_scale = 1.0 / weights.sum()
-    out = []
-    for s in range(count):
-        mean_aoa = config.mean_aoa if s == 0 else rng.uniform(-math.pi, math.pi)
-        out.append(_new_cluster(config, rng, index=s + 1, uid=s + 1, slot=s,
-                                mean_aoa=mean_aoa, pdp_scale=pdp_scale))
-    return out
+    draws = ClusterDraws(config)
+    count = draws.count(rng)
+    return draws.initial(rng, count, count)
 
 
-def _newborns(config, rng, count: int, parents: list[Cluster],
-              first_uid: int) -> list[Cluster]:
-    """``count`` fresh clusters numbered from ``first_uid``; each draws a ladder
-    slot over ``parents``, a uniform mean angle, then its rays and chains."""
-    ladder = max(len(parents), 1)
-    pdp_scale = parents[0].pdp_scale if parents else 1.0
-    out = []
-    for uid in range(first_uid, first_uid + count):
-        slot = int(rng.integers(0, ladder))
-        out.append(_new_cluster(config, rng, index=0, uid=uid, slot=slot,
-                                mean_aoa=rng.uniform(-math.pi, math.pi),
-                                pdp_scale=pdp_scale))
-    return out
+def _visible_steps(chains, hazard: float, starts, count: int) -> list[range]:
+    """Per cluster, the antennas from its birth antenna ``starts[i]`` up to
+    the first later step whose budget is ``<= hazard``, at most to ``count``.
 
-
-def _visible_steps(chain: np.ndarray, hazard: float, start: int, count: int) -> range:
-    """Antennas from ``start`` up to the first step whose budget is ``<= hazard``,
-    at most to ``count``; ``chain[0]`` is the budget of the step after ``start``."""
-    dead = chain[: count - start] <= hazard
-    return range(start, start + 1 + (int(dead.argmax()) if dead.any() else dead.size))
+    ``chains[i][j]`` is the budget of the step from antenna j + 1 to j + 2.
+    The steps before the birth antenna are not read, and a chain that ends
+    early ends the interval there.
+    """
+    width = count - 1
+    starts = np.asarray(starts, dtype=int).reshape(-1, 1)
+    # one column past the array, dead for every cluster, ends each walk at count
+    budgets = np.full((len(chains), width + 1), -np.inf)
+    for row, chain in zip(budgets, chains):
+        row[:min(chain.size, width)] = chain[:width]
+    dead = (budgets <= hazard) & (np.arange(width + 1) >= starts - 1)
+    stops = dead.argmax(axis=1) + 2
+    return [range(a, b) for a, b in zip(starts[:, 0].tolist(), stops.tolist())]
 
 
 def evolve_array(clusters: list[Cluster], array, evolution: EvolutionConfig,
@@ -219,18 +285,26 @@ def evolve_array(clusters: list[Cluster], array, evolution: EvolutionConfig,
     hazard_tx = evolution.death_rate * array.spacing_tx / evolution.array_decorrelation
     born = [(c, 1, 1) for c in clusters]  # (cluster, birth antenna rx, tx)
     if config is not None and evolution.death_rate > 0:
-        next_uid = max((c.uid for c in clusters), default=0) + 1
+        draws = ClusterDraws(config)
+        ladder, pdp_scale, next_uid = _parentage(clusters)
         for side, hazard, count in (("rx", hazard_rx, array.num_rx),
                                     ("tx", hazard_tx, array.num_tx)):
             birth_mean = config.mean_cluster_count * (1.0 - math.exp(-hazard))
             for antenna in range(2, count + 1):
-                newborn = _newborns(config, rng, rng.poisson(birth_mean), clusters, next_uid)
+                newborn = draws.newborns(rng, rng.poisson(birth_mean), ladder, pdp_scale,
+                                         next_uid)
                 next_uid += len(newborn)
                 born += [(c, antenna, 1) if side == "rx" else (c, 1, antenna) for c in newborn]
-    return [replace(c, index=i + 1,
-                    visible_rx=_visible_steps(c.rx_chain[rx - 1:], hazard_rx, rx, array.num_rx),
-                    visible_tx=_visible_steps(c.tx_chain[tx - 1:], hazard_tx, tx, array.num_tx))
-            for i, (c, rx, tx) in enumerate(born)]
+    visible_rx = _visible_steps([c.rx_chain for c, _, _ in born], hazard_rx,
+                                [rx for _, rx, _ in born], array.num_rx)
+    visible_tx = _visible_steps([c.tx_chain for c, _, _ in born], hazard_tx,
+                                [tx for _, _, tx in born], array.num_tx)
+    out = []
+    for i, ((c, _, _), rx, tx) in enumerate(zip(born, visible_rx, visible_tx)):
+        c = _copied(c)
+        c.index, c.visible_rx, c.visible_tx = i + 1, rx, tx
+        out.append(c)
+    return out
 
 
 def evolve_time(clusters: list[Cluster], dt: float, config, rng) -> list[Cluster]:
@@ -247,16 +321,11 @@ def evolve_time(clusters: list[Cluster], dt: float, config, rng) -> list[Cluster
         raise ValueError("dt must be nonnegative")
     rng = _as_rng(rng)
     if dt == 0:
-        return [replace(c) for c in clusters]
-    evolution = config.evolution
-    surv = time_survival(dt, evolution)
-    keep = rng.random(len(clusters)) < surv
-    out = [replace(c) for c, k in zip(clusters, keep) if k]
-    births = rng.poisson(config.mean_cluster_count * (1.0 - surv))
-    if not out and births == 0:
-        births = 1  # reject the empty ensemble, like the initial draw
-    out += _newborns(config, rng, births, clusters,
-                     max((c.uid for c in clusters), default=0) + 1)
+        return [_copied(c) for c in clusters]
+    draws = ClusterDraws(config)
+    alive, births = draws.fates(rng, len(clusters), dt)
+    out = [_copied(clusters[i]) for i in alive]
+    out += draws.newborns(rng, births, *_parentage(clusters))
     for i, c in enumerate(out):
         c.index = i + 1
     return out

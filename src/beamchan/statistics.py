@@ -2,11 +2,14 @@
 
 The four correlation functions (space, time, frequency, and the joint
 space-time-frequency correlation) are estimated from independent
-realizations of the cluster state: every ensemble member redraws the
-cluster set, delays/powers, ray angles and the evolution history from
-its own seeded substreams, and lag-dependent cluster survival is applied
+realizations of the cluster state: every ensemble member draws its
+cluster set, delays/powers, ray angles and evolution history from its
+own seeded substreams, and lag-dependent cluster survival is applied
 through each cluster's stored exponential budgets, so a single member
-yields a consistent curve over the whole lag grid.
+yields a consistent curve over the whole lag grid.  A member draws its
+clusters only through the last one the estimate reads (cluster 1 for a
+single-cluster estimate), in the stream order of a full draw, so the
+clusters it reads are those of the full history.
 
 Estimator modes
   analytic   integrate the initial ray/beam phases out in closed form;
@@ -55,7 +58,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .bdcm import beam_weights, center_los_doppler
-from .clusters import evolve_array, evolve_time, initial_clusters, time_decay_rate
+from .clusters import (
+    ClusterDraws,
+    evolve_array,
+    evolve_time,
+    initial_clusters,
+    time_decay_rate,
+)
 from .config import SimulationConfig
 from .geometry import (
     VirtualAngleGrid,
@@ -120,12 +129,37 @@ def _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time):
     return [a.astype(float) for a in np.broadcast_arrays(*arrays)]
 
 
-def _member_state(config, seed, member, t):
-    clusters = initial_clusters(config, _stream(seed, member, _STREAM_INIT))
-    if t > 0 and config.evolution.death_rate > 0:
-        clusters = evolve_time(clusters, t, config,
-                               _stream(seed, member, _STREAM_EVOLVE))
-    return clusters
+def _member_state(draws, seed, member, t, cluster_index=None):
+    """The clusters an estimate reads of one member's ensemble at time t,
+    and the ensemble's size.
+
+    ``draws`` holds the draw steps of the call's config, and
+    ``cluster_index`` picks one position (``None`` picks all).  Each stream
+    is read in the order of a full draw (``initial_clusters``, then
+    ``evolve_time``), and drawing stops after the last cluster picked: the
+    initial clusters run through the last survivor picked, the newborns
+    through the last newborn picked.  So the picked clusters equal the
+    full draw's, position for position.
+    """
+    init = _stream(seed, member, _STREAM_INIT)
+    count = draws.count(init)
+    alive, births = np.arange(count), 0
+    if t > 0 and draws.config.evolution.death_rate > 0:
+        evolve = _stream(seed, member, _STREAM_EVOLVE)
+        alive, births = draws.fates(evolve, count, t)
+    total = alive.size + births
+    lo, hi = ((0, total) if cluster_index is None
+              else (cluster_index - 1, min(cluster_index, total)))
+    picked = alive[lo:hi]  # initial positions of the picked survivors
+    initial = draws.initial(init, count, int(picked[-1]) + 1 if picked.size else 0)
+    out = [initial[i] for i in picked]
+    first = max(lo - alive.size, 0)  # the first newborn picked, if any
+    if hi - alive.size > first:  # births, so the evolve stream exists
+        out += draws.newborns(evolve, hi - alive.size, count, draws.pdp_scale(count),
+                              count + 1)[first:]
+    for position, c in enumerate(out, lo + 1):
+        c.index = position
+    return out, total
 
 
 def member_channel_state(config, seed: int, member: int, t: float):
@@ -137,8 +171,10 @@ def member_channel_state(config, seed: int, member: int, t: float):
     generator is the member's phase stream, for drawing the initial
     phases of a channel realization.
     """
-    clusters = evolve_array(_member_state(config, seed, member, t),
-                            config.array, config.evolution,
+    clusters = initial_clusters(config, _stream(seed, member, _STREAM_INIT))
+    if t > 0 and config.evolution.death_rate > 0:
+        clusters = evolve_time(clusters, t, config, _stream(seed, member, _STREAM_EVOLVE))
+    clusters = evolve_array(clusters, config.array, config.evolution,
                             _stream(seed, member, _STREAM_ARRAY), config=config)
     return clusters, _stream(seed, member, _STREAM_PHASE)
 
@@ -276,19 +312,13 @@ class _LagContext:
         """Spacing-pair values (last axis) spread to the distinct lag columns."""
         return values[..., self.col_space]
 
-    def pick(self, clusters, budgets, cluster_index) -> list[_Picked]:
-        """The clusters an estimate reads among one member's ``clusters``."""
-        if cluster_index is None:
-            positions = range(len(clusters))
-        else:
-            positions = range(cluster_index - 1, min(cluster_index, len(clusters)))
-        out = []
-        for p in positions:
-            c = clusters[p]
-            out.append(_Picked(c.power, c.index, c.delay, c.semi_major, c.mean_aoa,
-                               budgets[p], c.tx_chain[0] if self.probe_tx else 0.0,
-                               c.rx_chain[0] if self.probe_rx else 0.0, c.ray_aoas))
-        return out
+    def pick(self, clusters, budgets) -> list[_Picked]:
+        """What an estimate reads of one member's picked ``clusters``;
+        ``budgets`` holds the member's survival budgets by position."""
+        return [_Picked(c.power, c.index, c.delay, c.semi_major, c.mean_aoa,
+                        budgets[c.index - 1], c.tx_chain[0] if self.probe_tx else 0.0,
+                        c.rx_chain[0] if self.probe_rx else 0.0, c.ray_aoas)
+                for c in clusters]
 
     def paths(self, picked):
         """Per picked cluster: its ray or beam count, and whether it also
@@ -467,12 +497,12 @@ def _accumulate(args):
     pr_num = np.zeros(ctx.length, dtype=complex)
     pr_sq = np.zeros(ctx.length)
     pr_cnt = np.zeros(ctx.length, dtype=np.int64)
+    draws = ClusterDraws(config)
     block, phases, cost = [], [], 0
     for member in range(start, stop):
-        clusters = _member_state(config, seed, member, t)
-        budgets = _stream(seed, member, _STREAM_BUDGET).exponential(
-            size=max(len(clusters), 1))
-        picked = ctx.pick(clusters, budgets, cluster_index)
+        clusters, total = _member_state(draws, seed, member, t, cluster_index)
+        budgets = _stream(seed, member, _STREAM_BUDGET).exponential(size=max(total, 1))
+        picked = ctx.pick(clusters, budgets)
         block.append(picked)
         if ctx.sampled:
             count, direct = ctx.paths(picked)
@@ -525,6 +555,17 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
         raise ValueError("ensemble must be at least 1")
     if config.normalization == "per_realization" and config.estimator_mode != "sampled":
         raise ValueError("per_realization normalization needs estimator_mode='sampled'")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be a finite non-negative time, got {t}")
+    dT, dR, dW, dL = _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time)
+    for axis, lags in (("transmit spacing", dT), ("receive spacing", dR),
+                       ("frequency", dW), ("time", dL)):
+        if not np.all(np.isfinite(lags)):
+            raise ValueError(f"{axis} lags must be finite")
+    # survival during a lag is only defined forward in time; with no
+    # deaths on the time axis a negative lag is the conjugate lag
+    if np.any(dL < 0) and time_decay_rate(config.evolution) > 0:
+        raise ValueError("time lags must be non-negative while clusters die over time")
     blocks = [(config, model, cluster_index, t, lag_tx, lag_rx, lag_freq,
                lag_time, seed, s, min(s + _CHUNK, ensemble))
               for s in range(0, ensemble, _CHUNK)]
@@ -552,7 +593,6 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
     # denominator are the same empirical mean and the ratio is 1 by
     # identity for any ensemble; pin it instead of round-tripping the
     # division through floating point
-    dT, dR, dW, dL = _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time)
     zero = (dT == 0) & (dR == 0) & (dW == 0) & (dL == 0)
     values = np.where(zero, 1.0 + 0.0j, values)
     err = np.where(zero, 0.0, err)

@@ -149,7 +149,9 @@ class TestVisibleSteps:
     @settings(max_examples=300)
     def test_matches_the_step_loop(self, walk):
         chain, hazard, start, count = walk
-        got = _visible_steps(np.array(chain), hazard, start, count)
+        # the chain starts at the birth antenna; the steps before it are
+        # dead budgets that must not be read
+        got, = _visible_steps([np.array([0.0] * (start - 1) + chain)], hazard, [start], count)
         assert isinstance(got, range) and got.step == 1
         assert list(got) == visible_steps_loop(chain, hazard, start, count)
 

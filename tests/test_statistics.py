@@ -17,13 +17,12 @@ from beamchan import statistics
 from beamchan.gbsm import draw_gbsm_phases, gbsm_cluster_matrix, gbsm_matrix
 from beamchan.statistics import (
     CorrelationSeries,
-    _member_state,
     fcf,
     space_ccf,
     stfcf,
     time_acf,
 )
-from beamchan.clusters import initial_clusters
+from beamchan.clusters import evolve_time, initial_clusters
 from beamchan.geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -38,6 +37,17 @@ from beamchan.geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def full_member_state(config, seed, member, t):
+    """Every cluster of a member's history at time t, drawn in full: the
+    estimators' former state draw, the oracle of their truncated one."""
+    clusters = initial_clusters(config, statistics._stream(seed, member,
+                                                           statistics._STREAM_INIT))
+    if t > 0 and config.evolution.death_rate > 0:
+        clusters = evolve_time(clusters, t, config,
+                               statistics._stream(seed, member, statistics._STREAM_EVOLVE))
+    return clusters
 
 
 def frozen_config(**kw):
@@ -200,7 +210,7 @@ def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch, kfac):
               for s in range(0, ensemble, statistics._CHUNK)]
     assert len(chunks) == 2
     slots = sum(len({c.slot for m in chunk
-                     for c in _member_state(cfg, seed, m, 1.0)})
+                     for c in full_member_state(cfg, seed, m, 1.0)})
                 for chunk in chunks)
     # one table is one transmit and one receive distance grid
     assert 0 < len(calls) <= 2 * slots
@@ -234,7 +244,7 @@ def test_gbsm_distance_kernel_runs_once_per_side_per_block(monkeypatch,
           ensemble=ensemble, seed=seed)
     assert sum(len(args[1]) for args in blocks) == ensemble
     assert sorted(args[2] for args in kernel) == [0.7] * len(blocks) + [1.9] * len(blocks)
-    clusters = sum(len(_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
+    clusters = sum(len(full_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
     assert 10 * len(blocks) < clusters
     if one_block_per_chunk:
         assert len(blocks) == 2
@@ -253,7 +263,7 @@ def test_bdcm_beam_weights_once_per_block(monkeypatch, one_block_per_chunk):
     assert len(weights) == len(blocks)
     picked = [sum(map(len, args[1])) for args in blocks]
     assert [np.size(args[0]) for args in weights] == picked
-    clusters = sum(len(_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
+    clusters = sum(len(full_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
     assert sum(picked) == clusters and 10 * len(blocks) < clusters
     if one_block_per_chunk:
         assert len(blocks) == 2
@@ -270,7 +280,7 @@ def test_tables_match_cartesian_path_lengths(model):
     lag_tx = np.array([0.0, 0.03, 0.0, 0.11])
     lag_rx = np.array([0.0, 0.0, 0.07, 0.02])
     ctx = statistics._LagContext(cfg, model, 1.0, lag_tx, lag_rx, 0.0, 0.0)
-    occ = _member_state(cfg, 3, 0, 1.0)[0]
+    occ = full_member_state(cfg, 3, 0, 1.0)[0]
     ang = occ.ray_aoas if model == "gbsm" else virtual_angles(cfg.num_beams)
     _, (tables,), _ = ctx.tables(ang, np.full(ang.size, occ.semi_major))
     f = cfg.ellipse.focal_half
@@ -311,7 +321,7 @@ def test_direct_path_row_matches_builder(model, slot):
                   rx_chain=np.array([10.0]))
     k_eff = 3.0 / 4.0
     # survival budgets far above the lag hazards keep both gates open
-    v, a, b = statistics._block_terms(ctx, [ctx.pick([occ], np.array([10.0]), 1)])
+    v, a, b = statistics._block_terms(ctx, [ctx.pick([occ], np.array([10.0]))])
     assert a[0] == k_eff and b[0, 0] == k_eff
     respaced = cfg.with_values(array=replace(cfg.array, spacing_rx=d))
     rng = np.random.default_rng(5)
@@ -447,7 +457,7 @@ def per_cluster_accumulate(args):
     sums = [np.zeros(ctx.length, dtype=dtype)
             for dtype in (complex, float, float, float, complex, float, np.int64)]
     for member in range(start, stop):
-        clusters = _member_state(config, seed, member, t)
+        clusters = full_member_state(config, seed, member, t)
         budgets = statistics._stream(seed, member, statistics._STREAM_BUDGET).exponential(
             size=max(len(clusters), 1))
         phase_rng = statistics._stream(seed, member, statistics._STREAM_PHASE)
@@ -482,7 +492,7 @@ def test_batched_terms_match_per_cluster_oracle(monkeypatch, model, mode, kfac,
                            normalization="per_realization" if mode == "per_realization"
                            else "standard")
     if cluster_index == 20:
-        counts = [len(_member_state(cfg, 53, m, 2.0)) for m in range(40)]
+        counts = [len(full_member_state(cfg, 53, m, 2.0)) for m in range(40)]
         assert min(counts) < 20 <= max(counts)
     monkeypatch.setattr(statistics, "_CHUNK", 16)
     monkeypatch.setattr(statistics, "_BLOCK_ELEMENTS", 3000)
@@ -491,6 +501,97 @@ def test_batched_terms_match_per_cluster_oracle(monkeypatch, model, mode, kfac,
     oracle = _all_estimates(cfg, model, cluster_index)
     for got, want in zip(batched, oracle):
         assert np.max(np.abs(np.asarray(got) - want)) < 1e-12
+
+
+# ------------------------------------------ truncated draws: full-draw oracle
+
+def full_draw_state(draws, seed, member, t, cluster_index=None):
+    """Drop-in for ``statistics._member_state`` that draws every cluster
+    of the member's history and picks afterwards."""
+    clusters = full_member_state(draws.config, seed, member, t)
+    picked = clusters if cluster_index is None else clusters[cluster_index - 1:cluster_index]
+    return picked, len(clusters)
+
+
+def cluster_fields(c):
+    return (c.index, c.uid, c.slot, c.semi_major, c.delay, c.power, c.mean_aoa,
+            c.pdp_scale, c.visible_tx, c.visible_rx, c.ray_aoas.tolist(),
+            c.tx_chain.tolist(), c.rx_chain.tolist())
+
+
+# at t = 40 s cluster 1 dies with probability 0.38, so the first cluster
+# picked is often a later survivor, and the last position often a newborn
+TRUNCATION_CASES = [pytest.param(cfg, t, id=f"{name}-t{t:g}")
+                    for name, cfg in (("evolving", SimulationConfig(num_beams=32)),
+                                      ("frozen", frozen_config(num_beams=32)))
+                    for t in (0.0, 1.0, 40.0)]
+
+
+def _past_some_counts(cfg, seed, members, t):
+    """A cluster index past the ensemble size of some members, not all."""
+    counts = [len(full_member_state(cfg, seed, m, t)) for m in range(members)]
+    assert min(counts) < max(counts)
+    return max(counts)
+
+
+@pytest.mark.parametrize("cfg, t", TRUNCATION_CASES)
+def test_truncated_state_equals_full_draw(cfg, t):
+    draws = statistics.ClusterDraws(cfg)
+    past = _past_some_counts(cfg, 8, 60, t)
+    for member in range(60):
+        full = full_member_state(cfg, 8, member, t)
+        for index in (1, 2, None, past):
+            got, total = statistics._member_state(draws, 8, member, t, index)
+            want, want_total = full_draw_state(draws, 8, member, t, index)
+            assert total == want_total == len(full)
+            assert [cluster_fields(c) for c in got] == [cluster_fields(c) for c in want]
+
+
+def _estimates(cfg, model, t, index):
+    kw = dict(model=model, ensemble=20, seed=31, t=t)
+    out = [space_ccf(cfg, cluster_index=index, spacing_grid=[0.0, 0.05, 0.3], **kw),
+           time_acf(cfg, cluster_index=index, lag_grid=[0.0, 0.01, 0.1], **kw),
+           stfcf(cfg, spacing_tx=0.05, spacing_rx=0.1, freq_lag=3e6, time_lag=0.02,
+                 cluster_index=index, **kw)]
+    if index is None:
+        out.append(fcf(cfg, freq_lag_grid=[0.0, 2e6, 8e6], **kw))
+    return [(r, r) if isinstance(r, complex) else (r.values, r.std_error) for r in out]
+
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("mode", ["analytic", "sampled", "per_realization"])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_estimates_equal_full_draw_oracle(monkeypatch, model, mode, kfac):
+    # the estimators draw each member's clusters only through the last one
+    # they read; every estimate must be bitwise what a full draw gives
+    kw = dict(rician_k=kfac, num_beams=32,
+              estimator_mode="analytic" if mode == "analytic" else "sampled",
+              normalization="per_realization" if mode == "per_realization" else "standard")
+    for base, t in (case.values for case in TRUNCATION_CASES):
+        cfg = base.with_values(**kw)
+        for index in (1, 2, None, _past_some_counts(cfg, 31, 20, t)):
+            got = _estimates(cfg, model, t, index)
+            with monkeypatch.context() as m:
+                m.setattr(statistics, "_member_state", full_draw_state)
+                want = _estimates(cfg, model, t, index)
+            for (v, e), (v_want, e_want) in zip(got, want):
+                assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
+
+
+def test_single_cluster_estimate_draws_few_clusters(monkeypatch):
+    # a full draw makes about 20 clusters per member; cluster 1 survives
+    # t = 1 s with probability 0.988, so nearly one draw per member suffices
+    from beamchan import clusters
+    drawn = []
+    new_cluster = clusters._new_cluster
+
+    def counted(*args, **kwargs):
+        drawn.append(1)
+        return new_cluster(*args, **kwargs)
+
+    monkeypatch.setattr(clusters, "_new_cluster", counted)
+    space_ccf(SimulationConfig(num_beams=32), cluster_index=1, ensemble=300, seed=4)
+    assert 300 <= len(drawn) < 2 * 300
 
 
 # ----------------------------------------------------------------- oracles
@@ -604,7 +705,7 @@ def test_single_cluster_fcf_magnitude_one():
     # a lone cluster contributes one delay, so the frequency correlation
     # of that member is a pure phase ramp with unit magnitude
     cfg = frozen_config(mean_clusters=0.01)
-    assert len(_member_state(cfg, 23, 0, 1.0)) == 1
+    assert len(full_member_state(cfg, 23, 0, 1.0)) == 1
     f = fcf(cfg, ensemble=1, seed=23)
     assert np.max(np.abs(f.magnitude - 1.0)) < 1e-12
 
@@ -657,6 +758,36 @@ def test_validation_errors():
                                                 spacing_tx=0.06, spacing_rx=0.06))
     with pytest.raises(ValueError):
         space_ccf(narrow, ensemble=10, seed=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: time_acf(cfg, t=-1.0), "t must be"),
+    (lambda cfg: time_acf(cfg, t=math.nan), "t must be"),
+    (lambda cfg: space_ccf(cfg, t=math.inf), "t must be"),
+    (lambda cfg: fcf(cfg, t=-0.5), "t must be"),
+    (lambda cfg: time_acf(cfg, lag_grid=[0.0, -0.01]), "time lags must be non-negative"),
+    (lambda cfg: stfcf(cfg, time_lag=-0.01), "time lags must be non-negative"),
+    (lambda cfg: time_acf(cfg, lag_grid=[0.0, math.nan]), "time lags must be finite"),
+    (lambda cfg: space_ccf(cfg, spacing_grid=[0.0, math.nan]),
+     "receive spacing lags must be finite"),
+    (lambda cfg: stfcf(cfg, spacing_tx=math.inf), "transmit spacing lags must be finite"),
+    (lambda cfg: fcf(cfg, freq_lag_grid=[0.0, math.nan]), "frequency lags must be finite"),
+    (lambda cfg: stfcf(cfg, freq_lag=-math.inf), "frequency lags must be finite"),
+], ids=["t-negative", "t-nan", "t-inf", "fcf-t-negative", "time-lag-negative",
+        "stfcf-time-lag-negative", "time-lag-nan", "rx-spacing-nan", "tx-spacing-inf",
+        "freq-lag-nan", "freq-lag-minus-inf"])
+def test_bad_times_and_lags_raise_naming_them(call, message):
+    # each used to run: t < 0 or NaN gave the t = 0 curve labelled with
+    # the bad time, a negative time lag skipped the survival gate, a NaN
+    # lag returned 0
+    with pytest.raises(ValueError, match=message):
+        call(preset("fig4").with_values(ensemble=8, seed=1))
+
+
+def test_negative_frequency_lags_stay_valid():
+    cfg = SimulationConfig(ensemble=20, seed=2, num_beams=32)
+    got = fcf(cfg, freq_lag_grid=[-4e6, 0.0, 4e6])
+    assert np.all(np.isfinite(got.values)) and got.values[1] == 1.0
 
 
 @pytest.mark.parametrize("index", [0, -1])
