@@ -39,7 +39,6 @@ __all__ = [
     "draw_bdcm_phases",
     "beam_domain_entries",
     "assemble_antenna_domain",
-    "bdcm_cluster_matrix",
     "bdcm_matrix",
 ]
 
@@ -166,12 +165,6 @@ def assemble_antenna_domain(beam: BeamDomainChannel, u_r: ResponseMatrix,
         raise ValueError("response matrices and beam diagonal disagree on beam count")
     diag = beam.los_diag + beam.nlos_diag
     return (u_r.entries * diag[None, :]) @ u_t.entries.conj().T
-
-
-def bdcm_cluster_matrix(cluster: Cluster, t: float, config,
-                        phases: PhaseDraw) -> np.ndarray:
-    """All-antenna coefficient matrix of one cluster, visibility gated."""
-    return bdcm_matrix(t, [cluster], config, phases).coeffs[:, :, 0]
 
 
 def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,

@@ -32,7 +32,6 @@ __all__ = [
     "PhaseDraw",
     "cluster_ellipse",
     "draw_gbsm_phases",
-    "gbsm_cluster_matrix",
     "gbsm_matrix",
 ]
 
@@ -74,15 +73,6 @@ def draw_gbsm_phases(clusters, rng) -> PhaseDraw:
     """One uniform initial phase per ray per cluster, shared across antennas."""
     nlos = {c.uid: rng.uniform(0.0, TWO_PI, len(c.ray_aoas)) for c in clusters}
     return PhaseDraw(nlos=nlos, los=float(rng.uniform(0.0, TWO_PI)))
-
-
-def gbsm_cluster_matrix(cluster: Cluster, t: float, config,
-                        phases: PhaseDraw) -> np.ndarray:
-    """All-antenna coefficient matrix of one cluster.
-
-    Entries outside the cluster's joint visibility set are exactly zero.
-    """
-    return gbsm_matrix(t, [cluster], config, phases).coeffs[:, :, 0]
 
 
 def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,

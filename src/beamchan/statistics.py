@@ -40,12 +40,15 @@ model comparisons see identical cluster histories.
 Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
 do not depend on the worker count, and each chunk in blocks of bounded
 size.  Each member's cluster state is drawn on its own, then the clusters
-an estimate reads are stacked over the block: GBSM builds one phasor
-table over all their rays and averages it per cluster in one product;
-BDCM calls ``beam_weights`` once over their mean angles and multiplies
-them by each delay slot's beam table, which is built once per chunk.  The
-tables run the distance kernel over the distinct spacing pairs only.
-Against a loop over single clusters only the summation order differs.
+an estimate reads are stacked over the block.  In either model a cluster
+is then P weighted paths with one gate, delay and power: its S rays
+(GBSM) or the M beams (BDCM), so weights, Dopplers and sampled
+coefficients are (clusters, P) arrays.  GBSM builds one phasor table over
+the block's rays and sums it over the ray axis; BDCM calls
+``beam_weights`` once over the mean angles and multiplies the weights by
+each delay slot's beam table, which is built once per chunk.  The tables
+run the distance kernel over the distinct spacing pairs only.  Against a
+loop over single clusters only the summation order differs.
 """
 from __future__ import annotations
 
@@ -93,8 +96,8 @@ TWO_PI = 2.0 * math.pi
 # worker count, only on the (seed, member) pairs
 _CHUNK = 256
 # a chunk is evaluated in blocks of about this many real per-path entries
-# (``_LagContext.cost``), 128 KiB per array, which keeps a block's
-# temporaries under about a megabyte for any ray or beam count
+# (``_LagContext.cluster_cost`` per cluster), 128 KiB per array, which keeps
+# a block's temporaries under about a megabyte for any ray or beam count
 _BLOCK_ELEMENTS = 1 << 14
 
 _STREAM_INIT = 0
@@ -127,6 +130,11 @@ def _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time):
     arrays = [np.atleast_1d(np.asarray(a, dtype=float))
               for a in (lag_tx, lag_rx, lag_freq, lag_time)]
     return [a.astype(float) for a in np.broadcast_arrays(*arrays)]
+
+
+def _require_time(t) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be a finite non-negative time, got {t}")
 
 
 def _member_state(draws, seed, member, t, cluster_index=None):
@@ -171,6 +179,7 @@ def member_channel_state(config, seed: int, member: int, t: float):
     generator is the member's phase stream, for drawing the initial
     phases of a channel realization.
     """
+    _require_time(t)
     clusters = initial_clusters(config, _stream(seed, member, _STREAM_INIT))
     if t > 0 and config.evolution.death_rate > 0:
         clusters = evolve_time(clusters, t, config, _stream(seed, member, _STREAM_EVOLVE))
@@ -217,20 +226,6 @@ class _PathEllipses(NamedTuple):
     focal_half: float
 
 
-class _Picked(NamedTuple):
-    """What an estimate reads of one cluster of one member."""
-
-    power: float
-    index: int
-    delay: float
-    semi_major: float
-    mean_aoa: float
-    budget: float     # survival budget on the time axis
-    tx_first: float   # budget of the first step of each array chain, read
-    rx_first: float   # only under a spacing lag on that side
-    ray_aoas: np.ndarray
-
-
 def _by_member(member, rows, count: int):
     """Sum of ``rows`` per member index, in row order."""
     out = np.zeros((count,) + rows.shape[1:], dtype=rows.dtype)
@@ -254,24 +249,22 @@ class _LagContext:
     at the call's one evaluation time t.
     """
 
-    def __init__(self, config, model, t, lag_tx, lag_rx, lag_freq, lag_time):
+    def __init__(self, config, model, t, dT, dR, dW, dL):
         arr = config.array
         self.config = config
         self.model = model
         self.t = t
         self.sampled = config.estimator_mode == "sampled"
         self.wn = TWO_PI / config.wavelength
-        self.dT, self.dR, self.dW, self.dL = _broadcast_lags(
-            lag_tx, lag_rx, lag_freq, lag_time)
-        self.length = self.dT.size
-        if np.any(self.dT > 0) and arr.num_tx < 2:
-            raise ValueError("transmit spacing lag needs at least two transmit antennas")
-        if np.any(self.dR > 0) and arr.num_rx < 2:
-            raise ValueError("receive spacing lag needs at least two receive antennas")
-        if np.any(self.dT < 0) or np.any(self.dR < 0):
-            raise ValueError("spacing lags must be non-negative")
-        self.column, col_tx, col_rx, self.col_time = _distinct(self.dT, self.dR, self.dL)
+        self.dT, self.dR, self.dW, self.dL = dT, dR, dW, dL  # checked by _estimate
+        self.length = dT.size
+        self.column, col_tx, col_rx, self.col_time = _distinct(dT, dR, dL)
         self.width = self.col_time.size
+        # P paths per cluster: its S rays (GBSM) or the M beams (BDCM)
+        self.num_paths = config.rays_per_cluster if model == "gbsm" else config.num_beams
+        # real entries a cluster adds to a block's per-path arrays: P x (complex
+        # lag columns + a few per-ray values) for GBSM; BDCM tables are per slot
+        self.cluster_cost = self.num_paths * (2 * (self.width + 8) if model == "gbsm" else 1)
         self.col_space, space_tx, space_rx = _distinct(col_tx, col_rx)
         self.col_lag, self.lag_time = _distinct(self.col_time)
         # [reference offsets of every spacing pair..., probe offsets...], so
@@ -279,10 +272,8 @@ class _LagContext:
         self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, space_tx)
         self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, space_rx)
         hz = config.evolution.death_rate / config.evolution.array_decorrelation
-        self.hazard_tx = hz * self.dT
-        self.hazard_rx = hz * self.dR
-        self.probe_tx = bool(np.any(self.hazard_tx > 0))
-        self.probe_rx = bool(np.any(self.hazard_rx > 0))
+        self.hazard_tx = hz * dT
+        self.hazard_rx = hz * dR
         self.decay = time_decay_rate(config.evolution)
         self.kfac = config.rician_k
         self.k_eff = self.kfac / (self.kfac + 1.0)
@@ -311,32 +302,6 @@ class _LagContext:
     def _columns(self, values):
         """Spacing-pair values (last axis) spread to the distinct lag columns."""
         return values[..., self.col_space]
-
-    def pick(self, clusters, budgets) -> list[_Picked]:
-        """What an estimate reads of one member's picked ``clusters``;
-        ``budgets`` holds the member's survival budgets by position."""
-        return [_Picked(c.power, c.index, c.delay, c.semi_major, c.mean_aoa,
-                        budgets[c.index - 1], c.tx_chain[0] if self.probe_tx else 0.0,
-                        c.rx_chain[0] if self.probe_rx else 0.0, c.ray_aoas)
-                for c in clusters]
-
-    def paths(self, picked):
-        """Per picked cluster: its ray or beam count, and whether it also
-        carries the direct path (cluster 1 with K > 0)."""
-        if self.model == "gbsm":
-            count = np.array([c.ray_aoas.size for c in picked], dtype=int)
-        else:
-            count = np.full(len(picked), self.config.num_beams)
-        return count, np.array([c.index == 1 for c in picked], dtype=bool) & (self.kfac > 0)
-
-    def cost(self, picked) -> int:
-        """Real entries the picked clusters add to a block's per-path
-        arrays: rays x (complex lag columns + a few per-ray values) for
-        GBSM, clusters x beams for BDCM (whose tables are per slot and
-        built once per context, see ``slot_tables``)."""
-        if self.model == "gbsm":
-            return 2 * (self.width + 8) * sum(c.ray_aoas.size for c in picked)
-        return self.config.num_beams * len(picked)
 
     def slot_tables(self, semi_major):
         """Beam tables of one delay slot's ellipse and, with K > 0, its
@@ -392,82 +357,74 @@ class _LagContext:
 def _block_terms(ctx: _LagContext, block, phases=None):
     """Per-member (numerator, |X|^2 term, |Y|^2 term) of a block of members.
 
-    ``block`` holds each member's picked clusters (``_LagContext.pick``)
-    and, in sampled mode, ``phases`` each member's phase draw, one per
-    path in cluster order.  The picked clusters of the whole block are
-    evaluated together: one table build over all their paths, then one
-    ray-averaged product (GBSM) or one product per delay slot against
-    that slot's beam table (BDCM).  Each cluster's term is gated, rotated
-    by its delay and summed into its member's row.  In analytic mode a
-    row is the member's exact conditional expectation over initial
-    phases; in sampled mode it comes from the member's realized phases.
+    ``block`` holds each member's picked clusters and survival budgets (by
+    position) and, in sampled mode, ``phases`` each member's phase draw,
+    one per path in cluster order.  The block's clusters are evaluated
+    together as (clusters, P) arrays: one table build over all their rays,
+    summed over the ray axis (GBSM), or one product per delay slot against
+    that slot's beam table (BDCM).  Each cluster's term is gated, rotated by
+    its delay and summed into its member's row: in analytic mode the
+    member's exact expectation over initial phases, in sampled mode the
+    product of its realized coefficients.
     """
     cfg = ctx.config
     n = len(block)
-    picked = [c for rows in block for c in rows]
+    picked = [c for clusters, _ in block for c in clusters]
     if not picked:
         zero = np.zeros((n, ctx.length))
         return (zero + 0j, zero, zero) if ctx.sampled else (zero + 0j, np.zeros(n), zero)
-    member = np.repeat(np.arange(n), [len(rows) for rows in block])
-    *scalars, rays = zip(*picked)
-    power, _, delay, semi_major, mean_aoa, budget, tx_first, rx_first = map(np.array, scalars)
-    paths, direct = ctx.paths(picked)
+    member = np.repeat(np.arange(n), [len(clusters) for clusters, _ in block])
+    power, delay, semi_major, mean_aoa = np.array(
+        [(c.power, c.delay, c.semi_major, c.mean_aoa) for c in picked]).T
+    budget = np.array([budgets[c.index - 1] for clusters, budgets in block for c in clusters])
+    direct = np.array([c.index == 1 for c in picked]) & (ctx.kfac > 0)
     power = power / (ctx.kfac + 1.0)
     total = np.where(direct, power + ctx.k_eff, power)
     gate = budget[:, None] > ctx.decay * ctx.dL
     # the probe on antenna 2 sees the cluster if it survives the first step
-    if ctx.probe_tx:
-        gate &= (tx_first[:, None] > ctx.hazard_tx) | (ctx.hazard_tx <= 0)
-    if ctx.probe_rx:
-        gate &= (rx_first[:, None] > ctx.hazard_rx) | (ctx.hazard_rx <= 0)
+    for hazard, side in ((ctx.hazard_tx, "tx_chain"), (ctx.hazard_rx, "rx_chain")):
+        if np.any(hazard > 0):
+            first = np.array([getattr(c, side)[0] for c in picked])
+            gate &= (first[:, None] > hazard) | (hazard <= 0)
     delays, which = np.unique(delay, return_inverse=True)
     freq = np.exp(1j * TWO_PI * ctx.dW * delays[:, None])[which]
     if ctx.model == "gbsm":
-        doppler, tables, _ = ctx.tables(np.concatenate(rays), np.repeat(semi_major, paths))
-        weights = np.repeat(1.0 / paths, paths)
-        starts = np.cumsum(paths) - paths
-
-        def spread(per_cluster):
-            return np.repeat(per_cluster, paths)
-
-        def products(w):
-            return ([np.add.reduceat(w[:, None] * table, starts, axis=0)
-                     for table in tables], ctx.direct_rows)
+        rays = np.stack([c.ray_aoas for c in picked])
+        doppler, tables, _ = ctx.tables(rays.ravel(), np.repeat(semi_major, rays.shape[1]))
+        doppler = doppler.reshape(rays.shape)
+        weights = np.full(rays.shape, 1.0 / rays.shape[1])
     else:
         doppler = ctx.beam_doppler
         weights = beam_weights(mean_aoa, cfg.kappa, ctx.grid, cfg.beam_weighting)
-
-        def spread(per_cluster):
-            return per_cluster[:, None]
-
-        def products(w):
-            kinds = 2 if ctx.sampled else 1
-            out = [np.empty((w.shape[0], ctx.width), dtype=complex) for _ in range(kinds)]
-            rows = [np.empty((np.count_nonzero(direct), ctx.width), dtype=complex)
-                    for _ in range(kinds)]
-            # the inverse form: plain np.unique imports numpy.ma on first use
-            semi, slot = np.unique(semi_major, return_inverse=True)
-            for s, a in enumerate(semi):
-                tables, slot_rows = ctx.slot_tables(a)
-                mine = slot == s
-                for o, table in zip(out, tables):
-                    o[mine] = w[mine] @ table
-                for r, row in zip(rows, slot_rows or ()):
-                    r[mine[direct]] = row
-            return out, rows
     # cluster 1 shares its total power with the direct path, weight k_eff / total
-    weights *= spread(np.where(direct, power / total, 1.0))
+    weights *= np.where(direct, power / total, 1.0)[:, None]
     w_direct = ctx.k_eff / total[direct]
     if ctx.sampled:
         flat = np.concatenate(phases)
-        at_direct = (np.cumsum(paths + direct) - 1)[direct]
+        # a direct-path phase follows the P path phases of its cluster 1
+        ones = np.flatnonzero(direct)
+        at_direct = (ones + 1) * weights.shape[1] + np.arange(ones.size)
         angle = (TWO_PI * doppler * ctx.t
                  + np.delete(flat, at_direct).reshape(weights.shape))
-        coef = np.sqrt(spread(total) * weights) * np.exp(1j * angle)
+        coef = np.sqrt(total[:, None] * weights) * np.exp(1j * angle)
         coef_direct = np.sqrt(total[direct] * w_direct) * np.exp(1j * flat[at_direct])
     else:
         coef, coef_direct = weights, w_direct
-    out, rows = products(coef)
+    if ctx.model == "gbsm":
+        out = [(coef[:, None, :] @ table.reshape(*coef.shape, -1))[:, 0] for table in tables]
+        rows = ctx.direct_rows
+    else:
+        out = [np.empty((len(picked), ctx.width), dtype=complex) for _ in range(1 + ctx.sampled)]
+        rows = [np.empty((np.count_nonzero(direct), ctx.width), dtype=complex) for _ in out]
+        # the inverse form: plain np.unique imports numpy.ma on first use
+        semi, slot = np.unique(semi_major, return_inverse=True)
+        for s, a in enumerate(semi):
+            tables, slot_rows = ctx.slot_tables(a)
+            mine = slot == s
+            for o, table in zip(out, tables):
+                o[mine] = coef[mine] @ table
+            for r, row in zip(rows, slot_rows or ()):
+                r[mine[direct]] = row
     if direct.any():
         for o, row in zip(out, rows):
             o[direct] += coef_direct[:, None] * row
@@ -487,9 +444,8 @@ def _accumulate(args):
     arrays reach ``_BLOCK_ELEMENTS`` entries or the chunk ends, which
     bounds the memory of one evaluation for any ray or beam count.
     """
-    (config, model, cluster_index, t, lag_tx, lag_rx, lag_freq, lag_time,
-     seed, start, stop) = args
-    ctx = _LagContext(config, model, t, lag_tx, lag_rx, lag_freq, lag_time)
+    config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
+    ctx = _LagContext(config, model, t, dT, dR, dW, dL)
     num = np.zeros(ctx.length, dtype=complex)
     sq = np.zeros(ctx.length)
     den_x = np.zeros(ctx.length)
@@ -502,13 +458,12 @@ def _accumulate(args):
     for member in range(start, stop):
         clusters, total = _member_state(draws, seed, member, t, cluster_index)
         budgets = _stream(seed, member, _STREAM_BUDGET).exponential(size=max(total, 1))
-        picked = ctx.pick(clusters, budgets)
-        block.append(picked)
+        block.append((clusters, budgets))
         if ctx.sampled:
-            count, direct = ctx.paths(picked)
+            direct = ctx.kfac > 0 and any(c.index == 1 for c in clusters)
             phases.append(_stream(seed, member, _STREAM_PHASE).uniform(
-                0.0, TWO_PI, int(count.sum() + direct.sum())))
-        cost += ctx.cost(picked)
+                0.0, TWO_PI, len(clusters) * ctx.num_paths + direct))
+        cost += ctx.cluster_cost * len(clusters)
         if cost < _BLOCK_ELEMENTS and member < stop - 1:
             continue
         v, a, b = _block_terms(ctx, block, phases)
@@ -544,8 +499,10 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
               lag_freq, lag_time, t, ensemble, seed):
     if model not in ("gbsm", "bdcm"):
         raise ValueError(f"unknown model '{model}'")
-    if cluster_index is not None and cluster_index < 1:
-        raise ValueError(f"cluster_index must be at least 1, got {cluster_index}")
+    if cluster_index is not None:
+        require_integer("cluster_index", cluster_index)
+        if cluster_index < 1:
+            raise ValueError(f"cluster_index must be at least 1, got {cluster_index}")
     ensemble = config.ensemble if ensemble is None else ensemble
     seed = config.seed if seed is None else seed
     require_integer("ensemble", ensemble)
@@ -555,8 +512,7 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
         raise ValueError("ensemble must be at least 1")
     if config.normalization == "per_realization" and config.estimator_mode != "sampled":
         raise ValueError("per_realization normalization needs estimator_mode='sampled'")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite non-negative time, got {t}")
+    _require_time(t)
     dT, dR, dW, dL = _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time)
     for axis, lags in (("transmit spacing", dT), ("receive spacing", dR),
                        ("frequency", dW), ("time", dL)):
@@ -566,9 +522,14 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
     # deaths on the time axis a negative lag is the conjugate lag
     if np.any(dL < 0) and time_decay_rate(config.evolution) > 0:
         raise ValueError("time lags must be non-negative while clusters die over time")
-    blocks = [(config, model, cluster_index, t, lag_tx, lag_rx, lag_freq,
-               lag_time, seed, s, min(s + _CHUNK, ensemble))
-              for s in range(0, ensemble, _CHUNK)]
+    for side, lags, count in (("transmit", dT, config.array.num_tx),
+                              ("receive", dR, config.array.num_rx)):
+        if np.any(lags < 0):
+            raise ValueError(f"{side} spacing lags must be non-negative")
+        if np.any(lags > 0) and count < 2:
+            raise ValueError(f"{side} spacing lag needs at least two {side} antennas")
+    blocks = [(config, model, cluster_index, t, dT, dR, dW, dL, seed, s,
+               min(s + _CHUNK, ensemble)) for s in range(0, ensemble, _CHUNK)]
     workers = _worker_count()
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

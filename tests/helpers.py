@@ -1,0 +1,14 @@
+"""Shared test helpers: one-cluster views of the channel builders."""
+from beamchan.bdcm import bdcm_matrix
+from beamchan.gbsm import gbsm_matrix
+
+
+def gbsm_cluster_matrix(cluster, t, config, phases):
+    """All-antenna GBSM coefficient matrix of one cluster; entries outside
+    the cluster's joint visibility set are exactly zero."""
+    return gbsm_matrix(t, [cluster], config, phases).coeffs[:, :, 0]
+
+
+def bdcm_cluster_matrix(cluster, t, config, phases):
+    """All-antenna BDCM coefficient matrix of one cluster, visibility gated."""
+    return bdcm_matrix(t, [cluster], config, phases).coeffs[:, :, 0]

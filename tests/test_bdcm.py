@@ -9,7 +9,6 @@ from beamchan import bdcm
 from beamchan.bdcm import (
     BeamDomainChannel,
     assemble_antenna_domain,
-    bdcm_cluster_matrix,
     bdcm_matrix,
     beam_domain_entries,
     beam_weights,
@@ -21,7 +20,7 @@ from beamchan.bdcm import (
 )
 from beamchan.clusters import evolve_array, initial_clusters
 from beamchan.config import SimulationConfig
-from beamchan.gbsm import PhaseDraw, cluster_ellipse, gbsm_cluster_matrix
+from beamchan.gbsm import PhaseDraw, cluster_ellipse
 from beamchan.geometry import (
     ArrayConfig,
     EllipseConfig,
@@ -30,6 +29,7 @@ from beamchan.geometry import (
     ray_doppler,
     rx_focal_distance,
 )
+from helpers import bdcm_cluster_matrix, gbsm_cluster_matrix
 
 TWO_PI = 2.0 * math.pi
 

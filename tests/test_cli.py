@@ -177,6 +177,19 @@ def test_simulate_writes_both_models(tmp_path, capsys):
             float(r[3]), float(r[4]), float(r[5])
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+def test_simulate_rejects_a_bad_time(tmp_path, capsys, time):
+    # nan and inf used to write CSVs of nan coefficients, -1 built at t = -1
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--config", str(small_path(tmp_path)),
+               "--out", str(out), "--time", time])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: t must be a finite non-negative time")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_covers_the_array_within_visibility(tmp_path):
     # a short array decorrelation distance leaves clusters visible to
     # only part of each array, and births at later antennas

@@ -10,7 +10,6 @@ from beamchan.gbsm import (
     PhaseDraw,
     cluster_ellipse,
     draw_gbsm_phases,
-    gbsm_cluster_matrix,
     gbsm_matrix,
 )
 from beamchan.geometry import (
@@ -20,6 +19,7 @@ from beamchan.geometry import (
     ray_doppler,
     rx_focal_distance,
 )
+from helpers import gbsm_cluster_matrix
 
 TWO_PI = 2.0 * math.pi
 

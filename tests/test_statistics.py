@@ -10,11 +10,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0, j0
 
-from beamchan.bdcm import beam_weights, bdcm_cluster_matrix, draw_bdcm_phases
+from beamchan.bdcm import beam_weights, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import statistics
-from beamchan.gbsm import draw_gbsm_phases, gbsm_cluster_matrix, gbsm_matrix
+from beamchan.gbsm import draw_gbsm_phases, gbsm_matrix
 from beamchan.statistics import (
     CorrelationSeries,
     fcf,
@@ -35,6 +35,7 @@ from beamchan.geometry import (
     rx_focal_distance,
     virtual_angles,
 )
+from helpers import bdcm_cluster_matrix, gbsm_cluster_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,7 +262,7 @@ def test_bdcm_beam_weights_once_per_block(monkeypatch, one_block_per_chunk):
     ensemble, seed = 300, 47
     fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
     assert len(weights) == len(blocks)
-    picked = [sum(map(len, args[1])) for args in blocks]
+    picked = [sum(len(clusters) for clusters, _ in args[1]) for args in blocks]
     assert [np.size(args[0]) for args in weights] == picked
     clusters = sum(len(full_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
     assert sum(picked) == clusters and 10 * len(blocks) < clusters
@@ -279,7 +280,8 @@ def test_tables_match_cartesian_path_lengths(model):
     cfg = SimulationConfig(array=arr, num_beams=64)
     lag_tx = np.array([0.0, 0.03, 0.0, 0.11])
     lag_rx = np.array([0.0, 0.0, 0.07, 0.02])
-    ctx = statistics._LagContext(cfg, model, 1.0, lag_tx, lag_rx, 0.0, 0.0)
+    ctx = statistics._LagContext(cfg, model, 1.0,
+                                 *statistics._broadcast_lags(lag_tx, lag_rx, 0.0, 0.0))
     occ = full_member_state(cfg, 3, 0, 1.0)[0]
     ang = occ.ray_aoas if model == "gbsm" else virtual_angles(cfg.num_beams)
     _, (tables,), _ = ctx.tables(ang, np.full(ang.size, occ.semi_major))
@@ -312,7 +314,7 @@ def test_direct_path_row_matches_builder(model, slot):
     # rides the last beam of the cluster's own ellipse, so the slot matters
     cfg = SimulationConfig(rician_k=3.0, num_beams=64)
     t, d, dL = 4.0, 0.09, 0.03
-    ctx = statistics._LagContext(cfg, model, t, 0.0, d, 0.0, dL)
+    ctx = statistics._LagContext(cfg, model, t, *statistics._broadcast_lags(0.0, d, 0.0, dL))
     semi = cfg.ellipse.semi_major + slot * SPEED_OF_LIGHT * cfg.delay_spacing / 2.0
     occ = Cluster(index=1, uid=1, slot=slot, semi_major=semi,
                   delay=2.0 * semi / SPEED_OF_LIGHT, power=0.0,
@@ -321,7 +323,7 @@ def test_direct_path_row_matches_builder(model, slot):
                   rx_chain=np.array([10.0]))
     k_eff = 3.0 / 4.0
     # survival budgets far above the lag hazards keep both gates open
-    v, a, b = statistics._block_terms(ctx, [ctx.pick([occ], np.array([10.0]))])
+    v, a, b = statistics._block_terms(ctx, [([occ], np.array([10.0]))])
     assert a[0] == k_eff and b[0, 0] == k_eff
     respaced = cfg.with_values(array=replace(cfg.array, spacing_rx=d))
     rng = np.random.default_rng(5)
@@ -796,6 +798,21 @@ def test_cluster_index_below_one_raises_naming_it(estimator, index):
     # clusters are numbered from 1; 0 or -1 would wrap to the last cluster
     with pytest.raises(ValueError, match="cluster_index"):
         estimator(SimulationConfig(), cluster_index=index, ensemble=2, seed=1)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, "1"])
+@pytest.mark.parametrize("estimator", [space_ccf, time_acf, stfcf])
+def test_cluster_index_not_an_integer_raises_naming_it(estimator, index):
+    # 1.5 and 2.0 used to fail slicing with a bare TypeError, "1" failed the
+    # comparison with one, and True estimated cluster 1
+    with pytest.raises(ValueError, match="cluster_index must be an integer"):
+        estimator(SimulationConfig(), cluster_index=index, ensemble=2, seed=1)
+
+
+def test_cluster_index_accepts_numpy_integers():
+    cfg = SimulationConfig(num_beams=32)
+    got = stfcf(cfg, spacing_rx=0.05, cluster_index=np.int64(2), ensemble=4, seed=3)
+    assert got == stfcf(cfg, spacing_rx=0.05, cluster_index=2, ensemble=4, seed=3)
 
 
 @pytest.mark.parametrize("name, value", [("ensemble", 10.7), ("ensemble", True),
