@@ -32,10 +32,15 @@ evaluation time t and kill clusters during the lag with their stored
 survival budgets; clusters born during the lag carry independent phases
 and average out of the numerator, so they are excluded throughout.
 
-Seeding: member j, purpose p draws from SeedSequence(entropy=seed,
-spawn_key=(j, p)).  Enlarging the ensemble never perturbs existing
-members, and model choice does not enter the state streams, so paired
-model comparisons see identical cluster histories.
+Seeding: member j, purpose p draws from the stream that
+default_rng(SeedSequence(entropy=seed, spawn_key=(j, p))) would be, bit
+for bit.  ``_streams.MemberStreams`` computes the PCG64 states of a
+whole chunk in one vectorized pass (the seed's part of the hash once,
+the key words as arrays) and loads each into one generator kept per
+purpose, instead of building a SeedSequence and a generator per stream.
+Enlarging the ensemble never perturbs existing members, and model
+choice does not enter the state streams, so paired model comparisons
+see identical cluster histories.
 
 Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
 do not depend on the worker count, and each chunk in blocks of bounded
@@ -60,6 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._streams import MemberStreams
 from .bdcm import beam_weights, center_los_doppler
 from .clusters import (
     ClusterDraws,
@@ -105,6 +111,7 @@ _STREAM_EVOLVE = 1
 _STREAM_BUDGET = 2
 _STREAM_PHASE = 3
 _STREAM_ARRAY = 4
+_PURPOSES = (_STREAM_INIT, _STREAM_EVOLVE, _STREAM_BUDGET, _STREAM_PHASE, _STREAM_ARRAY)
 
 
 @dataclass(frozen=True)
@@ -121,15 +128,22 @@ class CorrelationSeries:
     eval_time: float = 0.0
 
 
-def _stream(seed: int, member: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(member, purpose)))
+_LAG_AXES = ("transmit spacing", "receive spacing", "frequency", "time")
 
 
 def _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time):
     arrays = [np.atleast_1d(np.asarray(a, dtype=float))
               for a in (lag_tx, lag_rx, lag_freq, lag_time)]
+    for axis, a in zip(_LAG_AXES, arrays):
+        if a.ndim > 1:
+            raise ValueError(f"{axis} lags must be one-dimensional, got shape {a.shape}")
     return [a.astype(float) for a in np.broadcast_arrays(*arrays)]
+
+
+def _require_index(name: str, value) -> None:
+    require_integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 def _require_time(t) -> None:
@@ -137,23 +151,23 @@ def _require_time(t) -> None:
         raise ValueError(f"t must be a finite non-negative time, got {t}")
 
 
-def _member_state(draws, seed, member, t, cluster_index=None):
+def _member_state(draws, streams, member, t, cluster_index=None):
     """The clusters an estimate reads of one member's ensemble at time t,
     and the ensemble's size.
 
-    ``draws`` holds the draw steps of the call's config, and
-    ``cluster_index`` picks one position (``None`` picks all).  Each stream
-    is read in the order of a full draw (``initial_clusters``, then
-    ``evolve_time``), and drawing stops after the last cluster picked: the
-    initial clusters run through the last survivor picked, the newborns
-    through the last newborn picked.  So the picked clusters equal the
-    full draw's, position for position.
+    ``draws`` holds the draw steps of the call's config, ``streams`` the
+    member's ``MemberStreams``, and ``cluster_index`` picks one position
+    (``None`` picks all).  Each stream is read in the order of a full draw
+    (``initial_clusters``, then ``evolve_time``), and drawing stops after
+    the last cluster picked: the initial clusters run through the last
+    survivor picked, the newborns through the last newborn picked.  So the
+    picked clusters equal the full draw's, position for position.
     """
-    init = _stream(seed, member, _STREAM_INIT)
+    init = streams.get(member, _STREAM_INIT)
     count = draws.count(init)
     alive, births = np.arange(count), 0
     if t > 0 and draws.config.evolution.death_rate > 0:
-        evolve = _stream(seed, member, _STREAM_EVOLVE)
+        evolve = streams.get(member, _STREAM_EVOLVE)
         alive, births = draws.fates(evolve, count, t)
     total = alive.size + births
     lo, hi = ((0, total) if cluster_index is None
@@ -177,15 +191,19 @@ def member_channel_state(config, seed: int, member: int, t: float):
     then evolved along both arrays from the member's own array stream,
     so every antenna pair carries its own visibility.  The returned
     generator is the member's phase stream, for drawing the initial
-    phases of a channel realization.
+    phases of a channel realization; it is the caller's to keep.
     """
+    _require_index("seed", seed)
+    _require_index("member", member)
     _require_time(t)
-    clusters = initial_clusters(config, _stream(seed, member, _STREAM_INIT))
+    streams = MemberStreams(int(seed), range(int(member), int(member) + 1), _PURPOSES)
+    clusters = initial_clusters(config, streams.get(member, _STREAM_INIT))
     if t > 0 and config.evolution.death_rate > 0:
-        clusters = evolve_time(clusters, t, config, _stream(seed, member, _STREAM_EVOLVE))
+        clusters = evolve_time(clusters, t, config, streams.get(member, _STREAM_EVOLVE))
     clusters = evolve_array(clusters, config.array, config.evolution,
-                            _stream(seed, member, _STREAM_ARRAY), config=config)
-    return clusters, _stream(seed, member, _STREAM_PHASE)
+                            streams.get(member, _STREAM_ARRAY), config=config)
+    # the only phase stream these streams hand out, so no later get reloads it
+    return clusters, streams.get(member, _STREAM_PHASE)
 
 
 def _side_offsets(count: int, spacing_cfg: float, deltas: np.ndarray):
@@ -454,14 +472,21 @@ def _accumulate(args):
     pr_sq = np.zeros(ctx.length)
     pr_cnt = np.zeros(ctx.length, dtype=np.int64)
     draws = ClusterDraws(config)
+    # the streams that _member_state and the loop below read
+    purposes = [_STREAM_INIT, _STREAM_BUDGET]
+    if t > 0 and config.evolution.death_rate > 0:
+        purposes.append(_STREAM_EVOLVE)
+    if ctx.sampled:
+        purposes.append(_STREAM_PHASE)
+    streams = MemberStreams(seed, range(start, stop), purposes)
     block, phases, cost = [], [], 0
     for member in range(start, stop):
-        clusters, total = _member_state(draws, seed, member, t, cluster_index)
-        budgets = _stream(seed, member, _STREAM_BUDGET).exponential(size=max(total, 1))
+        clusters, total = _member_state(draws, streams, member, t, cluster_index)
+        budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
         block.append((clusters, budgets))
         if ctx.sampled:
             direct = ctx.kfac > 0 and any(c.index == 1 for c in clusters)
-            phases.append(_stream(seed, member, _STREAM_PHASE).uniform(
+            phases.append(streams.get(member, _STREAM_PHASE).uniform(
                 0.0, TWO_PI, len(clusters) * ctx.num_paths + direct))
         cost += ctx.cluster_cost * len(clusters)
         if cost < _BLOCK_ELEMENTS and member < stop - 1:
@@ -506,7 +531,7 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
     ensemble = config.ensemble if ensemble is None else ensemble
     seed = config.seed if seed is None else seed
     require_integer("ensemble", ensemble)
-    require_integer("seed", seed)
+    _require_index("seed", seed)
     ensemble, seed = int(ensemble), int(seed)
     if ensemble < 1:
         raise ValueError("ensemble must be at least 1")
@@ -514,8 +539,7 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
         raise ValueError("per_realization normalization needs estimator_mode='sampled'")
     _require_time(t)
     dT, dR, dW, dL = _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time)
-    for axis, lags in (("transmit spacing", dT), ("receive spacing", dR),
-                       ("frequency", dW), ("time", dL)):
+    for axis, lags in zip(_LAG_AXES, (dT, dR, dW, dL)):
         if not np.all(np.isfinite(lags)):
             raise ValueError(f"{axis} lags must be finite")
     # survival during a lag is only defined forward in time; with no

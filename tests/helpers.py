@@ -1,6 +1,16 @@
-"""Shared test helpers: one-cluster views of the channel builders."""
+"""Shared test helpers: one-cluster views of the channel builders, and
+the member streams built the reference way."""
+import numpy as np
+
 from beamchan.bdcm import bdcm_matrix
 from beamchan.gbsm import gbsm_matrix
+
+
+def member_stream(seed, member, purpose):
+    """Stream (member, purpose) of ``seed`` from numpy's own SeedSequence:
+    the oracle of the stream states the estimators compute."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(member, purpose)))
 
 
 def gbsm_cluster_matrix(cluster, t, config, phases):

@@ -190,6 +190,18 @@ def test_simulate_rejects_a_bad_time(tmp_path, capsys, time):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "simulate"])
+def test_negative_seed_fails_by_name(tmp_path, capsys, command):
+    # used to fail inside numpy with "expected non-negative integer"
+    out = tmp_path / "neg"
+    rc = main([command, "--config", str(small_path(tmp_path)), "--out", str(out),
+               "--seed", "-1"] + (["--ensemble", "2"] if command == "stats" else []))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert "Traceback" not in err
+
+
 def test_simulate_covers_the_array_within_visibility(tmp_path):
     # a short array decorrelation distance leaves clusters visible to
     # only part of each array, and births at later antennas

@@ -14,6 +14,7 @@ from beamchan.bdcm import beam_weights, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import statistics
+from beamchan._streams import MemberStreams
 from beamchan.gbsm import draw_gbsm_phases, gbsm_matrix
 from beamchan.statistics import (
     CorrelationSeries,
@@ -35,7 +36,7 @@ from beamchan.geometry import (
     rx_focal_distance,
     virtual_angles,
 )
-from helpers import bdcm_cluster_matrix, gbsm_cluster_matrix
+from helpers import bdcm_cluster_matrix, gbsm_cluster_matrix, member_stream
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,11 +44,10 @@ TWO_PI = 2.0 * math.pi
 def full_member_state(config, seed, member, t):
     """Every cluster of a member's history at time t, drawn in full: the
     estimators' former state draw, the oracle of their truncated one."""
-    clusters = initial_clusters(config, statistics._stream(seed, member,
-                                                           statistics._STREAM_INIT))
+    clusters = initial_clusters(config, member_stream(seed, member, statistics._STREAM_INIT))
     if t > 0 and config.evolution.death_rate > 0:
         clusters = evolve_time(clusters, t, config,
-                               statistics._stream(seed, member, statistics._STREAM_EVOLVE))
+                               member_stream(seed, member, statistics._STREAM_EVOLVE))
     return clusters
 
 
@@ -460,9 +460,9 @@ def per_cluster_accumulate(args):
             for dtype in (complex, float, float, float, complex, float, np.int64)]
     for member in range(start, stop):
         clusters = full_member_state(config, seed, member, t)
-        budgets = statistics._stream(seed, member, statistics._STREAM_BUDGET).exponential(
+        budgets = member_stream(seed, member, statistics._STREAM_BUDGET).exponential(
             size=max(len(clusters), 1))
-        phase_rng = statistics._stream(seed, member, statistics._STREAM_PHASE)
+        phase_rng = member_stream(seed, member, statistics._STREAM_PHASE)
         v, a, b = per_cluster_terms(ctx, clusters, budgets, cluster_index, phase_rng)
         ok = (a * b) > 0
         r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
@@ -507,10 +507,10 @@ def test_batched_terms_match_per_cluster_oracle(monkeypatch, model, mode, kfac,
 
 # ------------------------------------------ truncated draws: full-draw oracle
 
-def full_draw_state(draws, seed, member, t, cluster_index=None):
+def full_draw_state(draws, streams, member, t, cluster_index=None):
     """Drop-in for ``statistics._member_state`` that draws every cluster
     of the member's history and picks afterwards."""
-    clusters = full_member_state(draws.config, seed, member, t)
+    clusters = full_member_state(draws.config, streams.seed, member, t)
     picked = clusters if cluster_index is None else clusters[cluster_index - 1:cluster_index]
     return picked, len(clusters)
 
@@ -539,12 +539,13 @@ def _past_some_counts(cfg, seed, members, t):
 @pytest.mark.parametrize("cfg, t", TRUNCATION_CASES)
 def test_truncated_state_equals_full_draw(cfg, t):
     draws = statistics.ClusterDraws(cfg)
+    streams = MemberStreams(8, range(60), statistics._PURPOSES)
     past = _past_some_counts(cfg, 8, 60, t)
     for member in range(60):
         full = full_member_state(cfg, 8, member, t)
         for index in (1, 2, None, past):
-            got, total = statistics._member_state(draws, 8, member, t, index)
-            want, want_total = full_draw_state(draws, 8, member, t, index)
+            got, total = statistics._member_state(draws, streams, member, t, index)
+            want, want_total = full_draw_state(draws, streams, member, t, index)
             assert total == want_total == len(full)
             assert [cluster_fields(c) for c in got] == [cluster_fields(c) for c in want]
 
@@ -831,6 +832,66 @@ def test_ensemble_and_seed_take_numpy_integers_and_none():
     got = space_ccf(cfg, ensemble=np.int64(3), seed=np.int32(5))
     assert got.ensemble == 3
     assert np.array_equal(got.values, space_ccf(cfg).values)
+
+
+def test_two_dimensional_lag_grid_raises_naming_the_axis():
+    # used to fail with a bare TypeError (unhashable type) from _distinct
+    with pytest.raises(ValueError, match="receive spacing lags must be one-dimensional"):
+        space_ccf(SimulationConfig(), spacing_grid=np.array([[0.0, 0.05], [0.1, 0.2]]),
+                  ensemble=2, seed=1)
+    with pytest.raises(ValueError, match="time lags must be one-dimensional"):
+        time_acf(SimulationConfig(), lag_grid=np.zeros((2, 2)), ensemble=2, seed=1)
+
+
+@pytest.mark.parametrize("estimator", [space_ccf, time_acf, fcf, stfcf])
+def test_negative_seed_raises_naming_it(estimator):
+    # used to fail inside numpy with "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        estimator(SimulationConfig(), ensemble=2, seed=-1)
+
+
+@pytest.mark.parametrize("seed, member, name", [(3, -1, "member"), (-1, 0, "seed"),
+                                                (3, 1.0, "member")])
+def test_member_channel_state_rejects_bad_keys_by_name(seed, member, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        statistics.member_channel_state(SimulationConfig(), seed, member, 1.0)
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 77]
+# members 2^32 and up take two key words; one range mixes one and two
+STREAM_MEMBERS = [range(0, 2), range(255, 257), range(2**32 - 1, 2**32 + 1),
+                  range(2**40, 2**40 + 2)]
+STREAM_PURPOSES = [getattr(statistics, name) for name in dir(statistics)
+                   if name.startswith("_STREAM_")]
+
+
+def _first_draws(rng):
+    # the int32 draw takes half of a 64-bit output and buffers the other
+    # half (has_uint32), which a state load must clear
+    return (rng.uniform(), rng.exponential(), rng.vonmises(0.3, 2.0),
+            int(rng.integers(0, 2**31 - 1, dtype=np.int32)), int(rng.poisson(7.5)))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_states_equal_seed_sequence_bit_for_bit(seed):
+    assert sorted(STREAM_PURPOSES) == sorted(statistics._PURPOSES)
+    for members in STREAM_MEMBERS:
+        streams = MemberStreams(seed, members, STREAM_PURPOSES)
+        # each purpose's generator is reused: every member is loaded twice,
+        # after draws from the other member
+        for member in [*members, *members]:
+            for purpose in STREAM_PURPOSES:
+                got = streams.get(member, purpose)
+                want = member_stream(seed, member, purpose)
+                assert got.bit_generator.state == want.bit_generator.state
+                assert _first_draws(got) == _first_draws(want)
+
+
+def test_stream_generators_are_reused_per_purpose():
+    streams = MemberStreams(5, range(3), statistics._PURPOSES)
+    init = streams.get(0, statistics._STREAM_INIT)
+    assert streams.get(2, statistics._STREAM_INIT) is init
+    assert streams.get(2, statistics._STREAM_BUDGET) is not init
 
 
 def test_worker_env_does_not_change_results():
