@@ -9,10 +9,17 @@ per-antenna path-length differences.  Assembling U_R diag U_T^H back to
 the antenna domain telescopes each beam's phase into exactly the ray
 phase the antenna-domain model assigns to a ray at that angle, which is
 what makes the two models converge as M grows.
+
+The grid and the response matrices depend only on the geometry (beam
+count, ellipse, arrays, wavelength), never on the realization, so each
+slot's basis is built once per process and shared read-only across
+builds.  The held U_R and U_T bytes stay within ``_BASIS_BUDGET`` (8 MiB);
+the least recently used bases leave first.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +50,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+_BASIS_BUDGET = 8 << 20  # bytes of U_R and U_T held across builds
+_bases: dict = {}  # basis key -> (grid, U_R, U_T), least recently used first
+_bases_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -167,15 +178,46 @@ def assemble_antenna_domain(beam: BeamDomainChannel, u_r: ResponseMatrix,
     return (u_r.entries * diag[None, :]) @ u_t.entries.conj().T
 
 
+def _basis_key(ellipse, config) -> tuple:
+    """Everything the grid and the response matrices of an ellipse depend on."""
+    return (config.num_beams, ellipse.semi_major, ellipse.focal_half,
+            config.array, config.wavelength)
+
+
+def _basis(ellipse, config) -> tuple[VirtualAngleGrid, np.ndarray, np.ndarray]:
+    """Read-only (grid, U_R, U_T) of one ellipse, held across calls.
+
+    A basis larger than the whole budget is built but not held.
+    """
+    key = _basis_key(ellipse, config)
+    with _bases_lock:
+        basis = _bases.pop(key, None)
+        if basis is None:
+            arr, wavelength = config.array, config.wavelength
+            grid = VirtualAngleGrid.build(config.num_beams, ellipse)
+            basis = (grid, response_matrix_rx(grid, ellipse, arr, wavelength).entries,
+                     response_matrix_tx(grid, ellipse, arr, wavelength).entries)
+            for a in (grid.aoa, grid.aod) + basis[1:]:
+                a.setflags(write=False)
+        size = basis[1].nbytes + basis[2].nbytes
+        if size <= _BASIS_BUDGET:
+            held = sum(u_r.nbytes + u_t.nbytes for _, u_r, u_t in _bases.values())
+            while _bases and held + size > _BASIS_BUDGET:
+                _, u_r, u_t = _bases.pop(next(iter(_bases)))
+                held -= u_r.nbytes + u_t.nbytes
+            _bases[key] = basis
+    return basis
+
+
 def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
                 rng=None) -> ChannelRealization:
     """Full (num_rx, num_tx, num_clusters) coefficient slice at time t.
 
-    The response matrices depend only on the cluster's ellipse, so they
-    are built once per distinct ``semi_major`` (one delay slot) and held
-    for one ellipse at a time.  Each cluster assembles only its visible
-    block from views of the visible rows of U_R and U_T; every other
-    entry stays exactly zero.
+    The response matrices depend only on the cluster's ellipse, so each
+    distinct ``semi_major`` (one delay slot) takes its basis from
+    ``_basis``.  Each cluster assembles only its visible block from views
+    of the visible rows of U_R and U_T; every other entry stays exactly
+    zero.
     """
     if phases is None:
         if rng is None:
@@ -187,11 +229,14 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
     for i, c in enumerate(clusters):
         if c.visible_rx and c.visible_tx:
             by_ellipse.setdefault(c.semi_major, []).append((i, c))
-    for members in by_ellipse.values():
-        ellipse = cluster_ellipse(members[0][1], config)
-        grid = VirtualAngleGrid.build(config.num_beams, ellipse)
-        u_r = response_matrix_rx(grid, ellipse, arr, config.wavelength).entries
-        u_t = response_matrix_tx(grid, ellipse, arr, config.wavelength).entries
+    slots = [(cluster_ellipse(members[0][1], config), members)
+             for members in by_ellipse.values()]
+    # held bases first: the bases built after them then evict only bases
+    # this call is done with, so when the slots need more than the budget
+    # the held share still hits instead of each slot evicting the next
+    slots.sort(key=lambda slot: _basis_key(slot[0], config) not in _bases)
+    for ellipse, members in slots:
+        grid, u_r, u_t = _basis(ellipse, config)
         for i, c in members:
             rows, cols = c.visible_block()
             beam = beam_domain_entries(c, t, config, phases, grid)

@@ -232,12 +232,15 @@ _KINDS = {"space_ccf": space_ccf, "time_acf": time_acf, "fcf": fcf}
 def _cmd_stats(args) -> int:
     config = _load(args)
     estimator = _KINDS[args.kind]
+    # every estimate runs before the output directory exists, so rejected
+    # input leaves nothing behind
+    curves = {m: estimator(config, model=m, t=float(args.time),
+                           ensemble=config.ensemble, seed=config.seed)
+              for m in _models(args.model)}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for m in _models(args.model):
-        series = estimator(config, model=m, t=float(args.time),
-                           ensemble=config.ensemble, seed=config.seed)
+    for m, series in curves.items():
         path = outdir / f"stats_{args.kind}_{m}.csv"
         path.write_text(_curve_csv(config, "stats", m, series, config.seed),
                         encoding="utf-8")

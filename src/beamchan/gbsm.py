@@ -96,13 +96,15 @@ def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
         dist_r = antenna_distance_rx(d_rx, aoas, vis_rx, arr)
         carrier = (TWO_PI * ray_doppler(aoas, config.max_doppler, config.velocity_angle) * t
                    + phases.nlos[c.uid])
-        # phase tensor over (rx, tx, ray)
-        total = carrier[None, None, :] + wavenum * (
-            dist_r[:, None, :] + dist_t[None, :, :]
-        )
-        block = math.sqrt(c.power / ((kfac + 1.0) * len(aoas))) * np.sum(
-            np.exp(1j * total), axis=2
-        )
+        # phase tensor over (rx, tx, ray), built in the imaginary part of
+        # the array that then holds its phasors
+        z = np.zeros((len(vis_rx), len(vis_tx), len(aoas)), dtype=complex)
+        total = z.imag
+        np.add(dist_r[:, None, :], dist_t[None, :, :], out=total)
+        total *= wavenum
+        total += carrier
+        np.exp(z, out=z)
+        block = math.sqrt(c.power / ((kfac + 1.0) * len(aoas))) * np.sum(z, axis=2)
         if c.index == 1 and kfac > 0:
             pairs = (vis_tx[None, :], vis_rx[:, None], config.ellipse, arr)
             _, _, dist_kl = los_geometry(*pairs)

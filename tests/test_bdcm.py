@@ -1,6 +1,8 @@
 """Beam-domain model: structure, normalization, equivalence to the antenna domain."""
 import math
-from dataclasses import replace
+import sys
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from beamchan.bdcm import (
     response_matrix_rx,
     response_matrix_tx,
 )
-from beamchan.clusters import evolve_array, initial_clusters
+from beamchan.clusters import ClusterDraws, evolve_array, initial_clusters
 from beamchan.config import SimulationConfig
 from beamchan.gbsm import PhaseDraw, cluster_ellipse
 from beamchan.geometry import (
@@ -293,6 +295,9 @@ def test_matrix_matches_masked_full_assembly(num_rx, num_tx, tilt_tx, tilt_rx, k
 
 
 def test_response_matrices_built_once_per_ellipse(monkeypatch):
+    # the basis of a slot is built on its first use and then held, so over
+    # the calls of one config each (side, semi_major) is built exactly once
+    bdcm._bases.clear()
     calls = {"receive": [], "transmit": []}
     for side, name in (("receive", "response_matrix_rx"), ("transmit", "response_matrix_tx")):
         build = getattr(bdcm, name)
@@ -303,13 +308,193 @@ def test_response_matrices_built_once_per_ellipse(monkeypatch):
 
         monkeypatch.setattr(bdcm, name, counting)
     cfg = SimulationConfig(array=ArrayConfig(num_tx=12, num_rx=20), rician_k=3.0)
+    realizations, used = {}, set()
     for seed in (31, 32, 33):
         clusters = clusters_with_edge_cases(cfg, seed)
         phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(seed))
-        for made in calls.values():
-            made.clear()
         bdcm_matrix(0.2, clusters, cfg, phases=phases)
         both = [c.semi_major for c in clusters if c.visible_rx and c.visible_tx]
         assert len(set(both)) < len(both)
-        for made in calls.values():
-            assert sorted(made) == sorted(set(both))
+        used |= set(both)
+        realizations[seed] = (clusters, phases)
+    for made in calls.values():
+        assert sorted(made) == sorted(used)
+        made.clear()
+    clusters, phases = realizations[31]
+    bdcm_matrix(0.2, clusters, cfg, phases=phases)
+    assert calls == {"receive": [], "transmit": []}
+
+
+def fresh_basis(ellipse, config):
+    grid = VirtualAngleGrid.build(config.num_beams, ellipse)
+    return (grid,
+            response_matrix_rx(grid, ellipse, config.array, config.wavelength).entries,
+            response_matrix_tx(grid, ellipse, config.array, config.wavelength).entries)
+
+
+def held_bytes():
+    return sum(u_r.nbytes + u_t.nbytes for _, u_r, u_t in bdcm._bases.values())
+
+
+@pytest.mark.parametrize("counts", [(3, 4), (9, 6)])
+@pytest.mark.parametrize("tilts", [(math.pi / 2, math.pi / 2), (0.3, 2.1)])
+def test_basis_is_bitwise_the_fresh_build(counts, tilts):
+    bdcm._bases.clear()
+    cfg = small_config(array=ArrayConfig(num_tx=counts[0], num_rx=counts[1],
+                                         tilt_tx=tilts[0], tilt_rx=tilts[1]))
+    ell = EllipseConfig(semi_major=107.5, focal_half=80.0)
+    want_grid, want_r, want_t = fresh_basis(ell, cfg)
+    cold = bdcm._basis(ell, cfg)
+    warm = bdcm._basis(ell, cfg)
+    assert all(a is b for a, b in zip(cold, warm))
+    grid, u_r, u_t = warm
+    assert grid.num_beams == want_grid.num_beams
+    for got, want in ((grid.aoa, want_grid.aoa), (grid.aod, want_grid.aod),
+                      (u_r, want_r), (u_t, want_t)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_basis_key_covers_every_geometry_field():
+    cfg = small_config(rician_k=0.0)
+    ell = EllipseConfig(semi_major=107.5, focal_half=80.0)
+    arr = cfg.array
+    changed = [
+        (ell, replace(cfg, num_beams=cfg.num_beams + 1)),
+        (replace(ell, focal_half=70.0), cfg),
+        (replace(ell, semi_major=110.0), cfg),
+        (ell, replace(cfg, wavelength=0.1)),
+    ]
+    for f in fields(ArrayConfig):
+        value = getattr(arr, f.name)
+        value = value + 1 if isinstance(value, int) else value / 2.0
+        changed.append((ell, replace(cfg, array=replace(arr, **{f.name: value}))))
+    for other_ell, other_cfg in changed:
+        bdcm._bases.clear()
+        first = bdcm._basis(ell, cfg)
+        second = bdcm._basis(other_ell, other_cfg)
+        assert len(bdcm._bases) == 2
+        assert second[1] is not first[1]
+        want = fresh_basis(other_ell, other_cfg)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(second[1:], want[1:]))
+    # the Rician factor does not touch the basis: K = 0 and K = 3 share it
+    bdcm._bases.clear()
+    first = bdcm._basis(ell, cfg)
+    second = bdcm._basis(ell, replace(cfg, rician_k=3.0))
+    assert len(bdcm._bases) == 1
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_basis_arrays_are_read_only():
+    bdcm._bases.clear()
+    grid, u_r, u_t = bdcm._basis(EllipseConfig(), small_config())
+    for a in (grid.aoa, grid.aod, u_r, u_t):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_basis_cache_stays_within_budget():
+    bdcm._bases.clear()
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=128, num_rx=128))
+    draws = ClusterDraws(cfg)
+    slots = [EllipseConfig(draws.slot(s)[0], cfg.ellipse.focal_half)
+             for s in range(int(2 * cfg.mean_cluster_count))]
+    for ell in slots:
+        bdcm._basis(ell, cfg)
+        assert held_bytes() <= bdcm._BASIS_BUDGET
+    # the budget holds fewer than all slots; the most recent ones stay
+    held = len(bdcm._bases)
+    assert 0 < held < len(slots)
+    assert [key[1] for key in bdcm._bases] == [e.semi_major for e in slots[-held:]]
+    # a reused basis becomes the most recent, so the next oldest leaves
+    oldest, next_oldest = slots[-held], slots[-held + 1]
+    bdcm._basis(oldest, cfg)
+    bdcm._basis(slots[0], cfg)
+    kept = [key[1] for key in bdcm._bases]
+    assert oldest.semi_major in kept and next_oldest.semi_major not in kept
+    # a basis larger than the whole budget is built and returned, not held
+    per_beam = 16 * (cfg.array.num_rx + cfg.array.num_tx)
+    big = replace(cfg, num_beams=bdcm._BASIS_BUDGET // per_beam + 1)
+    before = list(bdcm._bases)
+    grid, u_r, u_t = bdcm._basis(slots[0], big)
+    assert u_r.nbytes + u_t.nbytes > bdcm._BASIS_BUDGET
+    assert grid.num_beams == big.num_beams
+    assert list(bdcm._bases) == before
+
+
+def test_slots_beyond_the_budget_still_reuse_the_held_bases(monkeypatch):
+    # a call takes the held bases before it builds the rest, so the rest
+    # evict only bases the call is done with; taken in slot order, each
+    # built basis would evict the one the next slot needs
+    bdcm._bases.clear()
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=12, num_rx=20))
+    clusters = clusters_with_edge_cases(cfg, 31)
+    phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(31))
+    slots = len({c.semi_major for c in clusters if c.visible_rx and c.visible_tx})
+    monkeypatch.setattr(bdcm, "_BASIS_BUDGET", 3 * 16 * 32 * cfg.num_beams)
+    built, build = [], bdcm.response_matrix_rx
+
+    def counting(grid, ellipse, *args):
+        built.append(ellipse.semi_major)
+        return build(grid, ellipse, *args)
+
+    monkeypatch.setattr(bdcm, "response_matrix_rx", counting)
+    first = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs
+    assert len(built) == slots > 3
+    assert len(bdcm._bases) == 3
+    built.clear()
+    again = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs
+    assert len(built) == slots - 3
+    assert again.tobytes() == first.tobytes()
+
+
+def test_threads_share_the_bases_safely(monkeypatch):
+    # four threads with a short switch interval building over a budget of
+    # two bases, so bases are looked up, built and evicted concurrently
+    bdcm._bases.clear()
+    configs = [small_config(array=ArrayConfig(num_tx=n, num_rx=4)) for n in (3, 5)]
+    work = []
+    for cfg in configs:
+        clusters = clusters_with_edge_cases(cfg, 17)
+        phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(17))
+        want = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs.tobytes()
+        work.append((cfg, clusters, phases, want))
+    monkeypatch.setattr(bdcm, "_BASIS_BUDGET", 2 * 16 * 9 * configs[0].num_beams)
+    wrong, errors = [], []
+
+    def run(offset):
+        try:
+            for k in range(100):
+                cfg, clusters, phases, want = work[(offset + k) % 2]
+                got = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs.tobytes()
+                if got != want:
+                    wrong.append(offset)
+        except Exception as exc:  # reported below, the thread must not die silently
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []
+    assert held_bytes() <= bdcm._BASIS_BUDGET
+
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+def test_bdcm_matrix_same_cold_and_warm(kfac):
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=12, num_rx=20), rician_k=kfac)
+    clusters = clusters_with_edge_cases(cfg, 41)
+    phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(41))
+    bdcm._bases.clear()
+    cold = bdcm_matrix(0.3, clusters, cfg, phases=phases).coeffs
+    assert bdcm._bases
+    warm = bdcm_matrix(0.3, clusters, cfg, phases=phases).coeffs
+    assert cold.tobytes() == warm.tobytes()

@@ -202,6 +202,18 @@ def test_negative_seed_fails_by_name(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_rejected_stats_leaves_no_out_dir(tmp_path, capsys):
+    # stats used to create --out before the estimator rejected the seed
+    out = tmp_path / "neg"
+    rc = main(["stats", "--config", str(small_path(tmp_path)), "--out", str(out),
+               "--seed", "-1", "--ensemble", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_covers_the_array_within_visibility(tmp_path):
     # a short array decorrelation distance leaves clusters visible to
     # only part of each array, and births at later antennas

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0, j0
 
-from beamchan.bdcm import beam_weights, draw_bdcm_phases
+from beamchan.bdcm import bdcm_matrix, beam_weights, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import statistics
@@ -579,6 +579,35 @@ def test_estimates_equal_full_draw_oracle(monkeypatch, model, mode, kfac):
                 want = _estimates(cfg, model, t, index)
             for (v, e), (v_want, e_want) in zip(got, want):
                 assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_builders_realize_the_estimated_space_correlation(model):
+    # the empirical receive-spacing correlation of builder realizations,
+    # each member's clusters and phases taken from the member's own
+    # streams, equals the estimate over the same members up to rounding.
+    # Only at d = the configured spacing: the estimator respaces the array
+    # for any other lag, which no built array shows.  Only at K = 0: with a
+    # direct path the builders draw its phase after every cluster's, the
+    # estimators right after cluster 1's.
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=4, num_rx=4), num_beams=64,
+                           estimator_mode="sampled", seed=11, rician_k=0.0)
+    ensemble, pairs = 300, []
+    for member in range(ensemble):
+        clusters, rng = statistics.member_channel_state(cfg, cfg.seed, member, 1.0)
+        if model == "gbsm":
+            real = gbsm_matrix(1.0, clusters, cfg, phases=draw_gbsm_phases(clusters, rng))
+        else:
+            real = bdcm_matrix(1.0, clusters, cfg,
+                               phases=draw_bdcm_phases(clusters, cfg, rng))
+        first = [c.index for c in clusters].index(1)
+        pairs.append(real.coeffs[:2, 0, first])
+    x, y = np.array(pairs).T
+    empirical = np.mean(x * y.conj()) / math.sqrt(
+        np.mean(np.abs(x) ** 2) * np.mean(np.abs(y) ** 2))
+    series = space_ccf(cfg, model=model, spacing_grid=[0.0, cfg.array.spacing_rx],
+                       t=1.0, ensemble=ensemble, seed=cfg.seed)
+    assert abs(empirical - series.values[1]) < 1e-10
 
 
 def test_single_cluster_estimate_draws_few_clusters(monkeypatch):
