@@ -13,17 +13,18 @@ what makes the two models converge as M grows.
 The grid and the response matrices depend only on the geometry (beam
 count, ellipse, arrays, wavelength), never on the realization, so each
 slot's basis is built once per process and shared read-only across
-builds.  The held U_R and U_T bytes stay within ``_BASIS_BUDGET`` (8 MiB);
-the least recently used bases leave first.
+builds.  The bases live in ``_held.HELD``, next to the estimators' beam
+tables; the held U_R and U_T bytes count against its 8 MiB budget and
+the least recently used entries leave first.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._held import HELD
 from .clusters import Cluster
 from .gbsm import ChannelRealization, PhaseDraw, cluster_ellipse
 from .geometry import (
@@ -50,10 +51,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-_BASIS_BUDGET = 8 << 20  # bytes of U_R and U_T held across builds
-_bases: dict = {}  # basis key -> (grid, U_R, U_T), least recently used first
-_bases_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -180,33 +177,25 @@ def assemble_antenna_domain(beam: BeamDomainChannel, u_r: ResponseMatrix,
 
 def _basis_key(ellipse, config) -> tuple:
     """Everything the grid and the response matrices of an ellipse depend on."""
-    return (config.num_beams, ellipse.semi_major, ellipse.focal_half,
+    return ("basis", config.num_beams, ellipse.semi_major, ellipse.focal_half,
             config.array, config.wavelength)
 
 
 def _basis(ellipse, config) -> tuple[VirtualAngleGrid, np.ndarray, np.ndarray]:
     """Read-only (grid, U_R, U_T) of one ellipse, held across calls.
 
-    A basis larger than the whole budget is built but not held.
+    U_R and U_T count against the store's budget; a basis larger than the
+    whole budget is built but not held.
     """
-    key = _basis_key(ellipse, config)
-    with _bases_lock:
-        basis = _bases.pop(key, None)
-        if basis is None:
-            arr, wavelength = config.array, config.wavelength
-            grid = VirtualAngleGrid.build(config.num_beams, ellipse)
-            basis = (grid, response_matrix_rx(grid, ellipse, arr, wavelength).entries,
-                     response_matrix_tx(grid, ellipse, arr, wavelength).entries)
-            for a in (grid.aoa, grid.aod) + basis[1:]:
-                a.setflags(write=False)
-        size = basis[1].nbytes + basis[2].nbytes
-        if size <= _BASIS_BUDGET:
-            held = sum(u_r.nbytes + u_t.nbytes for _, u_r, u_t in _bases.values())
-            while _bases and held + size > _BASIS_BUDGET:
-                _, u_r, u_t = _bases.pop(next(iter(_bases)))
-                held -= u_r.nbytes + u_t.nbytes
-            _bases[key] = basis
-    return basis
+    def build():
+        arr, wavelength = config.array, config.wavelength
+        grid = VirtualAngleGrid.build(config.num_beams, ellipse)
+        grid.aoa.setflags(write=False)
+        grid.aod.setflags(write=False)
+        return (grid, response_matrix_rx(grid, ellipse, arr, wavelength).entries,
+                response_matrix_tx(grid, ellipse, arr, wavelength).entries)
+
+    return HELD.get(_basis_key(ellipse, config), build)
 
 
 def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
@@ -234,7 +223,7 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
     # held bases first: the bases built after them then evict only bases
     # this call is done with, so when the slots need more than the budget
     # the held share still hits instead of each slot evicting the next
-    slots.sort(key=lambda slot: _basis_key(slot[0], config) not in _bases)
+    slots.sort(key=lambda slot: _basis_key(slot[0], config) not in HELD)
     for ellipse, members in slots:
         grid, u_r, u_t = _basis(ellipse, config)
         for i, c in members:

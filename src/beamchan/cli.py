@@ -120,17 +120,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _header_lines(config, experiment, extra):
+def _header_lines(digest, experiment, extra):
+    """Provenance lines; ``digest`` is the ``config_hash`` of the run's
+    config, computed once per run by the caller."""
     lines = [f"# beamchan {__version__}",
              f"# experiment: {experiment}"]
     lines += [f"# {k}: {v}" for k, v in extra.items()]
-    lines.append(f"# config: {config_hash(config)}")
+    lines.append(f"# config: {digest}")
     return lines
 
 
-def _curve_csv(config, experiment, label, series: CorrelationSeries,
+def _curve_csv(digest, experiment, label, series: CorrelationSeries,
                seed: int) -> str:
-    lines = _header_lines(config, experiment, {
+    lines = _header_lines(digest, experiment, {
         "model": series.model,
         "kind": series.kind,
         "label": label,
@@ -145,8 +147,8 @@ def _curve_csv(config, experiment, label, series: CorrelationSeries,
     return "\n".join(lines) + "\n"
 
 
-def _table_csv(config, table) -> str:
-    lines = _header_lines(config, "fig6_complexity", {})
+def _table_csv(digest, table) -> str:
+    lines = _header_lines(digest, "fig6_complexity", {})
     lines.append("antenna_pairs,beams,gbsm_ro,bdcm_ro")
     gbsm = {r.num_rx: r.ro_count for r in table if r.model == "gbsm"}
     for row in table:
@@ -157,8 +159,8 @@ def _table_csv(config, table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _realization_csv(config, real, seed) -> str:
-    lines = _header_lines(config, "simulate", {
+def _realization_csv(digest, real, seed) -> str:
+    lines = _header_lines(digest, "simulate", {
         "model": real.model,
         "eval_time": _fmt(real.time),
         "seed": seed,
@@ -180,14 +182,15 @@ def write_output(out: ExperimentOutput, outdir) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
+    digest = config_hash(out.config)
     if out.table is not None:
         path = outdir / f"{out.experiment}.csv"
-        path.write_text(_table_csv(out.config, out.table), encoding="utf-8")
+        path.write_text(_table_csv(digest, out.table), encoding="utf-8")
         written.append(path)
     for label, series in out.curves:
         path = outdir / f"{out.experiment}_{label}.csv"
         path.write_text(
-            _curve_csv(out.config, out.experiment, label, series, out.seed),
+            _curve_csv(digest, out.experiment, label, series, out.seed),
             encoding="utf-8")
         written.append(path)
     return written
@@ -208,6 +211,7 @@ def _cmd_simulate(args) -> int:
     t = float(args.time)
     clusters, rng = member_channel_state(config, config.seed, 0, t)
     written = []
+    digest = config_hash(config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for m in _models(args.model):
@@ -218,7 +222,7 @@ def _cmd_simulate(args) -> int:
             real = bdcm_matrix(t, clusters, config,
                                phases=draw_bdcm_phases(clusters, config, rng))
         path = outdir / f"simulate_{m}.csv"
-        path.write_text(_realization_csv(config, real, config.seed),
+        path.write_text(_realization_csv(digest, real, config.seed),
                         encoding="utf-8")
         written.append(path)
     for p in written:
@@ -240,9 +244,10 @@ def _cmd_stats(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
+    digest = config_hash(config)
     for m, series in curves.items():
         path = outdir / f"stats_{args.kind}_{m}.csv"
-        path.write_text(_curve_csv(config, "stats", m, series, config.seed),
+        path.write_text(_curve_csv(digest, "stats", m, series, config.seed),
                         encoding="utf-8")
         written.append(path)
     for p in written:

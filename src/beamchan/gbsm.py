@@ -22,7 +22,7 @@ from .geometry import (
     antenna_distance_tx,
     aod_from_aoa,
     los_doppler,
-    los_geometry,
+    los_geometry,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     ray_doppler,
     rx_focal_distance,
 )
@@ -106,9 +106,8 @@ def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
         np.exp(z, out=z)
         block = math.sqrt(c.power / ((kfac + 1.0) * len(aoas))) * np.sum(z, axis=2)
         if c.index == 1 and kfac > 0:
-            pairs = (vis_tx[None, :], vis_rx[:, None], config.ellipse, arr)
-            _, _, dist_kl = los_geometry(*pairs)
-            f_los = los_doppler(*pairs, config.max_doppler, config.velocity_angle)
+            dist_kl, f_los = los_doppler(vis_tx[None, :], vis_rx[:, None], config.ellipse,
+                                         arr, config.max_doppler, config.velocity_angle)
             block += math.sqrt(kfac / (kfac + 1.0)) * np.exp(
                 1j * (TWO_PI * f_los * t + phases.los + wavenum * dist_kl))
         rows, cols = c.visible_block()

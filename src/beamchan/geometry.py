@@ -191,7 +191,12 @@ def los_path_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
 def los_doppler_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
                              tilt_tx: float, tilt_rx: float,
                              max_doppler: float, velocity_angle: float):
-    """Direct-path Doppler for raw antenna offsets (vectorized)."""
+    """Direct-path length and Doppler for raw antenna offsets (vectorized).
+
+    Returns (dist_kl, doppler) from one evaluation of
+    ``los_path_from_offsets``: the antenna-to-antenna distance and the
+    Doppler shift of the direct path.
+    """
     dist_l, alpha_l, dist_kl = los_path_from_offsets(off_tx, off_rx, ellipse,
                                                      tilt_tx, tilt_rx)
     # at broadside dist_kl >= dist_l*|sin(alpha_l - tilt_rx)|; off broadside
@@ -200,7 +205,7 @@ def los_doppler_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,
                    dist_l / np.where(dist_kl > 0.0, dist_kl, 1.0)
                    * np.sin(alpha_l - tilt_rx), 0.0)
     inner = np.arcsin(np.clip(arg, -1.0, 1.0))
-    return max_doppler * np.cos(tilt_rx - velocity_angle + inner)
+    return dist_kl, max_doppler * np.cos(tilt_rx - velocity_angle + inner)
 
 
 def _los_frame(antenna_l, antenna_k, ellipse, array: ArrayConfig):
@@ -218,7 +223,8 @@ def los_geometry(antenna_l, antenna_k, ellipse: EllipseConfig, array: ArrayConfi
 def los_doppler(antenna_l, antenna_k, ellipse: EllipseConfig, array: ArrayConfig,
                 max_doppler: float, velocity_angle: float):
     """``los_doppler_from_offsets`` between transmit antennas ``antenna_l``
-    and receive antennas ``antenna_k`` (1-based, broadcast)."""
+    and receive antennas ``antenna_k`` (1-based, broadcast): the direct
+    path's (distance, Doppler)."""
     return los_doppler_from_offsets(*_los_frame(antenna_l, antenna_k, ellipse, array),
                                     max_doppler, velocity_angle)
 

@@ -51,9 +51,20 @@ is then P weighted paths with one gate, delay and power: its S rays
 coefficients are (clusters, P) arrays.  GBSM builds one phasor table over
 the block's rays and sums it over the ray axis; BDCM calls
 ``beam_weights`` once over the mean angles and multiplies the weights by
-each delay slot's beam table, which is built once per chunk.  The tables
-run the distance kernel over the distinct spacing pairs only.  Against a
-loop over single clusters only the summation order differs.
+each delay slot's beam table.  The tables run the distance kernel over
+the distinct spacing pairs only.  Against a loop over single clusters
+only the summation order differs.
+
+The beam tables of a delay slot, and the GBSM direct-path rows, depend on
+the geometry and the lag columns only, so they are built once per process
+and held read-only in ``_held.HELD`` (next to the builders' bases, under
+its one byte budget).  Their key is what the tables read: the beam count,
+``focal_half`` and the slot's ``semi_major``, the arrays, wavelength,
+maximum Doppler, velocity angle and estimator mode, the distinct lag
+columns, and, with K > 0 only, t and the center Doppler that the
+direct-path rows read.  Calls differing only in seed, ensemble, kappa,
+cluster index, or (at K = 0) t share them; held or fresh, a table is the
+same bytes.
 """
 from __future__ import annotations
 
@@ -65,6 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._held import HELD
 from ._streams import MemberStreams
 from .bdcm import beam_weights, center_los_doppler
 from .clusters import (
@@ -80,7 +92,7 @@ from .geometry import (
     antenna_distances,
     aod_from_aoa,
     los_doppler_from_offsets,
-    los_path_from_offsets,
+    los_path_from_offsets,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     ray_doppler,
     require_integer,
     rx_focal_distance,
@@ -265,6 +277,10 @@ class _LagContext:
     K > 0 the direct path is one more path of cluster 1; its Doppler
     differs between antenna pairs, so its row also carries the rotation
     at the call's one evaluation time t.
+
+    ``key`` holds what the tables read of the call besides the delay slot,
+    so the held entries of one call serve every later call that agrees on
+    it (see the module docstring).
     """
 
     def __init__(self, config, model, t, dT, dR, dW, dL):
@@ -277,6 +293,9 @@ class _LagContext:
         self.dT, self.dR, self.dW, self.dL = dT, dR, dW, dL  # checked by _estimate
         self.length = dT.size
         self.column, col_tx, col_rx, self.col_time = _distinct(dT, dR, dL)
+        self.key = (config.ellipse.focal_half, arr, config.wavelength,
+                    config.max_doppler, config.velocity_angle, config.estimator_mode,
+                    col_tx.tobytes(), col_rx.tobytes(), self.col_time.tobytes())
         self.width = self.col_time.size
         # P paths per cluster: its S rays (GBSM) or the M beams (BDCM)
         self.num_paths = config.rays_per_cluster if model == "gbsm" else config.num_beams
@@ -303,32 +322,36 @@ class _LagContext:
                                          aod=aod_from_aoa(angles, config.ellipse))
             self.beam_doppler = ray_doppler(angles, config.max_doppler,
                                             config.velocity_angle)
-            self._slot_tables: dict[float, tuple] = {}
             # the beam-domain direct path rides each slot's last beam with
             # the array-center Doppler
             self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
+            self.direct_key = (t, self.center_doppler) if self.kfac > 0 else None
         elif self.kfac > 0:
-            # the antenna-domain direct path joins the arrays, whatever
-            # the cluster, so one row serves the whole call
-            geo = (self.off_tx, self.off_rx, config.ellipse, arr.tilt_tx, arr.tilt_rx)
-            _, _, dist = los_path_from_offsets(*geo)
-            doppler = los_doppler_from_offsets(*geo, config.max_doppler,
-                                               config.velocity_angle)
-            self.direct_rows = self._direct_row(*(self._columns(v[None]) for v in
-                                                  (*_split(dist), *_split(doppler))))
+            self.direct_rows = HELD.get(("gbsm direct", *self.key, t), self._antenna_direct_rows)
+
+    def _antenna_direct_rows(self):
+        """The antenna-domain direct path joins the arrays, whatever the
+        cluster, so one row serves every call that shares the key."""
+        cfg, arr = self.config, self.config.array
+        dist, doppler = los_doppler_from_offsets(
+            self.off_tx, self.off_rx, cfg.ellipse, arr.tilt_tx, arr.tilt_rx,
+            cfg.max_doppler, cfg.velocity_angle)
+        return self._direct_row(*(self._columns(v[None]) for v in
+                                  (*_split(dist), *_split(doppler))))
 
     def _columns(self, values):
         """Spacing-pair values (last axis) spread to the distinct lag columns."""
         return values[..., self.col_space]
 
+    def slot_key(self, semi_major):
+        """The held-store key of one delay slot's beam tables."""
+        return ("bdcm slot", self.num_paths, float(semi_major), *self.key, self.direct_key)
+
     def slot_tables(self, semi_major):
         """Beam tables of one delay slot's ellipse and, with K > 0, its
-        direct-path rows; built once per context, that is once per chunk."""
-        cached = self._slot_tables.get(semi_major)
-        if cached is None:
-            _, tables, rows = self.tables(self.grid.aoa, semi_major, self.kfac > 0)
-            cached = self._slot_tables[semi_major] = (tables, rows)
-        return cached
+        direct-path rows; read-only, held across chunks and calls."""
+        return HELD.get(self.slot_key(semi_major),
+                        lambda: self.tables(self.grid.aoa, semi_major, self.kfac > 0)[1:])
 
     def tables(self, ang, semi_major, direct=False):
         """Per-path Doppler and phasor tables over the distinct lag columns.
@@ -436,8 +459,11 @@ def _block_terms(ctx: _LagContext, block, phases=None):
         rows = [np.empty((np.count_nonzero(direct), ctx.width), dtype=complex) for _ in out]
         # the inverse form: plain np.unique imports numpy.ma on first use
         semi, slot = np.unique(semi_major, return_inverse=True)
-        for s, a in enumerate(semi):
-            tables, slot_rows = ctx.slot_tables(a)
+        # held slots first, so that when the slots need more than the store's
+        # budget the tables built after them evict only tables already used;
+        # each slot writes its own rows, so the order leaves the bytes alone
+        for s in sorted(range(semi.size), key=lambda s: ctx.slot_key(semi[s]) not in HELD):
+            tables, slot_rows = ctx.slot_tables(semi[s])
             mine = slot == s
             for o, table in zip(out, tables):
                 o[mine] = coef[mine] @ table

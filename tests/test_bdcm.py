@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from beamchan import bdcm
+from beamchan._held import HELD
 from beamchan.bdcm import (
     BeamDomainChannel,
     assemble_antenna_domain,
@@ -297,7 +298,6 @@ def test_matrix_matches_masked_full_assembly(num_rx, num_tx, tilt_tx, tilt_rx, k
 def test_response_matrices_built_once_per_ellipse(monkeypatch):
     # the basis of a slot is built on its first use and then held, so over
     # the calls of one config each (side, semi_major) is built exactly once
-    bdcm._bases.clear()
     calls = {"receive": [], "transmit": []}
     for side, name in (("receive", "response_matrix_rx"), ("transmit", "response_matrix_tx")):
         build = getattr(bdcm, name)
@@ -333,13 +333,25 @@ def fresh_basis(ellipse, config):
 
 
 def held_bytes():
-    return sum(u_r.nbytes + u_t.nbytes for _, u_r, u_t in bdcm._bases.values())
+    # the store counts the bytes of U_R and U_T, not those of the grid
+    total = sum(u_r.nbytes + u_t.nbytes for (_, u_r, u_t), _ in HELD._entries.values())
+    assert total == HELD._bytes
+    return total
+
+
+def held_bases():
+    """The held basis keys, least recently used first."""
+    return [key for key in HELD._entries if key[0] == "basis"]
+
+
+def held_slots():
+    """``semi_major`` of each held basis, least recently used first."""
+    return [key[2] for key in held_bases()]
 
 
 @pytest.mark.parametrize("counts", [(3, 4), (9, 6)])
 @pytest.mark.parametrize("tilts", [(math.pi / 2, math.pi / 2), (0.3, 2.1)])
 def test_basis_is_bitwise_the_fresh_build(counts, tilts):
-    bdcm._bases.clear()
     cfg = small_config(array=ArrayConfig(num_tx=counts[0], num_rx=counts[1],
                                          tilt_tx=tilts[0], tilt_rx=tilts[1]))
     ell = EllipseConfig(semi_major=107.5, focal_half=80.0)
@@ -370,23 +382,22 @@ def test_basis_key_covers_every_geometry_field():
         value = value + 1 if isinstance(value, int) else value / 2.0
         changed.append((ell, replace(cfg, array=replace(arr, **{f.name: value}))))
     for other_ell, other_cfg in changed:
-        bdcm._bases.clear()
+        HELD.clear()
         first = bdcm._basis(ell, cfg)
         second = bdcm._basis(other_ell, other_cfg)
-        assert len(bdcm._bases) == 2
+        assert len(held_bases()) == 2
         assert second[1] is not first[1]
         want = fresh_basis(other_ell, other_cfg)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(second[1:], want[1:]))
     # the Rician factor does not touch the basis: K = 0 and K = 3 share it
-    bdcm._bases.clear()
+    HELD.clear()
     first = bdcm._basis(ell, cfg)
     second = bdcm._basis(ell, replace(cfg, rician_k=3.0))
-    assert len(bdcm._bases) == 1
+    assert len(held_bases()) == 1
     assert all(a is b for a, b in zip(first, second))
 
 
 def test_basis_arrays_are_read_only():
-    bdcm._bases.clear()
     grid, u_r, u_t = bdcm._basis(EllipseConfig(), small_config())
     for a in (grid.aoa, grid.aod, u_r, u_t):
         assert not a.flags.writeable
@@ -395,44 +406,42 @@ def test_basis_arrays_are_read_only():
 
 
 def test_basis_cache_stays_within_budget():
-    bdcm._bases.clear()
     cfg = SimulationConfig(array=ArrayConfig(num_tx=128, num_rx=128))
     draws = ClusterDraws(cfg)
     slots = [EllipseConfig(draws.slot(s)[0], cfg.ellipse.focal_half)
              for s in range(int(2 * cfg.mean_cluster_count))]
     for ell in slots:
         bdcm._basis(ell, cfg)
-        assert held_bytes() <= bdcm._BASIS_BUDGET
+        assert held_bytes() <= HELD.budget
     # the budget holds fewer than all slots; the most recent ones stay
-    held = len(bdcm._bases)
+    held = len(held_bases())
     assert 0 < held < len(slots)
-    assert [key[1] for key in bdcm._bases] == [e.semi_major for e in slots[-held:]]
+    assert held_slots() == [e.semi_major for e in slots[-held:]]
     # a reused basis becomes the most recent, so the next oldest leaves
     oldest, next_oldest = slots[-held], slots[-held + 1]
     bdcm._basis(oldest, cfg)
     bdcm._basis(slots[0], cfg)
-    kept = [key[1] for key in bdcm._bases]
+    kept = held_slots()
     assert oldest.semi_major in kept and next_oldest.semi_major not in kept
     # a basis larger than the whole budget is built and returned, not held
     per_beam = 16 * (cfg.array.num_rx + cfg.array.num_tx)
-    big = replace(cfg, num_beams=bdcm._BASIS_BUDGET // per_beam + 1)
-    before = list(bdcm._bases)
+    big = replace(cfg, num_beams=HELD.budget // per_beam + 1)
+    before = list(HELD._entries)
     grid, u_r, u_t = bdcm._basis(slots[0], big)
-    assert u_r.nbytes + u_t.nbytes > bdcm._BASIS_BUDGET
+    assert u_r.nbytes + u_t.nbytes > HELD.budget
     assert grid.num_beams == big.num_beams
-    assert list(bdcm._bases) == before
+    assert list(HELD._entries) == before
 
 
 def test_slots_beyond_the_budget_still_reuse_the_held_bases(monkeypatch):
     # a call takes the held bases before it builds the rest, so the rest
     # evict only bases the call is done with; taken in slot order, each
     # built basis would evict the one the next slot needs
-    bdcm._bases.clear()
     cfg = SimulationConfig(array=ArrayConfig(num_tx=12, num_rx=20))
     clusters = clusters_with_edge_cases(cfg, 31)
     phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(31))
     slots = len({c.semi_major for c in clusters if c.visible_rx and c.visible_tx})
-    monkeypatch.setattr(bdcm, "_BASIS_BUDGET", 3 * 16 * 32 * cfg.num_beams)
+    monkeypatch.setattr(HELD, "budget", 3 * 16 * 32 * cfg.num_beams)
     built, build = [], bdcm.response_matrix_rx
 
     def counting(grid, ellipse, *args):
@@ -442,7 +451,7 @@ def test_slots_beyond_the_budget_still_reuse_the_held_bases(monkeypatch):
     monkeypatch.setattr(bdcm, "response_matrix_rx", counting)
     first = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs
     assert len(built) == slots > 3
-    assert len(bdcm._bases) == 3
+    assert len(held_bases()) == 3
     built.clear()
     again = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs
     assert len(built) == slots - 3
@@ -452,7 +461,6 @@ def test_slots_beyond_the_budget_still_reuse_the_held_bases(monkeypatch):
 def test_threads_share_the_bases_safely(monkeypatch):
     # four threads with a short switch interval building over a budget of
     # two bases, so bases are looked up, built and evicted concurrently
-    bdcm._bases.clear()
     configs = [small_config(array=ArrayConfig(num_tx=n, num_rx=4)) for n in (3, 5)]
     work = []
     for cfg in configs:
@@ -460,7 +468,7 @@ def test_threads_share_the_bases_safely(monkeypatch):
         phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(17))
         want = bdcm_matrix(0.2, clusters, cfg, phases=phases).coeffs.tobytes()
         work.append((cfg, clusters, phases, want))
-    monkeypatch.setattr(bdcm, "_BASIS_BUDGET", 2 * 16 * 9 * configs[0].num_beams)
+    monkeypatch.setattr(HELD, "budget", 2 * 16 * 9 * configs[0].num_beams)
     wrong, errors = [], []
 
     def run(offset):
@@ -485,7 +493,7 @@ def test_threads_share_the_bases_safely(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and wrong == []
-    assert held_bytes() <= bdcm._BASIS_BUDGET
+    assert held_bytes() <= HELD.budget
 
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
@@ -493,8 +501,8 @@ def test_bdcm_matrix_same_cold_and_warm(kfac):
     cfg = SimulationConfig(array=ArrayConfig(num_tx=12, num_rx=20), rician_k=kfac)
     clusters = clusters_with_edge_cases(cfg, 41)
     phases = draw_bdcm_phases(clusters, cfg, np.random.default_rng(41))
-    bdcm._bases.clear()
+    HELD.clear()
     cold = bdcm_matrix(0.3, clusters, cfg, phases=phases).coeffs
-    assert bdcm._bases
+    assert held_bases()
     warm = bdcm_matrix(0.3, clusters, cfg, phases=phases).coeffs
     assert cold.tobytes() == warm.tobytes()

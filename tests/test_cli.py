@@ -292,6 +292,22 @@ def test_rerun_is_byte_identical_and_seed_matters(tmp_path):
     assert other[0].read_bytes() != one[0].read_bytes()
 
 
+def test_write_output_hashes_the_config_once(tmp_path, monkeypatch):
+    # every curve of a run shares the run's config, so its header hash is
+    # computed once per write, not once per CSV
+    import beamchan.cli as cli
+    cfg = loads_config(json.dumps(SMALL)).with_values(time_samples=(1.0, 2.0))
+    out = run_experiment(cfg, "fig4_acf", model="both", ensemble=4, seed=5)
+    want = [p.read_bytes() for p in write_output(out, tmp_path / "a")]
+    hashed = []
+    monkeypatch.setattr(cli, "config_hash",
+                        lambda config: hashed.append(config) or config_hash(config))
+    got = [p.read_bytes() for p in write_output(out, tmp_path / "b")]
+    assert len(got) == 4 and hashed == [cfg]
+    assert got == want
+    assert all(f"# config: {config_hash(cfg)}" in g.decode() for g in got)
+
+
 def test_unknown_experiment_rejected():
     cfg = loads_config(json.dumps(SMALL))
     with pytest.raises(ValueError, match="experiment"):

@@ -343,12 +343,13 @@ class TestLosGeometry:
         l, k = min(l, num), min(k, num)
         dist_l, alpha_l, dist_kl = los_geometry(l, k, ELLIPSE, arr)
         assert dist_l > 0 and dist_kl >= 0
-        f = los_doppler(l, k, ELLIPSE, arr, 33.33, math.pi / 6)
+        dist, f = los_doppler(l, k, ELLIPSE, arr, 33.33, math.pi / 6)
+        assert dist == dist_kl
         assert abs(f) <= 33.33 * (1 + 1e-12)
 
     def test_center_doppler_matches_velocity_projection(self):
         arr = ArrayConfig(num_tx=1, num_rx=1)
-        f = los_doppler(1, 1, ELLIPSE, arr, 33.33, math.pi / 6)
+        _, f = los_doppler(1, 1, ELLIPSE, arr, 33.33, math.pi / 6)
         assert f == pytest.approx(33.33 * math.cos(math.pi / 6), rel=1e-12)
 
 

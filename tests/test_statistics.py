@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,10 @@ from scipy.special import i0, j0
 from beamchan.bdcm import bdcm_matrix, beam_weights, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
-from beamchan import statistics
+from beamchan import geometry, statistics
+from beamchan._held import HELD
 from beamchan._streams import MemberStreams
-from beamchan.gbsm import draw_gbsm_phases, gbsm_matrix
+from beamchan.gbsm import PhaseDraw, draw_gbsm_phases, gbsm_matrix
 from beamchan.statistics import (
     CorrelationSeries,
     fcf,
@@ -31,7 +32,6 @@ from beamchan.geometry import (
     antenna_distances,
     aod_from_aoa,
     los_doppler_from_offsets,
-    los_path_from_offsets,
     ray_doppler,
     rx_focal_distance,
     virtual_angles,
@@ -183,38 +183,169 @@ def _bdcm_curves(cfg):
 @pytest.mark.parametrize("mode", ["analytic", "sampled"])
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
 def test_slot_cache_matches_fresh_context_per_member(monkeypatch, mode, kfac):
-    # a chunk shares its per-slot phasor tables across members; chunks of
-    # one member build every table afresh and are the reference
+    # the members share the held per-slot phasor tables; chunks of one
+    # member with nothing held build every table afresh and are the reference
     cfg = SimulationConfig(estimator_mode=mode, rician_k=kfac)
     shared = _bdcm_curves(cfg)
     monkeypatch.setattr(statistics, "_CHUNK", 1)
+    monkeypatch.setattr(HELD, "budget", 0)
+    HELD.clear()
     fresh = _bdcm_curves(cfg)
     for got, want in zip(shared, fresh):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
-def test_bdcm_tables_built_once_per_slot_per_chunk(monkeypatch, kfac):
-    calls = []
-    antenna_distances = statistics.antenna_distances
-
-    def counting(*args):
-        calls.append(args)
-        return antenna_distances(*args)
-
-    monkeypatch.setattr(statistics, "antenna_distances", counting)
+def test_bdcm_tables_built_once_per_slot_per_process(monkeypatch, kfac):
+    calls = _recording(monkeypatch, "antenna_distances")
     # the direct path reads the last beam's grids: K > 0 adds no kernel call
     cfg = SimulationConfig(rician_k=kfac)
     ensemble, seed = 300, 47
-    fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
-    chunks = [range(s, min(s + statistics._CHUNK, ensemble))
-              for s in range(0, ensemble, statistics._CHUNK)]
-    assert len(chunks) == 2
-    slots = sum(len({c.slot for m in chunk
-                     for c in full_member_state(cfg, seed, m, 1.0)})
-                for chunk in chunks)
-    # one table is one transmit and one receive distance grid
-    assert 0 < len(calls) <= 2 * slots
+    first = fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
+    assert ensemble > statistics._CHUNK
+    slots = {c.slot for m in range(ensemble) for c in full_member_state(cfg, seed, m, 1.0)}
+    # one table is one transmit and one receive distance grid, over all chunks
+    assert 0 < len(calls) <= 2 * len(slots)
+    calls.clear()
+    again = fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
+    assert calls == [] and again.values.tobytes() == first.values.tobytes()
+    # without deaths cluster 1 sits in slot 0 for every member and time, so
+    # calls that differ in seed, ensemble, kappa or (at K = 0) t read the
+    # one table the first call built
+    frozen = frozen_config(rician_k=kfac)
+    base = dict(model="bdcm", ensemble=30, seed=1, t=1.0)
+    space_ccf(frozen, **base)
+    assert len(calls) == 2
+    for changed, kw in ((frozen, dict(base, seed=2)),
+                        (frozen.with_values(kappa=2.0), dict(base, ensemble=300)),
+                        (frozen, dict(base, t=2.5))):
+        calls.clear()
+        space_ccf(changed, **kw)
+        # the direct-path rows read t, so only they make t part of the key
+        assert len(calls) == (2 if kfac > 0 and kw["t"] != base["t"] else 0)
+
+
+def test_slots_beyond_the_budget_still_reuse_the_held_tables(monkeypatch):
+    # as in the builder: a block takes its held slots first, so the slots
+    # it builds after them evict only tables it is done with
+    cfg = SimulationConfig(num_beams=16)
+    kw = dict(model="bdcm", ensemble=20, seed=8)
+    table_bytes = 16 * cfg.num_beams  # one lag column of complex entries per beam
+    monkeypatch.setattr(HELD, "budget", 3 * table_bytes)
+    calls = _recording(monkeypatch, "antenna_distances")
+    first = fcf(cfg, **kw)
+    slots = len(calls) // 2
+    assert slots == len({c.slot for m in range(20) for c in full_member_state(cfg, 8, m, 1.0)})
+    assert slots > 3 and len(HELD._entries) == 3
+    calls.clear()
+    again = fcf(cfg, **kw)
+    assert len(calls) == 2 * (slots - 3)
+    assert again.values.tobytes() == first.values.tobytes()
+
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+def test_slot_table_key_covers_what_the_tables_read(kfac):
+    # a table held for one call serves another only where the other would
+    # build the same bytes: each input the tables read changes the key, and
+    # the inputs they do not read leave it alone
+    base = SimulationConfig(array=ArrayConfig(num_tx=4, num_rx=6), num_beams=16,
+                            rician_k=kfac)
+    lags = (0.05, [0.0, 0.1, 0.1], 0.0, [0.0, 0.0, 0.02])
+
+    def held_tables(cfg, t=1.0, lags=lags):
+        ctx = statistics._LagContext(cfg, "bdcm", t, *statistics._broadcast_lags(*lags))
+        tables, rows = ctx.slot_tables(107.5)
+        return b"".join(a.tobytes() for a in tables + (rows or ()))
+
+    arr = base.array
+    changed = [(replace(base, num_beams=17), {}),
+               (replace(base, ellipse=EllipseConfig(100.0, 70.0)), {}),
+               (replace(base, wavelength=0.1), {}),
+               (replace(base, max_doppler=20.0), {}),
+               (replace(base, velocity_angle=0.4), {}),
+               (replace(base, estimator_mode="sampled"), {}),
+               (base, dict(lags=(0.06,) + lags[1:])),
+               (base, dict(lags=(0.05, [0.0, 0.1, 0.2], 0.0, [0.0, 0.0, 0.02]))),
+               (base, dict(lags=(0.05, [0.0, 0.1, 0.1], 0.0, [0.0, 0.0, 0.03])))]
+    for f in fields(ArrayConfig):
+        value = getattr(arr, f.name)
+        value = value + 1 if isinstance(value, int) else value / 2.0
+        changed.append((replace(base, array=replace(arr, **{f.name: value})), {}))
+    if kfac > 0:
+        changed.append((base, dict(t=2.0)))
+    for cfg, kw in changed:
+        HELD.clear()
+        held_tables(base)
+        got = held_tables(cfg, **kw)
+        assert len(HELD._entries) == 2
+        HELD.clear()
+        assert got == held_tables(cfg, **kw)
+    HELD.clear()
+    want = held_tables(base)
+    shared = [(replace(base, seed=9, ensemble=7, kappa=1.0, mean_aoa=0.2,
+                       rays_per_cluster=3, delay_spacing=1e-8, beam_weighting="uniform",
+                       ellipse=EllipseConfig(120.0, 80.0),
+                       rician_k=2 * kfac, evolution=EvolutionConfig(death_rate=0.5)), {}),
+              (base, dict(lags=(0.05, [0.0, 0.1, 0.1], [0.0, 1e6, 0.0], [0.0, 0.0, 0.02])))]
+    if kfac == 0:
+        shared.append((base, dict(t=2.0)))
+    for cfg, kw in shared:
+        assert held_tables(cfg, **kw) == want
+    assert len(HELD._entries) == 1
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_cold_and_warm_store_give_the_same_bytes(monkeypatch, model, mode, kfac):
+    # a curve is the same bytes whether its tables are built in the call
+    # (cold store), read from a store an unrelated call warmed (other
+    # seed, ensemble, kappa and, at K = 0, t), or never held at all
+    cfg = SimulationConfig(estimator_mode=mode, rician_k=kfac, num_beams=64)
+    kw = dict(model=model, ensemble=300, seed=5, t=1.0)
+
+    def curves():
+        return [c.values.tobytes() + c.std_error.tobytes() for c in
+                (space_ccf(cfg, **kw), time_acf(cfg, **kw))]
+
+    calls = _recording(monkeypatch, "antenna_distances")
+    cold = curves()
+    built_cold = len(calls)
+    HELD.clear()
+    other = dict(kw, ensemble=100, seed=6, t=2.0 if kfac == 0 else 1.0)
+    space_ccf(cfg.with_values(kappa=2.0), **other)
+    time_acf(cfg.with_values(kappa=2.0), **other)
+    calls.clear()
+    warm = curves()
+    if model == "bdcm":
+        # warm, the curves build only the slots the other calls did not read
+        assert len(calls) < built_cold
+    monkeypatch.setattr(HELD, "budget", 0)
+    HELD.clear()
+    assert warm == cold == curves()
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_direct_path_geometry_evaluated_once_per_call(monkeypatch, model):
+    # the GBSM direct path takes its distance and Doppler from one path
+    # evaluation per call: once per builder call, and once per estimator
+    # call over all chunks (its rows are held); the BDCM direct path reads
+    # the beam grids and the array-center Doppler instead
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=4, num_rx=4), num_beams=16,
+                           rician_k=3.0)
+    calls = []
+    path = geometry.los_path_from_offsets
+
+    def counting(*args):
+        calls.append(args)
+        return path(*args)
+
+    monkeypatch.setattr(geometry, "los_path_from_offsets", counting)
+    clusters, rng = statistics.member_channel_state(cfg, 3, 0, 1.0)
+    build = gbsm_matrix if model == "gbsm" else bdcm_matrix
+    build(1.0, clusters, cfg, rng=rng)
+    space_ccf(cfg, model=model, ensemble=300, seed=3)
+    assert len(calls) == (2 if model == "gbsm" else 0)
 
 
 def _recording(monkeypatch, name):
@@ -382,8 +513,7 @@ class PerClusterContext(statistics._LagContext):
     def los_row(self):
         cfg, arr = self.config, self.config.array
         geo = (self.off_tx, self.off_rx, cfg.ellipse, arr.tilt_tx, arr.tilt_rx)
-        _, _, dist = los_path_from_offsets(*geo)
-        doppler = los_doppler_from_offsets(*geo, cfg.max_doppler, cfg.velocity_angle)
+        dist, doppler = los_doppler_from_offsets(*geo, cfg.max_doppler, cfg.velocity_angle)
         split = statistics._split
         return self.direct_row(*split(dist), *split(doppler))
 
@@ -606,6 +736,34 @@ def test_builders_realize_the_estimated_space_correlation(model):
     empirical = np.mean(x * y.conj()) / math.sqrt(
         np.mean(np.abs(x) ** 2) * np.mean(np.abs(y) ** 2))
     series = space_ccf(cfg, model=model, spacing_grid=[0.0, cfg.array.spacing_rx],
+                       t=1.0, ensemble=ensemble, seed=cfg.seed)
+    assert abs(empirical - series.values[1]) < 1e-10
+
+
+@pytest.mark.parametrize("tilt", [math.pi / 2, 0.7])
+def test_gbsm_builder_realizes_the_estimated_space_correlation_with_direct_path(tilt):
+    # the receive-spacing check above with K = 3, both arrays at ``tilt``.
+    # The builder draws every cluster's ray phases and then the direct-path
+    # phase; the estimator reads cluster 1's S ray phases and then the
+    # direct-path phase.  So the test hands the builder the phase stream in
+    # the estimator's order, and builds cluster 1 alone.  GBSM only: the BDCM
+    # builder's direct-path phase carries an extra per-member constant,
+    # -2*k*d_tx with d_tx measured at beam pi of cluster 1's ellipse, which
+    # the estimator's direct path lacks; a uniform phase hides it only in
+    # expectation, not to rounding.
+    arr = ArrayConfig(num_tx=4, num_rx=4, tilt_tx=tilt, tilt_rx=tilt)
+    cfg = SimulationConfig(array=arr, estimator_mode="sampled", seed=11, rician_k=3.0)
+    ensemble, pairs = 300, []
+    for member in range(ensemble):
+        clusters, rng = statistics.member_channel_state(cfg, cfg.seed, member, 1.0)
+        one = clusters[[c.index for c in clusters].index(1)]
+        drawn = rng.uniform(0.0, TWO_PI, len(one.ray_aoas) + 1)
+        phases = PhaseDraw(nlos={one.uid: drawn[:-1]}, los=float(drawn[-1]))
+        pairs.append(gbsm_cluster_matrix(one, 1.0, cfg, phases)[:2, 0])
+    x, y = np.array(pairs).T
+    empirical = np.mean(x * y.conj()) / math.sqrt(
+        np.mean(np.abs(x) ** 2) * np.mean(np.abs(y) ** 2))
+    series = space_ccf(cfg, model="gbsm", spacing_grid=[0.0, arr.spacing_rx],
                        t=1.0, ensemble=ensemble, seed=cfg.seed)
     assert abs(empirical - series.values[1]) < 1e-10
 
