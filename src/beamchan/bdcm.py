@@ -58,7 +58,6 @@ class ResponseMatrix:
     """Antenna response to every beam; column m is the vector for beam m."""
 
     entries: np.ndarray = field(repr=False)  # (antennas, beams)
-    side: str = "transmit"
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,6 @@ class BeamDomainChannel:
     los_diag: np.ndarray = field(repr=False)   # (M,), nonzero at one beam only
     nlos_diag: np.ndarray = field(repr=False)  # (M,)
     grid: VirtualAngleGrid = None
-    delay: float = 0.0
-    cluster_uid: int = 0
 
 
 def response_matrix_tx(grid: VirtualAngleGrid, ellipse, array,
@@ -81,8 +78,7 @@ def response_matrix_tx(grid: VirtualAngleGrid, ellipse, array,
     """Unit phasors of the center-minus-antenna path differences at the transmitter."""
     d_tx = 2.0 * ellipse.semi_major - rx_focal_distance(grid.aoa, ellipse)
     dist = antenna_distance_tx(d_tx, grid.aod, np.arange(1, array.num_tx + 1), array)
-    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (d_tx - dist)),
-                          side="transmit")
+    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (d_tx - dist)))
 
 
 def response_matrix_rx(grid: VirtualAngleGrid, ellipse, array,
@@ -90,8 +86,7 @@ def response_matrix_rx(grid: VirtualAngleGrid, ellipse, array,
     """Unit phasors of the antenna-minus-center path differences at the receiver."""
     d_rx = rx_focal_distance(grid.aoa, ellipse)
     dist = antenna_distance_rx(d_rx, grid.aoa, np.arange(1, array.num_rx + 1), array)
-    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (dist - d_rx)),
-                          side="receive")
+    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (dist - d_rx)))
 
 
 def center_los_doppler(config) -> float:
@@ -139,12 +134,10 @@ def draw_bdcm_phases(clusters, config, rng) -> PhaseDraw:
 
 
 def beam_domain_entries(cluster: Cluster, t: float, config,
-                        phases: PhaseDraw, grid: VirtualAngleGrid | None = None
-                        ) -> BeamDomainChannel:
-    """Diagonal beam-domain entries of one cluster at time t."""
+                        phases: PhaseDraw, grid: VirtualAngleGrid) -> BeamDomainChannel:
+    """Diagonal beam-domain entries of one cluster at time t, on the grid
+    of the cluster's ellipse."""
     ellipse = cluster_ellipse(cluster, config)
-    if grid is None:
-        grid = VirtualAngleGrid.build(config.num_beams, ellipse)
     d_rx = rx_focal_distance(grid.aoa, ellipse)
     d_tx = 2.0 * ellipse.semi_major - d_rx
     kfac = config.rician_k
@@ -161,8 +154,7 @@ def beam_domain_entries(cluster: Cluster, t: float, config,
         los_phase = (TWO_PI * f_c * t + phases.los
                      + TWO_PI / config.wavelength * (d_rx[m0 - 1] - d_tx[m0 - 1]))
         los_diag[m0 - 1] = math.sqrt(kfac / (kfac + 1.0)) * np.exp(1j * los_phase)
-    return BeamDomainChannel(los_diag=los_diag, nlos_diag=nlos_diag, grid=grid,
-                             delay=cluster.delay, cluster_uid=cluster.uid)
+    return BeamDomainChannel(los_diag=los_diag, nlos_diag=nlos_diag, grid=grid)
 
 
 def assemble_antenna_domain(beam: BeamDomainChannel, u_r: ResponseMatrix,
@@ -230,7 +222,6 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
             rows, cols = c.visible_block()
             beam = beam_domain_entries(c, t, config, phases, grid)
             coeffs[rows, cols, i] = assemble_antenna_domain(
-                beam, ResponseMatrix(u_r[rows], "receive"),
-                ResponseMatrix(u_t[cols], "transmit"))
+                beam, ResponseMatrix(u_r[rows]), ResponseMatrix(u_t[cols]))
     delays = np.array([c.delay for c in clusters])
     return ChannelRealization(coeffs=coeffs, delays=delays, time=t, model="bdcm")

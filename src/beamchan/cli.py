@@ -18,8 +18,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bdcm import bdcm_matrix, draw_bdcm_phases
 from .complexity import complexity_sweep
@@ -42,7 +40,7 @@ from .statistics import (
 
 __all__ = ["ExperimentOutput", "run_experiment", "write_output", "main"]
 
-EXPERIMENTS = ("fig3_ccf", "fig4_acf", "fig5_fcf", "fig6_complexity")
+EXPERIMENTS = {"fig3": "fig3_ccf", "fig4": "fig4_acf", "fig5": "fig5_fcf", "fig6": "fig6_complexity"}
 
 
 @dataclass
@@ -76,7 +74,7 @@ def run_experiment(config: SimulationConfig, experiment: str,
                path (K=0 and K=3)
     fig6_complexity  the closed-form cost table (no simulation)
     """
-    if experiment not in EXPERIMENTS:
+    if experiment not in EXPERIMENTS.values():
         raise ValueError(f"unknown experiment '{experiment}'")
     seed = config.seed if seed is None else seed
     ensemble = config.ensemble if ensemble is None else ensemble
@@ -90,28 +88,23 @@ def run_experiment(config: SimulationConfig, experiment: str,
                                      20, [20, 200, 400])
         return out
     if experiment == "fig3_ccf":
-        grid = np.linspace(0.0, 3.0 * config.wavelength, 31)
         t = config.time_samples[0]
         for m in _models(model):
-            series = space_ccf(config, model=m, spacing_grid=grid, t=t,
-                               ensemble=ensemble, seed=seed)
+            series = space_ccf(config, model=m, t=t, ensemble=ensemble, seed=seed)
             out.curves.append((m, series))
     elif experiment == "fig4_acf":
-        grid = np.linspace(0.0, 0.12, 25)
         for m in _models(model):
             for t in config.time_samples:
-                series = time_acf(config, model=m, lag_grid=grid, t=float(t),
-                                  ensemble=ensemble, seed=seed)
+                series = time_acf(config, model=m, t=float(t), ensemble=ensemble,
+                                  seed=seed)
                 out.curves.append((f"{m}_t{t:g}", series))
     elif experiment == "fig5_fcf":
-        grid = np.linspace(0.0, 20e6, 41)
         t = config.time_samples[0]
         cases = (("nlos", config.with_values(rician_k=0.0)),
                  ("los", config.with_values(rician_k=3.0)))
         for m in _models(model):
             for label, cfg in cases:
-                series = fcf(cfg, model=m, freq_lag_grid=grid, t=t,
-                             ensemble=ensemble, seed=seed)
+                series = fcf(cfg, model=m, t=t, ensemble=ensemble, seed=seed)
                 out.curves.append((f"{m}_{label}", series))
     return out
 
@@ -265,9 +258,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     config = load_config(args.config) if args.config else preset(args.figure)
-    experiment = {"fig3": "fig3_ccf", "fig4": "fig4_acf", "fig5": "fig5_fcf",
-                  "fig6": "fig6_complexity"}[args.figure]
-    out = run_experiment(config, experiment, model=args.model,
+    out = run_experiment(config, EXPERIMENTS[args.figure], model=args.model,
                          seed=args.seed, ensemble=args.ensemble)
     for p in write_output(out, args.out):
         print(p)

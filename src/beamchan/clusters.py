@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT
+from .geometry import SPEED_OF_LIGHT, require_finite
 
 __all__ = [
     "Cluster",
@@ -53,6 +53,8 @@ class EvolutionConfig:
     ms_speed: float = 0.5             # meters per second
 
     def __post_init__(self):
+        require_finite(self, "birth_rate", "death_rate", "array_decorrelation",
+                       "space_decorrelation", "scenario_factor", "ms_speed")
         if self.birth_rate < 0 or self.death_rate < 0:
             raise ValueError("birth and death rates must be nonnegative")
         if self.array_decorrelation <= 0 or self.space_decorrelation <= 0:
@@ -287,9 +289,9 @@ def evolve_array(clusters: list[Cluster], array, evolution: EvolutionConfig,
     if config is not None and evolution.death_rate > 0:
         draws = ClusterDraws(config)
         ladder, pdp_scale, next_uid = _parentage(clusters)
-        for side, hazard, count in (("rx", hazard_rx, array.num_rx),
-                                    ("tx", hazard_tx, array.num_tx)):
-            birth_mean = config.mean_cluster_count * (1.0 - math.exp(-hazard))
+        for side, spacing, count in (("rx", array.spacing_rx, array.num_rx),
+                                     ("tx", array.spacing_tx, array.num_tx)):
+            birth_mean = config.mean_cluster_count * (1.0 - array_survival(spacing, evolution))
             for antenna in range(2, count + 1):
                 newborn = draws.newborns(rng, rng.poisson(birth_mean), ladder, pdp_scale,
                                          next_uid)

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .clusters import EvolutionConfig
-from .geometry import ArrayConfig, EllipseConfig, require_integers
+from .geometry import ArrayConfig, EllipseConfig, require_finite, require_integers, require_real
 
 __all__ = [
     "SimulationConfig",
@@ -56,6 +56,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         require_integers(self, "rays_per_cluster", "num_beams", "ensemble", "seed")
+        require_finite(self, "wavelength", "max_doppler", "velocity_angle", "rician_k", "kappa",
+                       "mean_aoa", "delay_spacing")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
         if self.max_doppler < 0:
@@ -72,8 +74,8 @@ class SimulationConfig:
             raise ValueError("kappa must be nonnegative")
         if self.delay_spacing <= 0:
             raise ValueError("delay_spacing must be positive")
-        if self.mean_clusters is not None and self.mean_clusters <= 0:
-            raise ValueError("mean_clusters must be positive when given")
+        if self.mean_clusters is not None and not 0 < self.mean_clusters < math.inf:
+            raise ValueError(f"mean_clusters must be finite and positive, got {self.mean_clusters!r}")
         if self.mean_clusters is None and self.evolution.death_rate <= 0:
             raise ValueError(
                 "mean_clusters must be set when evolution.death_rate is zero")
@@ -83,9 +85,11 @@ class SimulationConfig:
             raise ValueError(f"normalization must be one of {_NORMS}")
         if self.beam_weighting not in _WEIGHTINGS:
             raise ValueError(f"beam_weighting must be one of {_WEIGHTINGS}")
-        if not self.time_samples:
-            raise ValueError("time_samples must not be empty")
         object.__setattr__(self, "time_samples", tuple(self.time_samples))
+        for t in self.time_samples:
+            require_real("time_samples", t)
+        if not self.time_samples or min(self.time_samples) < 0:
+            raise ValueError(f"time_samples must be non-empty and non-negative, got {self.time_samples}")
 
     @property
     def mean_cluster_count(self) -> float:
@@ -167,10 +171,6 @@ def config_hash(config: SimulationConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _base() -> SimulationConfig:
-    return SimulationConfig()
-
-
 def preset(name: str) -> SimulationConfig:
     """Bundled experiment configurations for the reproduction recipes.
 
@@ -184,10 +184,9 @@ def preset(name: str) -> SimulationConfig:
     fig6: complexity sweep bookkeeping (statistics settings unused).
     """
     if name == "fig3":
-        return _base()
+        return SimulationConfig()
     if name == "fig4":
-        base = _base()
-        return base.with_values(
+        return SimulationConfig(
             wavelength=0.15,
             array=ArrayConfig(spacing_tx=0.075, spacing_rx=0.075),
             evolution=EvolutionConfig(array_decorrelation=15.0),
@@ -196,7 +195,7 @@ def preset(name: str) -> SimulationConfig:
     if name == "fig5":
         return preset("fig4").with_values(time_samples=(1.0,))
     if name == "fig6":
-        return _base().with_values(num_beams=20)
+        return SimulationConfig(num_beams=20)
     raise ValueError(f"unknown preset '{name}'")
 
 

@@ -24,6 +24,8 @@ from .geometry import (
     los_doppler,
     los_geometry,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     ray_doppler,
+    require_integer,
+    require_real,
     rx_focal_distance,
 )
 
@@ -51,8 +53,10 @@ class ChannelRealization:
         """Frequency response at receive antenna k, transmit antenna l."""
         num_rx, num_tx, _ = self.coeffs.shape
         for side, index, count in (("receive", k, num_rx), ("transmit", l, num_tx)):
+            require_integer(f"{side} antenna index", index)
             if not 1 <= index <= count:
                 raise ValueError(f"{side} antenna index {index} out of range 1..{count}")
+        require_real("freq", freq)
         row = self.coeffs[k - 1, l - 1, :]
         return complex(np.sum(row * np.exp(-1j * TWO_PI * freq * self.delays)))
 

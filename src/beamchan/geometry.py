@@ -53,6 +53,18 @@ def require_integers(owner, *names: str) -> None:
         require_integer(name, getattr(owner, name))
 
 
+def require_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` if ``value`` is a bool or not a finite real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_finite(owner, *names: str) -> None:
+    """``require_real`` on each field of ``owner`` in ``names``."""
+    for name in names:
+        require_real(name, getattr(owner, name))
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Transmit and receive uniform linear arrays.
@@ -70,6 +82,7 @@ class ArrayConfig:
 
     def __post_init__(self):
         require_integers(self, "num_tx", "num_rx")
+        require_finite(self, "spacing_tx", "spacing_rx", "tilt_tx", "tilt_rx")
         if self.num_tx < 1 or self.num_rx < 1:
             raise ValueError("antenna counts must be at least 1")
         if self.spacing_tx <= 0 or self.spacing_rx <= 0:
@@ -86,6 +99,7 @@ class EllipseConfig:
     focal_half: float = 80.0
 
     def __post_init__(self):
+        require_finite(self, "semi_major", "focal_half")
         if not (self.semi_major > self.focal_half > 0):
             raise ValueError("ellipse requires semi_major > focal_half > 0")
 

@@ -61,10 +61,10 @@ and held read-only in ``_held.HELD`` (next to the builders' bases, under
 its one byte budget).  Their key is what the tables read: the beam count,
 ``focal_half`` and the slot's ``semi_major``, the arrays, wavelength,
 maximum Doppler, velocity angle and estimator mode, the distinct lag
-columns, and, with K > 0 only, t and the center Doppler that the
-direct-path rows read.  Calls differing only in seed, ensemble, kappa,
-cluster index, or (at K = 0) t share them; held or fresh, a table is the
-same bytes.
+columns, and, with K > 0 only, t (the center Doppler of the direct-path
+rows reads only the fields above).  Calls differing only in seed,
+ensemble, kappa, cluster index, or (at K = 0) t share them; held or
+fresh, a table is the same bytes.
 """
 from __future__ import annotations
 
@@ -325,7 +325,7 @@ class _LagContext:
             # the beam-domain direct path rides each slot's last beam with
             # the array-center Doppler
             self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
-            self.direct_key = (t, self.center_doppler) if self.kfac > 0 else None
+            self.direct_key = t if self.kfac > 0 else None
         elif self.kfac > 0:
             self.direct_rows = HELD.get(("gbsm direct", *self.key, t), self._antenna_direct_rows)
 
@@ -607,14 +607,13 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
     zero = (dT == 0) & (dR == 0) & (dW == 0) & (dL == 0)
     values = np.where(zero, 1.0 + 0.0j, values)
     err = np.where(zero, 0.0, err)
-    return values, err, ensemble, seed
+    return values, err, ensemble
 
 
 def _make_series(config, model, kind, cluster_index, axis, lag_tx, lag_rx,
                  lag_freq, lag_time, t, ensemble, seed) -> CorrelationSeries:
-    values, err, ensemble, _ = _estimate(config, model, cluster_index, lag_tx,
-                                         lag_rx, lag_freq, lag_time, t,
-                                         ensemble, seed)
+    values, err, ensemble = _estimate(config, model, cluster_index, lag_tx, lag_rx,
+                                      lag_freq, lag_time, t, ensemble, seed)
     return CorrelationSeries(lag_axis=np.asarray(axis, dtype=float),
                              values=values, magnitude=np.abs(values),
                              std_error=err, ensemble=ensemble, model=model,
@@ -668,8 +667,8 @@ def stfcf(config: SimulationConfig, model: str = "gbsm",
     fixing the other three lags at zero reproduces their values under
     the same seed to within 1e-12 (only the summation order differs).
     """
-    values, _, _, _ = _estimate(config, model, cluster_index,
-                                np.array([spacing_tx]), np.array([spacing_rx]),
-                                np.array([freq_lag]), np.array([time_lag]),
-                                t, ensemble, seed)
+    values, _, _ = _estimate(config, model, cluster_index,
+                             np.array([spacing_tx]), np.array([spacing_rx]),
+                             np.array([freq_lag]), np.array([time_lag]),
+                             t, ensemble, seed)
     return complex(values[0])

@@ -105,7 +105,8 @@ def test_beam_diagonal_power_and_modulus():
     clusters = initial_clusters(cfg, rng)
     phases = draw_bdcm_phases(clusters, cfg, rng)
     for c in clusters[:3]:
-        bd = beam_domain_entries(c, 0.4, cfg, phases)
+        grid = VirtualAngleGrid.build(cfg.num_beams, cluster_ellipse(c, cfg))
+        bd = beam_domain_entries(c, 0.4, cfg, phases, grid)
         assert np.sum(np.abs(bd.nlos_diag) ** 2) == pytest.approx(c.power, rel=1e-12)
         assert np.all(bd.los_diag == 0)
 
@@ -115,7 +116,8 @@ def test_direct_beam_single_entry():
     rng = np.random.default_rng(6)
     clusters = initial_clusters(cfg, rng)
     phases = draw_bdcm_phases(clusters, cfg, rng)
-    bd = beam_domain_entries(clusters[0], 0.0, cfg, phases)
+    grid = VirtualAngleGrid.build(cfg.num_beams, cluster_ellipse(clusters[0], cfg))
+    bd = beam_domain_entries(clusters[0], 0.0, cfg, phases, grid)
     nz = np.nonzero(bd.los_diag)[0]
     assert len(nz) == 1
     m0 = los_beam_index(bd.grid)
@@ -148,11 +150,9 @@ def test_assembly_matches_triple_loop_oracle():
         diag_l = np.zeros(m, complex)
         diag_l[int(rng.integers(0, m))] = rng.normal() + 1j * rng.normal()
         diag_n = rng.normal(size=m) + 1j * rng.normal(size=m)
-        bd = BeamDomainChannel(los_diag=diag_l, nlos_diag=diag_n, grid=None,
-                               delay=0.0, cluster_uid=0)
+        bd = BeamDomainChannel(los_diag=diag_l, nlos_diag=diag_n, grid=None)
         from beamchan.bdcm import ResponseMatrix
-        got = assemble_antenna_domain(bd, ResponseMatrix(u_r, "receive"),
-                                      ResponseMatrix(u_t, "transmit"))
+        got = assemble_antenna_domain(bd, ResponseMatrix(u_r), ResponseMatrix(u_t))
         want = np.zeros((mr, mt), complex)
         for k in range(mr):
             for l in range(mt):
@@ -163,12 +163,11 @@ def test_assembly_matches_triple_loop_oracle():
 
 def test_assembly_dimension_check():
     bd = BeamDomainChannel(los_diag=np.zeros(4, complex),
-                           nlos_diag=np.zeros(4, complex), grid=None,
-                           delay=0.0, cluster_uid=0)
+                           nlos_diag=np.zeros(4, complex), grid=None)
     from beamchan.bdcm import ResponseMatrix
     with pytest.raises(ValueError):
-        assemble_antenna_domain(bd, ResponseMatrix(np.ones((2, 3), complex), "receive"),
-                                ResponseMatrix(np.ones((2, 4), complex), "transmit"))
+        assemble_antenna_domain(bd, ResponseMatrix(np.ones((2, 3), complex)),
+                                ResponseMatrix(np.ones((2, 4), complex)))
 
 
 def test_single_beam_telescopes_to_ray_phase():
@@ -196,8 +195,7 @@ def test_single_beam_telescopes_to_ray_phase():
         bd = beam_domain_entries(base, t, cfg, pb, grid)
         only = np.zeros_like(bd.nlos_diag)
         only[m - 1] = bd.nlos_diag[m - 1]
-        one = BeamDomainChannel(los_diag=np.zeros_like(only), nlos_diag=only,
-                                grid=grid, delay=bd.delay, cluster_uid=base.uid)
+        one = BeamDomainChannel(los_diag=np.zeros_like(only), nlos_diag=only, grid=grid)
         u_t = response_matrix_tx(grid, ell, cfg.array, cfg.wavelength)
         u_r = response_matrix_rx(grid, ell, cfg.array, cfg.wavelength)
         hb = assemble_antenna_domain(one, u_r, u_t)[1, 2]

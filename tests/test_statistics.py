@@ -1,6 +1,7 @@
 """Correlation estimators: exactness, oracles, restriction identities."""
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -90,6 +91,10 @@ def test_transfer_function_destructive_combination():
 @pytest.mark.parametrize("k, l, side, index", [
     (0, 1, "receive", 0), (4, 1, "receive", 4),
     (1, 0, "transmit", 0), (1, 3, "transmit", 3),
+    # True used to read antenna 1, 1.5 to raise IndexError, "1" TypeError
+    (True, 1, "receive", True), (1.5, 1, "receive", 1.5), (1, "1", "transmit", "1"),
+    # a non-finite frequency (given as ``index``) used to return nan
+    (1, 1, "freq", math.nan), (1, 1, "freq", math.inf),
 ])
 def test_transfer_rejects_antennas_outside_the_array(k, l, side, index):
     # index 0 used to wrap to the last antenna, num + 1 raised IndexError
@@ -97,8 +102,15 @@ def test_transfer_rejects_antennas_outside_the_array(k, l, side, index):
                                           spacing_tx=0.06, spacing_rx=0.06))
     rng = np.random.default_rng(2)
     real = gbsm_matrix(0.0, initial_clusters(cfg, rng), cfg, rng=rng)
-    with pytest.raises(ValueError, match=f"{side} antenna index {index} out of range"):
-        real.transfer(k, l, 0.0)
+    freq = 0.0
+    if side == "freq":
+        freq, want = index, f"freq must be a finite number, got {index!r}"
+    elif type(index) is int:
+        want = f"{side} antenna index {index} out of range"
+    else:
+        want = f"{side} antenna index must be an integer, got {index!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        real.transfer(k, l, freq)
 
 
 # ------------------------------------------------------------- exactness
@@ -711,33 +723,58 @@ def test_estimates_equal_full_draw_oracle(monkeypatch, model, mode, kfac):
                 assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
 
 
+def _member_builds(cfg, model, times, ensemble):
+    """Per member: the position of cluster 1 and one realization per time,
+    from the member's clusters at ``times[0]`` and one phase draw."""
+    build = gbsm_matrix if model == "gbsm" else bdcm_matrix
+    for member in range(ensemble):
+        clusters, rng = statistics.member_channel_state(cfg, cfg.seed, member, times[0])
+        phases = (draw_gbsm_phases(clusters, rng) if model == "gbsm"
+                  else draw_bdcm_phases(clusters, cfg, rng))
+        yield ([c.index for c in clusters].index(1),
+               [build(t, clusters, cfg, phases=phases) for t in times])
+
+
+def _empirical_correlation(pairs):
+    x, y = np.array(pairs).T
+    return np.mean(x * y.conj()) / math.sqrt(np.mean(np.abs(x) ** 2) * np.mean(np.abs(y) ** 2))
+
+
 @pytest.mark.parametrize("model", ["gbsm", "bdcm"])
 def test_builders_realize_the_estimated_space_correlation(model):
-    # the empirical receive-spacing correlation of builder realizations,
-    # each member's clusters and phases taken from the member's own
-    # streams, equals the estimate over the same members up to rounding.
-    # Only at d = the configured spacing: the estimator respaces the array
-    # for any other lag, which no built array shows.  Only at K = 0: with a
-    # direct path the builders draw its phase after every cluster's, the
-    # estimators right after cluster 1's.
-    cfg = SimulationConfig(array=ArrayConfig(num_tx=4, num_rx=4), num_beams=64,
-                           estimator_mode="sampled", seed=11, rician_k=0.0)
-    ensemble, pairs = 300, []
-    for member in range(ensemble):
-        clusters, rng = statistics.member_channel_state(cfg, cfg.seed, member, 1.0)
-        if model == "gbsm":
-            real = gbsm_matrix(1.0, clusters, cfg, phases=draw_gbsm_phases(clusters, rng))
-        else:
-            real = bdcm_matrix(1.0, clusters, cfg,
-                               phases=draw_bdcm_phases(clusters, cfg, rng))
-        first = [c.index for c in clusters].index(1)
-        pairs.append(real.coeffs[:2, 0, first])
-    x, y = np.array(pairs).T
-    empirical = np.mean(x * y.conj()) / math.sqrt(
-        np.mean(np.abs(x) ** 2) * np.mean(np.abs(y) ** 2))
-    series = space_ccf(cfg, model=model, spacing_grid=[0.0, cfg.array.spacing_rx],
-                       t=1.0, ensemble=ensemble, seed=cfg.seed)
-    assert abs(empirical - series.values[1]) < 1e-10
+    # the empirical correlation of builder realizations, each member's
+    # clusters and phases taken from the member's own streams, equals the
+    # estimate over the same members up to rounding, on every lag axis:
+    # receive and transmit spacing (cluster 1), frequency (all clusters,
+    # at antenna pair (1, 1), which no array newborn reaches) and time
+    # (cluster 1 at pair (1, 1), built at t and t + lag from the same
+    # phases; clusters frozen in time, since a build cannot kill one during
+    # the lag).  Spacing only at d = the configured spacing: the estimator
+    # respaces the array for any other lag, which no built array shows.
+    # Only at K = 0: with a direct path the builders draw its phase after
+    # every cluster's, the estimators right after cluster 1's.
+    ensemble, t, df, lag = 300, 1.0, 2e6, 0.01
+    for tilt in (math.pi / 2, 0.7):
+        arr = ArrayConfig(num_tx=4, num_rx=4, tilt_tx=tilt, tilt_rx=tilt)
+        cfg = SimulationConfig(array=arr, num_beams=64, estimator_mode="sampled", seed=11,
+                               rician_k=0.0)
+        frozen = cfg.with_values(evolution=EvolutionConfig(ms_speed=0.0))
+        rx, tx, freq, time = [], [], [], []
+        for first, (real,) in _member_builds(cfg, model, (t,), ensemble):
+            rx.append(real.coeffs[:2, 0, first])
+            tx.append(real.coeffs[0, :2, first])
+            freq.append((real.transfer(1, 1, 0.0), real.transfer(1, 1, df)))
+        for first, (now, later) in _member_builds(frozen, model, (t, t + lag), ensemble):
+            time.append((now.coeffs[0, 0, first], later.coeffs[0, 0, first]))
+        kw = dict(model=model, t=t, ensemble=ensemble, seed=cfg.seed)
+        estimates = {
+            "receive": (rx, space_ccf(cfg, spacing_grid=[0.0, arr.spacing_rx], **kw).values[1]),
+            "transmit": (tx, stfcf(cfg, spacing_tx=arr.spacing_tx, **kw)),
+            "frequency": (freq, fcf(cfg, freq_lag_grid=[0.0, df], **kw).values[1]),
+            "time": (time, time_acf(frozen, lag_grid=[0.0, lag], **kw).values[1]),
+        }
+        for axis, (pairs, estimate) in estimates.items():
+            assert abs(_empirical_correlation(pairs) - estimate) < 1e-10, (tilt, axis)
 
 
 @pytest.mark.parametrize("tilt", [math.pi / 2, 0.7])
@@ -1044,7 +1081,7 @@ def test_member_channel_state_rejects_bad_keys_by_name(seed, member, name):
         statistics.member_channel_state(SimulationConfig(), seed, member, 1.0)
 
 
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 77]
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 77, 2**200 + 1]
 # members 2^32 and up take two key words; one range mixes one and two
 STREAM_MEMBERS = [range(0, 2), range(255, 257), range(2**32 - 1, 2**32 + 1),
                   range(2**40, 2**40 + 2)]
