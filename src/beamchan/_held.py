@@ -43,9 +43,6 @@ class ArrayStore:
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -67,6 +64,13 @@ class ArrayStore:
                 self._entries[key] = entry
                 self._bytes += size
         return entry[0]
+
+    def held_first(self, keys) -> list[int]:
+        """Positions of ``keys``, held ones first (a stable sort): a caller
+        getting its entries in this order, when they need more than the
+        budget, evicts only entries it is done with, not the next one."""
+        with self._lock:
+            return sorted(range(len(keys)), key=lambda i: keys[i] not in self._entries)
 
 
 HELD = ArrayStore(BUDGET)

@@ -5,9 +5,9 @@ Stream (member, purpose) of a seed is the generator that
 spawn_key=(member, purpose)))`` would be.  Building those two objects
 costs about 19 us per stream (2.1 GHz Xeon, numpy 2.4), about as much as
 an estimator spends on a member's correlation terms.  So ``MemberStreams``
-takes the seed's pool of four 32-bit words from ``SeedSequence(seed)``,
-mixes in the member and purpose words and runs PCG64's seeding step for
-a run of members at once, bit for bit, loading each state into a reused generator.
+takes the seed's pool of four 32-bit words from ``SeedSequence(seed)`` and
+mixes in the member and purpose words for a run of members at once, giving
+the words each stream's SeedSequence would hand numpy's PCG64, bit for bit.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _words(n: int) -> list[int]:
@@ -63,20 +61,31 @@ def _seed_pool(seed: int):
             _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32)
 
 
+class _Words:
+    """One stream's seed sequence: PCG64 asks it for ``generate_state(4,
+    np.uint64)``, the words the stream's ``SeedSequence`` would return."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class MemberStreams:
     """The member streams of one seed, for a run of members.
 
     Stream (member, purpose) is the generator that
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(member, purpose)))``
-    would be, bit for bit.  Its PCG64 (state, inc) pairs are computed for
-    every member and purpose at once: the seed's part of the hash once, the
-    key words as (pool word, stream) uint32 arrays, then PCG64's seeding
-    step in Python ints.  ``get`` loads a state into the one
-    generator kept per purpose, so a stream is valid until the next
-    ``get`` of its purpose.
+    would be, bit for bit.  Its PCG64 seed words are computed for every
+    member and purpose at once: the seed's part of the hash once, the key
+    words as (pool word, stream) uint32 arrays.  ``get`` seeds a new PCG64.
     """
 
     def __init__(self, seed: int, members: range, purposes):
+        # registered here, not at import, to keep numpy.random out of ``import beamchan``
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(_Words)
         self.seed, self.start = seed, members.start
         pool, const = _seed_pool(seed)
         pool = np.array(pool, dtype=np.uint32)[:, None]
@@ -99,22 +108,11 @@ class MemberStreams:
         # two per uint64, low first
         before, after, _ = _steps(_INIT_B, 8, _MULT_B)
         out = _scramble(np.tile(pool, (2, 1)), before, after).astype(np.uint64)
-        s_hi, s_lo, q_hi, q_lo = (out[1::2] << np.uint64(32) | out[::2]).tolist()
-        # PCG64 seeding: inc = 2 * initseq + 1, then two steps from state 0
-        # with initstate added in between, modulo 2^128
-        self._states, self._generators = {}, {}
-        step = len(purposes)
-        for j, purpose in enumerate(purposes):
-            states = self._states[purpose] = []
-            for a, b, c, d in zip(s_hi[j::step], s_lo[j::step], q_hi[j::step], q_lo[j::step]):
-                inc = ((c << 64 | d) << 1 | 1) & _MASK128
-                states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
-            bits = np.random.PCG64(0)  # every get overwrites this state
-            self._generators[purpose] = (bits, np.random.Generator(bits))
+        # contiguous: PCG64 reads a stream's four words straight from memory
+        words = np.ascontiguousarray((out[1::2] << np.uint64(32) | out[::2]).T)
+        self._words = words.reshape(len(members), len(purposes), 4)
+        self._column = {purpose: j for j, purpose in enumerate(purposes)}
 
     def get(self, member: int, purpose: int) -> np.random.Generator:
-        bits, gen = self._generators[purpose]
-        state, inc = self._states[purpose][member - self.start]
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        return gen
+        words = self._words[member - self.start, self._column[purpose]]
+        return np.random.Generator(np.random.PCG64(_Words(words)))

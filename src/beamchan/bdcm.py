@@ -212,11 +212,8 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
             by_ellipse.setdefault(c.semi_major, []).append((i, c))
     slots = [(cluster_ellipse(members[0][1], config), members)
              for members in by_ellipse.values()]
-    # held bases first: the bases built after them then evict only bases
-    # this call is done with, so when the slots need more than the budget
-    # the held share still hits instead of each slot evicting the next
-    slots.sort(key=lambda slot: _basis_key(slot[0], config) not in HELD)
-    for ellipse, members in slots:
+    for s in HELD.held_first([_basis_key(ellipse, config) for ellipse, _ in slots]):
+        ellipse, members = slots[s]
         grid, u_r, u_t = _basis(ellipse, config)
         for i, c in members:
             rows, cols = c.visible_block()

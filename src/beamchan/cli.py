@@ -52,7 +52,6 @@ class ExperimentOutput:
     curves: list = field(default_factory=list)   # (label, CorrelationSeries)
     table: list | None = None                    # ComplexityReport rows (fig6)
     seed: int = 0
-    ensemble: int = 0
 
 
 def _models(model: str):
@@ -81,8 +80,7 @@ def run_experiment(config: SimulationConfig, experiment: str,
     require_integer("seed", seed)
     require_integer("ensemble", ensemble)
     seed, ensemble = int(seed), int(ensemble)
-    out = ExperimentOutput(experiment=experiment, config=config, seed=seed,
-                           ensemble=ensemble)
+    out = ExperimentOutput(experiment=experiment, config=config, seed=seed)
     if experiment == "fig6_complexity":
         out.table = complexity_sweep(range(1, 11), config.rays_per_cluster,
                                      20, [20, 200, 400])
@@ -170,23 +168,28 @@ def _realization_csv(digest, real, seed) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_output(out: ExperimentOutput, outdir) -> list[Path]:
-    """Write one CSV per curve (or the cost table) and return the paths."""
+def _write(outdir, files: dict) -> list[Path]:
+    """Write each ``{name: text}`` of ``files`` into ``outdir``, created if
+    missing, and return the paths.  Callers build every text first, so
+    rejected input leaves no directory behind."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    paths = [outdir / name for name in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text, encoding="utf-8")
+    return paths
+
+
+def write_output(out: ExperimentOutput, outdir) -> list[Path]:
+    """Write one CSV per curve (or the cost table) and return the paths."""
     digest = config_hash(out.config)
+    files = {}
     if out.table is not None:
-        path = outdir / f"{out.experiment}.csv"
-        path.write_text(_table_csv(digest, out.table), encoding="utf-8")
-        written.append(path)
+        files[f"{out.experiment}.csv"] = _table_csv(digest, out.table)
     for label, series in out.curves:
-        path = outdir / f"{out.experiment}_{label}.csv"
-        path.write_text(
-            _curve_csv(digest, out.experiment, label, series, out.seed),
-            encoding="utf-8")
-        written.append(path)
-    return written
+        files[f"{out.experiment}_{label}.csv"] = _curve_csv(
+            digest, out.experiment, label, series, out.seed)
+    return _write(outdir, files)
 
 
 def _load(args) -> SimulationConfig:
@@ -199,14 +202,12 @@ def _load(args) -> SimulationConfig:
     return cfg.with_values(**updates) if updates else cfg
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list[Path]:
     config = _load(args)
     t = float(args.time)
     clusters, rng = member_channel_state(config, config.seed, 0, t)
-    written = []
     digest = config_hash(config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    files = {}
     for m in _models(args.model):
         if m == "gbsm":
             real = gbsm_matrix(t, clusters, config,
@@ -214,55 +215,35 @@ def _cmd_simulate(args) -> int:
         else:
             real = bdcm_matrix(t, clusters, config,
                                phases=draw_bdcm_phases(clusters, config, rng))
-        path = outdir / f"simulate_{m}.csv"
-        path.write_text(_realization_csv(digest, real, config.seed),
-                        encoding="utf-8")
-        written.append(path)
-    for p in written:
-        print(p)
-    return 0
+        files[f"simulate_{m}.csv"] = _realization_csv(digest, real, config.seed)
+    return _write(args.out, files)
 
 
 _KINDS = {"space_ccf": space_ccf, "time_acf": time_acf, "fcf": fcf}
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> list[Path]:
     config = _load(args)
     estimator = _KINDS[args.kind]
-    # every estimate runs before the output directory exists, so rejected
-    # input leaves nothing behind
-    curves = {m: estimator(config, model=m, t=float(args.time),
-                           ensemble=config.ensemble, seed=config.seed)
-              for m in _models(args.model)}
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
     digest = config_hash(config)
-    for m, series in curves.items():
-        path = outdir / f"stats_{args.kind}_{m}.csv"
-        path.write_text(_curve_csv(digest, "stats", m, series, config.seed),
-                        encoding="utf-8")
-        written.append(path)
-    for p in written:
-        print(p)
-    return 0
+    files = {}
+    for m in _models(args.model):
+        series = estimator(config, model=m, t=float(args.time),
+                           ensemble=config.ensemble, seed=config.seed)
+        files[f"stats_{args.kind}_{m}.csv"] = _curve_csv(digest, "stats", m, series,
+                                                         config.seed)
+    return _write(args.out, files)
 
 
-def _cmd_complexity(args) -> int:
-    config = _load(args)
-    out = run_experiment(config, "fig6_complexity")
-    for p in write_output(out, args.out):
-        print(p)
-    return 0
+def _cmd_complexity(args) -> list[Path]:
+    return write_output(run_experiment(_load(args), "fig6_complexity"), args.out)
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> list[Path]:
     config = load_config(args.config) if args.config else preset(args.figure)
     out = run_experiment(config, EXPERIMENTS[args.figure], model=args.model,
                          seed=args.seed, ensemble=args.ensemble)
-    for p in write_output(out, args.out):
-        print(p)
-    return 0
+    return write_output(out, args.out)
 
 
 def _common_flags(sub, ensemble=True):
@@ -308,10 +289,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        paths = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for path in paths:
+        print(path)
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import require_integer
+
 __all__ = [
     "ComplexityReport",
     "ro_gbsm",
@@ -31,9 +33,10 @@ class ComplexityReport:
     beams: int | None = None
 
 
-def _check_positive(**params):
-    for name, value in params.items():
-        if int(value) != value or value < 1:
+def _require_counts(**counts):
+    for name, value in counts.items():
+        require_integer(name, value)
+        if value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -43,7 +46,7 @@ def ro_gbsm(num_rx: int, num_tx: int, rays: int, clusters: int) -> int:
     Direct-path part plus, per cluster, the ray sum over every antenna
     pair, plus one addition combining the two parts.
     """
-    _check_positive(num_rx=num_rx, num_tx=num_tx, rays=rays, clusters=clusters)
+    _require_counts(num_rx=num_rx, num_tx=num_tx, rays=rays, clusters=clusters)
     pairs = int(num_rx) * int(num_tx)
     los = 174 * pairs + 3
     nlos = int(clusters) * ((int(rays) - 1) * (208 * pairs + 19) + 4)
@@ -52,7 +55,7 @@ def ro_gbsm(num_rx: int, num_tx: int, rays: int, clusters: int) -> int:
 
 def ro_bdcm_split(num_rx: int, num_tx: int, beams: int) -> tuple[int, int]:
     """(direct-path, diffuse) RO counts of one beam-domain sample."""
-    _check_positive(num_rx=num_rx, num_tx=num_tx, beams=beams)
+    _require_counts(num_rx=num_rx, num_tx=num_tx, beams=beams)
     s = int(num_rx) + int(num_tx)
     los = 3 + (122 * s + 181) * int(beams)
     nlos = 3 + (122 * s + 77) * int(beams)

@@ -74,8 +74,10 @@ class SimulationConfig:
             raise ValueError("kappa must be nonnegative")
         if self.delay_spacing <= 0:
             raise ValueError("delay_spacing must be positive")
-        if self.mean_clusters is not None and not 0 < self.mean_clusters < math.inf:
-            raise ValueError(f"mean_clusters must be finite and positive, got {self.mean_clusters!r}")
+        if self.mean_clusters is not None:
+            require_real("mean_clusters", self.mean_clusters)
+            if self.mean_clusters <= 0:
+                raise ValueError(f"mean_clusters must be positive, got {self.mean_clusters!r}")
         if self.mean_clusters is None and self.evolution.death_rate <= 0:
             raise ValueError(
                 "mean_clusters must be set when evolution.death_rate is zero")
@@ -85,7 +87,10 @@ class SimulationConfig:
             raise ValueError(f"normalization must be one of {_NORMS}")
         if self.beam_weighting not in _WEIGHTINGS:
             raise ValueError(f"beam_weighting must be one of {_WEIGHTINGS}")
-        object.__setattr__(self, "time_samples", tuple(self.time_samples))
+        try:
+            object.__setattr__(self, "time_samples", tuple(self.time_samples))
+        except TypeError:
+            raise ValueError(f"time_samples must be a list of times, got {self.time_samples!r}") from None
         for t in self.time_samples:
             require_real("time_samples", t)
         if not self.time_samples or min(self.time_samples) < 0:
@@ -104,43 +109,35 @@ class SimulationConfig:
 _SECTIONS = {"array": ArrayConfig, "ellipse": EllipseConfig, "evolution": EvolutionConfig}
 
 
-def _build_section(name, cls, data):
+def _build(cls, data, section=None):
+    """``cls`` from a parsed JSON object: the config root when ``section``
+    is None, else the named section of it."""
     if not isinstance(data, dict):
-        raise ValueError(f"config section '{name}' must be an object")
-    valid = cls.__dataclass_fields__.keys()
-    for key in data:
-        if key not in valid:
-            raise ValueError(f"unknown key '{name}.{key}' in config")
+        raise ValueError("config root must be a JSON object" if section is None
+                         else f"config section '{section}' must be an object")
+    prefix = "" if section is None else f"{section}."
+    kwargs = {}
+    for key, value in data.items():
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"unknown key '{prefix}{key}' in config")
+        kwargs[key] = (_build(_SECTIONS[key], value, key)
+                       if section is None and key in _SECTIONS else value)
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid config section '{name}': {exc}") from exc
+        where = "config" if section is None else f"config section '{section}'"
+        raise ValueError(f"invalid {where}: {exc}") from exc
 
 
 def loads_config(text: str) -> SimulationConfig:
     """Parse a JSON config string; empty input falls back to the defaults."""
     if not text.strip():
-        data = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
-    kwargs = {}
-    top_fields = SimulationConfig.__dataclass_fields__.keys()
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(key, _SECTIONS[key], value)
-        elif key in top_fields:
-            kwargs[key] = value
-        else:
-            raise ValueError(f"unknown key '{key}' in config")
+        return SimulationConfig()
     try:
-        return SimulationConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid config: {exc}") from exc
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
+    return _build(SimulationConfig, data)
 
 
 def load_config(path) -> SimulationConfig:

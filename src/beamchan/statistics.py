@@ -34,10 +34,10 @@ and average out of the numerator, so they are excluded throughout.
 
 Seeding: member j, purpose p draws from the stream that
 default_rng(SeedSequence(entropy=seed, spawn_key=(j, p))) would be, bit
-for bit.  ``_streams.MemberStreams`` computes the PCG64 states of a
-whole chunk in one vectorized pass (the seed's part of the hash once,
-the key words as arrays) and loads each into one generator kept per
-purpose, instead of building a SeedSequence and a generator per stream.
+for bit.  ``_streams.MemberStreams`` computes the seed words of a whole
+chunk's streams in one vectorized pass (the seed's part of the hash once,
+the key words as arrays), and numpy's PCG64 seeds each stream from its
+words, instead of a SeedSequence being built per stream.
 Enlarging the ensemble never perturbs existing members, and model
 choice does not enter the state streams, so paired model comparisons
 see identical cluster histories.
@@ -69,6 +69,7 @@ fresh, a table is the same bytes.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -78,7 +79,7 @@ import numpy as np
 
 from ._held import HELD
 from ._streams import MemberStreams
-from .bdcm import beam_weights, center_los_doppler
+from .bdcm import beam_weights, center_los_doppler, los_beam_index
 from .clusters import (
     ClusterDraws,
     evolve_array,
@@ -159,8 +160,8 @@ def _require_index(name: str, value) -> None:
 
 
 def _require_time(t) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite non-negative time, got {t}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be a finite non-negative time, got {t!r}")
 
 
 def _member_state(draws, streams, member, t, cluster_index=None):
@@ -214,7 +215,6 @@ def member_channel_state(config, seed: int, member: int, t: float):
         clusters = evolve_time(clusters, t, config, streams.get(member, _STREAM_EVOLVE))
     clusters = evolve_array(clusters, config.array, config.evolution,
                             streams.get(member, _STREAM_ARRAY), config=config)
-    # the only phase stream these streams hand out, so no later get reloads it
     return clusters, streams.get(member, _STREAM_PHASE)
 
 
@@ -322,8 +322,10 @@ class _LagContext:
                                          aod=aod_from_aoa(angles, config.ellipse))
             self.beam_doppler = ray_doppler(angles, config.max_doppler,
                                             config.velocity_angle)
-            # the beam-domain direct path rides each slot's last beam with
-            # the array-center Doppler
+            # the beam-domain direct path rides each slot's direct-path beam
+            # with the array-center Doppler
+            m0 = los_beam_index(self.grid)
+            self.direct_beam = slice(m0 - 1, m0) if self.kfac > 0 else None
             self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
             self.direct_key = t if self.kfac > 0 else None
         elif self.kfac > 0:
@@ -351,9 +353,9 @@ class _LagContext:
         """Beam tables of one delay slot's ellipse and, with K > 0, its
         direct-path rows; read-only, held across chunks and calls."""
         return HELD.get(self.slot_key(semi_major),
-                        lambda: self.tables(self.grid.aoa, semi_major, self.kfac > 0)[1:])
+                        lambda: self.tables(self.grid.aoa, semi_major, self.direct_beam)[1:])
 
-    def tables(self, ang, semi_major, direct=False):
+    def tables(self, ang, semi_major, direct=None):
         """Per-path Doppler and phasor tables over the distinct lag columns.
 
         Path p arrives at ``ang[p]`` from the ellipse ``semi_major[p]``
@@ -362,9 +364,9 @@ class _LagContext:
         Sampled mode gives the reference and probe geometry phasors; the
         per-path phases and the Doppler rotation at t enter later as a
         diagonal.  The time-lag Doppler rotation is part of the tables in
-        both modes.  With ``direct``, the last item holds the direct-path
-        row along the last path (a delay slot's beam at angle pi), in the
-        same form as the tables.
+        both modes.  With ``direct``, a slice of the one path the direct
+        path rides (the beam ``bdcm.los_beam_index`` picks), the last item
+        holds the direct-path row along it, in the same form as the tables.
         """
         cfg = self.config
         ell = _PathEllipses(semi_major, cfg.ellipse.focal_half)
@@ -375,8 +377,8 @@ class _LagContext:
         rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
         lag_phase = (TWO_PI * doppler[:, None] * self.lag_time[None, :])[:, self.col_lag]
-        rows = None if not direct else self._direct_row(
-            self._columns(tx_x[-1:] + rx_x[-1:]), self._columns(tx_y[-1:] + rx_y[-1:]),
+        rows = None if direct is None else self._direct_row(
+            self._columns(tx_x[direct] + rx_x[direct]), self._columns(tx_y[direct] + rx_y[direct]),
             self.center_doppler, self.center_doppler)
         if self.sampled:
             return doppler, (self._columns(np.exp(1j * self.wn * (tx_x + rx_x))),
@@ -459,10 +461,8 @@ def _block_terms(ctx: _LagContext, block, phases=None):
         rows = [np.empty((np.count_nonzero(direct), ctx.width), dtype=complex) for _ in out]
         # the inverse form: plain np.unique imports numpy.ma on first use
         semi, slot = np.unique(semi_major, return_inverse=True)
-        # held slots first, so that when the slots need more than the store's
-        # budget the tables built after them evict only tables already used;
         # each slot writes its own rows, so the order leaves the bytes alone
-        for s in sorted(range(semi.size), key=lambda s: ctx.slot_key(semi[s]) not in HELD):
+        for s in HELD.held_first([ctx.slot_key(v) for v in semi]):
             tables, slot_rows = ctx.slot_tables(semi[s])
             mine = slot == s
             for o, table in zip(out, tables):

@@ -123,12 +123,23 @@ def test_float_fields_reject_non_finite_values(tmp_path, capsys, section, name, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("samples", [("a",), (math.nan,), (math.inf,), (-1.0,), (True,), ()])
+@pytest.mark.parametrize("samples", [("a",), (math.nan,), (math.inf,), (-1.0,), (True,), (),
+                                     1.0])
 def test_time_samples_must_be_finite_non_negative_times(samples):
     with pytest.raises(ValueError, match="time_samples must be"):
         SimulationConfig(time_samples=samples)
     with pytest.raises(ValueError, match="time_samples must be"):
-        loads_config(json.dumps({"time_samples": list(samples)}))
+        loads_config(json.dumps({"time_samples": samples}))
+
+
+@pytest.mark.parametrize("value", [True, "3", 0.0, -2.0])
+def test_mean_clusters_must_be_a_positive_number(value):
+    # a bool used to load as a mean of one cluster, a string to fail
+    # inside a comparison without naming the field
+    with pytest.raises(ValueError, match="mean_clusters must be"):
+        SimulationConfig(mean_clusters=value)
+    with pytest.raises(ValueError, match="mean_clusters must be"):
+        loads_config(json.dumps({"mean_clusters": value}))
 
 
 @pytest.mark.parametrize("name,value", [("ensemble", 10.7), ("ensemble", True),

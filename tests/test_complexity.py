@@ -1,4 +1,6 @@
 """Operation-count formulas: exact values, structure, validation."""
+import math
+
 import pytest
 
 from beamchan.complexity import (
@@ -85,6 +87,12 @@ def test_validation():
         complexity_sweep([], 20, 20, [20])
     with pytest.raises(ValueError):
         complexity_sweep([1], 20, 20, [])
+    # bools, floats and non-finite values are not counts, and fail by name
+    for bad in (True, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="num_rx must be an integer"):
+            ro_gbsm(bad, 2, 3, 4)
+        with pytest.raises(ValueError, match="beams must be an integer"):
+            ro_bdcm(1, 1, bad)
 
 
 def test_sweep_shape_and_contents():

@@ -992,6 +992,8 @@ def test_validation_errors():
     (lambda cfg: time_acf(cfg, t=math.nan), "t must be"),
     (lambda cfg: space_ccf(cfg, t=math.inf), "t must be"),
     (lambda cfg: fcf(cfg, t=-0.5), "t must be"),
+    (lambda cfg: time_acf(cfg, t=True), "t must be"),
+    (lambda cfg: space_ccf(cfg, t="1"), "t must be"),
     (lambda cfg: time_acf(cfg, lag_grid=[0.0, -0.01]), "time lags must be non-negative"),
     (lambda cfg: stfcf(cfg, time_lag=-0.01), "time lags must be non-negative"),
     (lambda cfg: time_acf(cfg, lag_grid=[0.0, math.nan]), "time lags must be finite"),
@@ -1000,13 +1002,13 @@ def test_validation_errors():
     (lambda cfg: stfcf(cfg, spacing_tx=math.inf), "transmit spacing lags must be finite"),
     (lambda cfg: fcf(cfg, freq_lag_grid=[0.0, math.nan]), "frequency lags must be finite"),
     (lambda cfg: stfcf(cfg, freq_lag=-math.inf), "frequency lags must be finite"),
-], ids=["t-negative", "t-nan", "t-inf", "fcf-t-negative", "time-lag-negative",
-        "stfcf-time-lag-negative", "time-lag-nan", "rx-spacing-nan", "tx-spacing-inf",
-        "freq-lag-nan", "freq-lag-minus-inf"])
+], ids=["t-negative", "t-nan", "t-inf", "fcf-t-negative", "t-bool", "t-string",
+        "time-lag-negative", "stfcf-time-lag-negative", "time-lag-nan", "rx-spacing-nan",
+        "tx-spacing-inf", "freq-lag-nan", "freq-lag-minus-inf"])
 def test_bad_times_and_lags_raise_naming_them(call, message):
     # each used to run: t < 0 or NaN gave the t = 0 curve labelled with
     # the bad time, a negative time lag skipped the survival gate, a NaN
-    # lag returned 0
+    # lag returned 0; a bool t ran as a time and a string t failed unnamed
     with pytest.raises(ValueError, match=message):
         call(preset("fig4").with_values(ensemble=8, seed=1))
 
@@ -1091,7 +1093,7 @@ STREAM_PURPOSES = [getattr(statistics, name) for name in dir(statistics)
 
 def _first_draws(rng):
     # the int32 draw takes half of a 64-bit output and buffers the other
-    # half (has_uint32), which a state load must clear
+    # half (has_uint32), which a fresh stream must not carry
     return (rng.uniform(), rng.exponential(), rng.vonmises(0.3, 2.0),
             int(rng.integers(0, 2**31 - 1, dtype=np.int32)), int(rng.poisson(7.5)))
 
@@ -1101,8 +1103,7 @@ def test_stream_states_equal_seed_sequence_bit_for_bit(seed):
     assert sorted(STREAM_PURPOSES) == sorted(statistics._PURPOSES)
     for members in STREAM_MEMBERS:
         streams = MemberStreams(seed, members, STREAM_PURPOSES)
-        # each purpose's generator is reused: every member is loaded twice,
-        # after draws from the other member
+        # every member is got twice, after draws from the other member
         for member in [*members, *members]:
             for purpose in STREAM_PURPOSES:
                 got = streams.get(member, purpose)
@@ -1111,11 +1112,16 @@ def test_stream_states_equal_seed_sequence_bit_for_bit(seed):
                 assert _first_draws(got) == _first_draws(want)
 
 
-def test_stream_generators_are_reused_per_purpose():
+def test_streams_of_one_purpose_are_independent():
+    # drawing from a later stream of the same purpose leaves an earlier
+    # one where it was
     streams = MemberStreams(5, range(3), statistics._PURPOSES)
-    init = streams.get(0, statistics._STREAM_INIT)
-    assert streams.get(2, statistics._STREAM_INIT) is init
-    assert streams.get(2, statistics._STREAM_BUDGET) is not init
+    first = streams.get(0, statistics._STREAM_INIT)
+    want = member_stream(5, 0, statistics._STREAM_INIT)
+    assert _first_draws(first) == _first_draws(want)
+    _first_draws(streams.get(2, statistics._STREAM_INIT))
+    assert _first_draws(first) == _first_draws(want)
+    assert first.bit_generator.state == want.bit_generator.state
 
 
 def test_worker_env_does_not_change_results():
