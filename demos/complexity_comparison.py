@@ -8,17 +8,16 @@ large beam grid the bookkeeping overhead per beam can make it lose.
 Both cases show up in the table below.
 """
 from beamchan import ro_bdcm, ro_gbsm
+from beamchan.complexity import complexity_sweep
 
 RAYS = 20
 CLUSTERS = 20
 
 print(f"{'antennas':>9} {'pairs':>7} | {'M=20':>12} {'M=200':>13} "
       f"{'M=400':>13} | {'antenna-domain':>15}")
-for n in (1, 2, 4, 8, 16, 32, 64):
-    g = ro_gbsm(n, n, RAYS, CLUSTERS)
-    b = [ro_bdcm(n, n, m) for m in (20, 200, 400)]
-    print(f"{n:>4}x{n:<4} {n * n:>7} | {b[0]:>12,} {b[1]:>13,} "
-          f"{b[2]:>13,} | {g:>15,}")
+for n, g, b in complexity_sweep((1, 2, 4, 8, 16, 32, 64), RAYS, CLUSTERS, (20, 200, 400)):
+    print(f"{n:>4}x{n:<4} {n * n:>7} | {b[20]:>12,} {b[200]:>13,} "
+          f"{b[400]:>13,} | {g:>15,}")
 
 print()
 ratio = ro_gbsm(32, 32, RAYS, CLUSTERS) / ro_bdcm(32, 32, 400)

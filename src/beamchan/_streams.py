@@ -86,7 +86,7 @@ class MemberStreams:
         # registered here, not at import, to keep numpy.random out of ``import beamchan``
         from numpy.random.bit_generator import ISeedSequence
         ISeedSequence.register(_Words)
-        self.seed, self.start = seed, members.start
+        self.seed, self.start, self.stop = seed, members.start, members.start + len(members)
         pool, const = _seed_pool(seed)
         pool = np.array(pool, dtype=np.uint32)[:, None]
         # stream (member i, purpose j) is column i * len(purposes) + j; its
@@ -114,5 +114,8 @@ class MemberStreams:
         self._column = {purpose: j for j, purpose in enumerate(purposes)}
 
     def get(self, member: int, purpose: int) -> np.random.Generator:
+        if not self.start <= member < self.stop:
+            raise ValueError(f"member {member} is outside this chunk's members "
+                             f"{self.start} to {self.stop - 1}")
         words = self._words[member - self.start, self._column[purpose]]
         return np.random.Generator(np.random.PCG64(_Words(words)))

@@ -50,7 +50,7 @@ class ExperimentOutput:
     experiment: str
     config: SimulationConfig
     curves: list = field(default_factory=list)   # (label, CorrelationSeries)
-    table: list | None = None                    # ComplexityReport rows (fig6)
+    table: list | None = None                    # complexity_sweep rows (fig6)
     seed: int = 0
 
 
@@ -91,11 +91,14 @@ def run_experiment(config: SimulationConfig, experiment: str,
             series = space_ccf(config, model=m, t=t, ensemble=ensemble, seed=seed)
             out.curves.append((m, series))
     elif experiment == "fig4_acf":
+        times = {f"t{t:g}": float(t) for t in config.time_samples}
+        if len(times) < len(config.time_samples):
+            raise ValueError("time_samples must give distinct curve labels "
+                             f"t{{t:g}}, got {config.time_samples}")
         for m in _models(model):
-            for t in config.time_samples:
-                series = time_acf(config, model=m, t=float(t), ensemble=ensemble,
-                                  seed=seed)
-                out.curves.append((f"{m}_t{t:g}", series))
+            for label, t in times.items():
+                series = time_acf(config, model=m, t=t, ensemble=ensemble, seed=seed)
+                out.curves.append((f"{m}_{label}", series))
     elif experiment == "fig5_fcf":
         t = config.time_samples[0]
         cases = (("nlos", config.with_values(rician_k=0.0)),
@@ -141,12 +144,8 @@ def _curve_csv(digest, experiment, label, series: CorrelationSeries,
 def _table_csv(digest, table) -> str:
     lines = _header_lines(digest, "fig6_complexity", {})
     lines.append("antenna_pairs,beams,gbsm_ro,bdcm_ro")
-    gbsm = {r.num_rx: r.ro_count for r in table if r.model == "gbsm"}
-    for row in table:
-        if row.model != "bdcm":
-            continue
-        lines.append(f"{row.num_rx * row.num_tx},{row.beams},"
-                     f"{gbsm[row.num_rx]},{row.ro_count}")
+    for n, gbsm, bdcm in table:
+        lines += [f"{n * n},{m},{gbsm},{b}" for m, b in bdcm.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -206,15 +205,14 @@ def _cmd_simulate(args) -> list[Path]:
     config = _load(args)
     t = float(args.time)
     clusters, rng = member_channel_state(config, config.seed, 0, t)
+    # both draws, in this order, whatever --model asks: one realization per seed
+    phases = {"gbsm": draw_gbsm_phases(clusters, rng),
+              "bdcm": draw_bdcm_phases(clusters, config, rng)}
+    builders = {"gbsm": gbsm_matrix, "bdcm": bdcm_matrix}
     digest = config_hash(config)
     files = {}
     for m in _models(args.model):
-        if m == "gbsm":
-            real = gbsm_matrix(t, clusters, config,
-                               phases=draw_gbsm_phases(clusters, rng))
-        else:
-            real = bdcm_matrix(t, clusters, config,
-                               phases=draw_bdcm_phases(clusters, config, rng))
+        real = builders[m](t, clusters, config, phases=phases[m])
         files[f"simulate_{m}.csv"] = _realization_csv(digest, real, config.seed)
     return _write(args.out, files)
 
@@ -233,10 +231,6 @@ def _cmd_stats(args) -> list[Path]:
         files[f"stats_{args.kind}_{m}.csv"] = _curve_csv(digest, "stats", m, series,
                                                          config.seed)
     return _write(args.out, files)
-
-
-def _cmd_complexity(args) -> list[Path]:
-    return write_output(run_experiment(_load(args), "fig6_complexity"), args.out)
 
 
 def _cmd_reproduce(args) -> list[Path]:
@@ -277,10 +271,6 @@ def main(argv=None) -> int:
     stats.add_argument("--kind", default="space_ccf", choices=sorted(_KINDS))
     stats.add_argument("--time", type=float, default=1.0)
     stats.set_defaults(func=_cmd_stats)
-
-    comp = subs.add_parser("complexity", help="write the cost sweep table")
-    _common_flags(comp, ensemble=False)
-    comp.set_defaults(func=_cmd_complexity)
 
     rep = subs.add_parser("reproduce", help="rebuild one figure dataset")
     rep.add_argument("figure", choices=PRESET_NAMES)

@@ -9,28 +9,9 @@ M_R * M_T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geometry import require_integer
 
-__all__ = [
-    "ComplexityReport",
-    "ro_gbsm",
-    "ro_bdcm",
-    "ro_bdcm_split",
-    "complexity_sweep",
-]
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    model: str
-    ro_count: int
-    num_rx: int
-    num_tx: int
-    rays: int | None = None
-    clusters: int | None = None
-    beams: int | None = None
+__all__ = ["ro_gbsm", "ro_bdcm", "ro_bdcm_split", "complexity_sweep"]
 
 
 def _require_counts(**counts):
@@ -69,25 +50,17 @@ def ro_bdcm(num_rx: int, num_tx: int, beams: int) -> int:
 
 
 def complexity_sweep(antenna_range, rays: int, clusters: int, beam_values
-                     ) -> list[ComplexityReport]:
-    """Cost table over square array sizes, one row per model variant.
-
-    For each antenna count n in ``antenna_range`` the table holds the
-    antenna-domain count (depends on rays and clusters, not beams) and
-    one beam-domain count per entry of ``beam_values``.
+                     ) -> list[tuple[int, int, dict[int, int]]]:
+    """Cost table over square n x n arrays, one row per antenna count n in
+    ``antenna_range``: ``(n, gbsm, bdcm)``, with the antenna-domain count
+    (depends on rays and clusters, not beams) and ``bdcm`` mapping each
+    entry of ``beam_values``, in order, to its beam-domain count.
     """
     antenna_range = list(antenna_range)
     beam_values = list(beam_values)
     if not antenna_range or not beam_values:
         raise ValueError("antenna_range and beam_values must be non-empty")
-    table = []
-    for n in antenna_range:
-        table.append(ComplexityReport(model="gbsm",
-                                      ro_count=ro_gbsm(n, n, rays, clusters),
-                                      num_rx=n, num_tx=n, rays=rays,
-                                      clusters=clusters))
-        for m in beam_values:
-            table.append(ComplexityReport(model="bdcm",
-                                          ro_count=ro_bdcm(n, n, m),
-                                          num_rx=n, num_tx=n, beams=m))
-    return table
+    if len(set(beam_values)) < len(beam_values):
+        raise ValueError(f"beam_values must be distinct, got {beam_values}")
+    return [(n, ro_gbsm(n, n, rays, clusters), {m: ro_bdcm(n, n, m) for m in beam_values})
+            for n in antenna_range]

@@ -152,6 +152,16 @@ def test_run_experiment_rejects_a_non_integer_argument(experiment, name, value):
         run_experiment(cfg, experiment, **{name: value})
 
 
+@pytest.mark.parametrize("samples", [(1.0, 1.0), (1.0, 1.0000001)])
+def test_fig4_rejects_time_samples_with_one_curve_label(monkeypatch, samples):
+    # both times are curve t1; each used to run and the second overwrote the first
+    import beamchan.cli as cli
+    monkeypatch.setattr(cli, "time_acf", lambda *a, **k: pytest.fail("an estimate ran"))
+    cfg = loads_config(json.dumps(SMALL)).with_values(time_samples=samples)
+    with pytest.raises(ValueError, match=r"time_samples must give distinct curve labels"):
+        run_experiment(cfg, "fig4_acf", ensemble=4)
+
+
 @pytest.mark.parametrize("module", ["beamchan", "beamchan.cli"])
 def test_module_entry_points_run_without_warnings(module):
     # the package used to import beamchan.cli itself, so running it as
@@ -221,6 +231,20 @@ def test_simulate_writes_both_models(tmp_path, capsys):
         assert {(r[0], r[1]) for r in rows} == pairs
         for r in rows:
             float(r[3]), float(r[4]), float(r[5])
+
+
+def test_simulate_writes_one_realization_per_seed(tmp_path, capsys):
+    # each model's file is the same bytes whichever models --model asks for;
+    # bdcm alone used to draw its phases where gbsm's come from
+    files = {}
+    for model in ("both", "gbsm", "bdcm"):
+        out = tmp_path / model
+        assert main(["simulate", "--config", str(small_path(tmp_path)), "--seed", "3",
+                     "--model", model, "--out", str(out)]) == 0
+        files.update({(model, p.name): p.read_bytes() for p in out.iterdir()})
+    assert len(files) == 4
+    for m in ("gbsm", "bdcm"):
+        assert files[(m, f"simulate_{m}.csv")] == files[("both", f"simulate_{m}.csv")]
 
 
 @pytest.mark.parametrize("time", ["nan", "inf", "-1"])
@@ -302,15 +326,11 @@ def test_reproduce_fig6_contains_known_row(tmp_path):
     assert sum(not l.startswith("#") for l in lines) == 1 + 30
 
 
-def test_complexity_command_matches_reproduce(tmp_path):
-    # same table either way; the header hash differs because reproduce
-    # uses the bundled preset config
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["complexity", "--out", str(a)]) == 0
-    assert main(["reproduce", "fig6", "--out", str(b)]) == 0
-    rows = lambda p: [l for l in p.read_text().splitlines()
-                      if not l.startswith("#")]
-    assert rows(a / "fig6_complexity.csv") == rows(b / "fig6_complexity.csv")
+def test_complexity_is_reproduce_fig6_only():
+    # the cost table has one command; a second one printed the same rows
+    with pytest.raises(SystemExit) as e:
+        main(["complexity", "--out", "unused"])
+    assert e.value.code == 2
 
 
 def test_reproduce_overrides_reach_the_header(tmp_path):

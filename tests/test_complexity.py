@@ -4,7 +4,6 @@ import math
 import pytest
 
 from beamchan.complexity import (
-    ComplexityReport,
     complexity_sweep,
     ro_bdcm,
     ro_bdcm_split,
@@ -87,6 +86,9 @@ def test_validation():
         complexity_sweep([], 20, 20, [20])
     with pytest.raises(ValueError):
         complexity_sweep([1], 20, 20, [])
+    # a row maps each beam count to its cost, so a repeated count would drop a column
+    with pytest.raises(ValueError, match="beam_values must be distinct"):
+        complexity_sweep([1], 20, 20, [20, 200, 20])
     # bools, floats and non-finite values are not counts, and fail by name
     for bad in (True, 2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="num_rx must be an integer"):
@@ -97,11 +99,9 @@ def test_validation():
 
 def test_sweep_shape_and_contents():
     table = complexity_sweep(range(1, 11), 20, 20, [20, 200, 400])
-    assert len(table) == 10 * 4
-    gbsm_rows = [r for r in table if r.model == "gbsm"]
-    bdcm_rows = [r for r in table if r.model == "bdcm"]
-    assert len(gbsm_rows) == 10 and len(bdcm_rows) == 30
-    assert all(isinstance(r, ComplexityReport) for r in table)
-    assert all(r.ro_count > 0 for r in table)
-    row = next(r for r in bdcm_rows if r.num_rx == 5 and r.beams == 200)
-    assert row.ro_count == ro_bdcm(5, 5, 200)
+    # one row per antenna count: n, the GBSM count, the BDCM count per beam grid
+    assert [n for n, _, _ in table] == list(range(1, 11))
+    assert all(list(bdcm) == [20, 200, 400] for _, _, bdcm in table)
+    assert all(gbsm > 0 and min(bdcm.values()) > 0 for _, gbsm, bdcm in table)
+    n, gbsm, bdcm = table[4]
+    assert n == 5 and gbsm == ro_gbsm(5, 5, 20, 20) and bdcm[200] == ro_bdcm(5, 5, 200)

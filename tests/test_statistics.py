@@ -207,20 +207,25 @@ def test_slot_cache_matches_fresh_context_per_member(monkeypatch, mode, kfac):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+# a BDCM estimate over every cluster of a member, at a non-zero lag: the
+# call-count tests' workload
+ALL_CLUSTERS = dict(model="bdcm", cluster_index=None, spacing_rx=0.06)
+
+
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
 def test_bdcm_tables_built_once_per_slot_per_process(monkeypatch, kfac):
     calls = _recording(monkeypatch, "antenna_distances")
     # the direct path reads the last beam's grids: K > 0 adds no kernel call
     cfg = SimulationConfig(rician_k=kfac)
     ensemble, seed = 300, 47
-    first = fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
+    first = stfcf(cfg, **ALL_CLUSTERS, ensemble=ensemble, seed=seed)
     assert ensemble > statistics._CHUNK
     slots = {c.slot for m in range(ensemble) for c in full_member_state(cfg, seed, m, 1.0)}
     # one table is one transmit and one receive distance grid, over all chunks
     assert 0 < len(calls) <= 2 * len(slots)
     calls.clear()
-    again = fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
-    assert calls == [] and again.values.tobytes() == first.values.tobytes()
+    again = stfcf(cfg, **ALL_CLUSTERS, ensemble=ensemble, seed=seed)
+    assert calls == [] and again == first
     # without deaths cluster 1 sits in slot 0 for every member and time, so
     # calls that differ in seed, ensemble, kappa or (at K = 0) t read the
     # one table the first call built
@@ -241,18 +246,18 @@ def test_slots_beyond_the_budget_still_reuse_the_held_tables(monkeypatch):
     # as in the builder: a block takes its held slots first, so the slots
     # it builds after them evict only tables it is done with
     cfg = SimulationConfig(num_beams=16)
-    kw = dict(model="bdcm", ensemble=20, seed=8)
+    kw = dict(ALL_CLUSTERS, ensemble=20, seed=8)
     table_bytes = 16 * cfg.num_beams  # one lag column of complex entries per beam
     monkeypatch.setattr(HELD, "budget", 3 * table_bytes)
     calls = _recording(monkeypatch, "antenna_distances")
-    first = fcf(cfg, **kw)
+    first = stfcf(cfg, **kw)
     slots = len(calls) // 2
     assert slots == len({c.slot for m in range(20) for c in full_member_state(cfg, 8, m, 1.0)})
     assert slots > 3 and len(HELD._entries) == 3
     calls.clear()
-    again = fcf(cfg, **kw)
+    again = stfcf(cfg, **kw)
     assert len(calls) == 2 * (slots - 3)
-    assert again.values.tobytes() == first.values.tobytes()
+    assert again == first
 
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
@@ -403,7 +408,7 @@ def test_bdcm_beam_weights_once_per_block(monkeypatch, one_block_per_chunk):
     blocks = _recording(monkeypatch, "_block_terms")
     cfg = SimulationConfig()
     ensemble, seed = 300, 47
-    fcf(cfg, model="bdcm", ensemble=ensemble, seed=seed)
+    stfcf(cfg, **ALL_CLUSTERS, ensemble=ensemble, seed=seed)
     assert len(weights) == len(blocks)
     picked = [sum(len(clusters) for clusters, _ in args[1]) for args in blocks]
     assert [np.size(args[0]) for args in weights] == picked
@@ -859,6 +864,59 @@ def test_von_mises_acf_oracle_fixed_cluster():
     assert np.max(np.abs(a.magnitude - oracle)) < 0.04
 
 
+def _von_mises_expectation(cfg, semi_major, lag_tx, lag_rx, lag_time):
+    """E[exp(i*phase)] over von Mises arrivals on one cluster's ellipse, by
+    quadrature: the reference-minus-probe phase at the respaced offsets
+    (antennas 1 and 2 of the array rebuilt at a positive lag, both on
+    antenna 1 at a zero lag) less the Doppler rotation over the time lag."""
+    arr = cfg.array
+    ell = EllipseConfig(semi_major, cfg.ellipse.focal_half)
+
+    def offsets(count, spacing, lag):
+        return [(count - 1) / 2 * lag, (count - 3) / 2 * lag] if lag > 0 else \
+            [(count - 1) / 2 * spacing] * 2
+
+    off_tx = offsets(arr.num_tx, arr.spacing_tx, lag_tx)
+    off_rx = offsets(arr.num_rx, arr.spacing_rx, lag_rx)
+
+    def phasor(th):
+        d_rx = rx_focal_distance(th, ell)
+        tx = antenna_distances(2 * semi_major - d_rx, aod_from_aoa(th, ell), arr.tilt_tx,
+                               off_tx)[0]
+        rx = antenna_distances(d_rx, th, arr.tilt_rx, off_rx)[0]
+        phase = (TWO_PI / cfg.wavelength * ((tx[0] - tx[1]) + (rx[0] - rx[1]))
+                 - TWO_PI * ray_doppler(th, cfg.max_doppler, cfg.velocity_angle) * lag_time)
+        return math.exp(cfg.kappa * math.cos(th - cfg.mean_aoa)) * complex(math.cos(phase),
+                                                                           math.sin(phase))
+
+    # at 1e-14 quad warns of roundoff on the oscillating transmit-axis integrands
+    kw = dict(epsabs=1e-13, epsrel=1e-13, limit=500)
+    return complex(quad(lambda th: phasor(th).real, -math.pi, math.pi, **kw)[0],
+                   quad(lambda th: phasor(th).imag, -math.pi, math.pi, **kw)[0]) \
+        / (TWO_PI * i0(cfg.kappa))
+
+
+@pytest.mark.parametrize("lags", [dict(spacing_tx=0.2), dict(spacing_rx=0.2),
+                                  dict(time_lag=0.02)])
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+@pytest.mark.parametrize("tilt", [math.pi / 2, 0.7])
+def test_cluster_estimates_match_the_von_mises_quadrature(tilt, kappa, lags):
+    # evolution off: no gate acts and the powers cancel, so the cluster-1
+    # estimate is the expectation itself; BDCM is a trapezoidal rule of it
+    # on the beam grid, exact to rounding, GBSM a Monte Carlo over its rays
+    cfg = frozen_config(array=ArrayConfig(tilt_tx=tilt, tilt_rx=tilt), kappa=kappa)
+    semi_major = full_member_state(cfg, 1, 0, 1.0)[0].semi_major
+    want = _von_mises_expectation(cfg, semi_major, lags.get("spacing_tx", 0.0),
+                                  lags.get("spacing_rx", 0.0), lags.get("time_lag", 0.0))
+    assert abs(stfcf(cfg, model="bdcm", cluster_index=1, ensemble=10, seed=1, **lags)
+               - want) < 1e-12
+    got = stfcf(cfg, model="gbsm", cluster_index=1, ensemble=400, seed=3, **lags)
+    _, err, _ = statistics._estimate(
+        cfg, "gbsm", 1, *(np.array([lags.get(k, 0.0)]) for k in
+                          ("spacing_tx", "spacing_rx", "freq_lag", "time_lag")), 1.0, 400, 3)
+    assert abs(got - want) < 4 * err[0]
+
+
 def test_hermitian_symmetry_frozen_evolution():
     cfg = frozen_config(kappa=0.0)
     lags = np.linspace(0.0, 0.1, 11)
@@ -1122,6 +1180,15 @@ def test_streams_of_one_purpose_are_independent():
     _first_draws(streams.get(2, statistics._STREAM_INIT))
     assert _first_draws(first) == _first_draws(want)
     assert first.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("member", [0, 2, 6, 9])
+def test_a_member_outside_the_chunk_fails_by_name(member):
+    # member 0 used to wrap round to member 3's stream, 9 to raise a bare IndexError
+    streams = MemberStreams(5, range(3, 6), (0, 1))
+    with pytest.raises(ValueError, match=f"member {member} is outside this chunk's "
+                                         "members 3 to 5"):
+        streams.get(member, 0)
 
 
 def test_worker_env_does_not_change_results():
