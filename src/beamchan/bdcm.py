@@ -33,6 +33,7 @@ from .geometry import (
     antenna_distance_tx,
     nearest_beam,
     ray_doppler,
+    require_real,
     rx_focal_distance,
 )
 
@@ -200,6 +201,7 @@ def bdcm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
     of the visible rows of U_R and U_T; every other entry stays exactly
     zero.
     """
+    require_real("t", t)
     if phases is None:
         if rng is None:
             raise ValueError("either phases or rng must be given")

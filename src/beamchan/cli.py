@@ -29,7 +29,6 @@ from .config import (
     preset,
 )
 from .gbsm import draw_gbsm_phases, gbsm_matrix
-from .geometry import require_integer
 from .statistics import (
     CorrelationSeries,
     fcf,
@@ -54,8 +53,8 @@ class ExperimentOutput:
     seed: int = 0
 
 
-def _models(model: str):
-    if model == "both":
+def _models(model: str | None):
+    if model in (None, "both"):
         return ("gbsm", "bdcm")
     if model in ("gbsm", "bdcm"):
         return (model,)
@@ -63,7 +62,7 @@ def _models(model: str):
 
 
 def run_experiment(config: SimulationConfig, experiment: str,
-                   model: str = "both", seed: int | None = None,
+                   model: str | None = None, seed: int | None = None,
                    ensemble: int | None = None) -> ExperimentOutput:
     """Run one named experiment and return its curves.
 
@@ -72,16 +71,18 @@ def run_experiment(config: SimulationConfig, experiment: str,
     fig5_fcf   frequency correlation per model, without and with a direct
                path (K=0 and K=3)
     fig6_complexity  the closed-form cost table (no simulation)
+
+    ``model`` (None: both), ``seed`` and ``ensemble`` (None: the config's)
+    apply to simulations only; fig6_complexity rejects each by name.
     """
     if experiment not in EXPERIMENTS.values():
         raise ValueError(f"unknown experiment '{experiment}'")
-    seed = config.seed if seed is None else seed
-    ensemble = config.ensemble if ensemble is None else ensemble
-    require_integer("seed", seed)
-    require_integer("ensemble", ensemble)
-    seed, ensemble = int(seed), int(ensemble)
-    out = ExperimentOutput(experiment=experiment, config=config, seed=seed)
+    out = ExperimentOutput(experiment=experiment, config=config,
+                           seed=config.seed if seed is None else seed)
     if experiment == "fig6_complexity":
+        for name, value in (("model", model), ("seed", seed), ("ensemble", ensemble)):
+            if value is not None:
+                raise ValueError(f"{name} does not apply to the fig6 cost table, got {value!r}")
         out.table = complexity_sweep(range(1, 11), config.rays_per_cluster,
                                      20, [20, 200, 400])
         return out
@@ -246,8 +247,8 @@ def _common_flags(sub, ensemble=True):
     if ensemble:
         sub.add_argument("--ensemble", type=int, help="ensemble size")
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--model", default="both",
-                     choices=("gbsm", "bdcm", "both"))
+    sub.add_argument("--model", choices=("gbsm", "bdcm", "both"),
+                     help="channel model (default: both)")
 
 
 def main(argv=None) -> int:

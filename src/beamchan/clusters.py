@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, require_finite
+from .geometry import SPEED_OF_LIGHT, require_finite, require_time
 
 __all__ = [
     "Cluster",
@@ -53,16 +53,12 @@ class EvolutionConfig:
     ms_speed: float = 0.5             # meters per second
 
     def __post_init__(self):
-        require_finite(self, "birth_rate", "death_rate", "array_decorrelation",
-                       "space_decorrelation", "scenario_factor", "ms_speed")
-        if self.birth_rate < 0 or self.death_rate < 0:
-            raise ValueError("birth and death rates must be nonnegative")
+        require_finite(self, "birth_rate", "death_rate", "ms_speed", floor=0)
+        require_finite(self, "array_decorrelation", "space_decorrelation", "scenario_factor")
         if self.array_decorrelation <= 0 or self.space_decorrelation <= 0:
             raise ValueError("decorrelation distances must be positive")
         if not 0 <= self.scenario_factor <= 1:
             raise ValueError("scenario_factor must lie in [0, 1]")
-        if self.ms_speed < 0:
-            raise ValueError("ms_speed must be nonnegative")
 
 
 def array_survival(spacing: float, evolution: EvolutionConfig) -> float:
@@ -319,8 +315,7 @@ def evolve_time(clusters: list[Cluster], dt: float, config, rng) -> list[Cluster
     a uniform mean arrival angle and fresh rays.  The returned list is
     renumbered 1..N with survivors first, in their previous order.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    require_time("dt", dt)
     rng = _as_rng(rng)
     if dt == 0:
         return [_copied(c) for c in clusters]

@@ -16,9 +16,7 @@ __all__ = ["ro_gbsm", "ro_bdcm", "ro_bdcm_split", "complexity_sweep"]
 
 def _require_counts(**counts):
     for name, value in counts.items():
-        require_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        require_integer(name, value, floor=1)
 
 
 def ro_gbsm(num_rx: int, num_tx: int, rays: int, clusters: int) -> int:

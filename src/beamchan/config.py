@@ -14,7 +14,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .clusters import EvolutionConfig
-from .geometry import ArrayConfig, EllipseConfig, require_finite, require_integers, require_real
+from .geometry import (ArrayConfig, EllipseConfig, require_finite, require_integer,
+                       require_integers, require_real, require_time)
 
 __all__ = [
     "SimulationConfig",
@@ -55,23 +56,12 @@ class SimulationConfig:
     beam_weighting: str = "von_mises"
 
     def __post_init__(self):
-        require_integers(self, "rays_per_cluster", "num_beams", "ensemble", "seed")
-        require_finite(self, "wavelength", "max_doppler", "velocity_angle", "rician_k", "kappa",
-                       "mean_aoa", "delay_spacing")
+        require_integers(self, "rays_per_cluster", "num_beams", "ensemble", floor=1)
+        require_integer("seed", self.seed, floor=0)
+        require_finite(self, "wavelength", "velocity_angle", "mean_aoa", "delay_spacing")
+        require_finite(self, "max_doppler", "rician_k", "kappa", floor=0)
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
-        if self.max_doppler < 0:
-            raise ValueError("max_doppler must be nonnegative")
-        if self.rician_k < 0:
-            raise ValueError("rician_k must be nonnegative")
-        if self.rays_per_cluster < 1:
-            raise ValueError("rays_per_cluster must be at least 1")
-        if self.num_beams < 1:
-            raise ValueError("num_beams must be at least 1")
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be at least 1")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
         if self.delay_spacing <= 0:
             raise ValueError("delay_spacing must be positive")
         if self.mean_clusters is not None:
@@ -92,9 +82,9 @@ class SimulationConfig:
         except TypeError:
             raise ValueError(f"time_samples must be a list of times, got {self.time_samples!r}") from None
         for t in self.time_samples:
-            require_real("time_samples", t)
-        if not self.time_samples or min(self.time_samples) < 0:
-            raise ValueError(f"time_samples must be non-empty and non-negative, got {self.time_samples}")
+            require_time("time_samples", t)
+        if not self.time_samples:
+            raise ValueError("time_samples must be non-empty")
 
     @property
     def mean_cluster_count(self) -> float:

@@ -82,6 +82,7 @@ def draw_gbsm_phases(clusters, rng) -> PhaseDraw:
 def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
                 rng=None) -> ChannelRealization:
     """Full (num_rx, num_tx, num_clusters) coefficient slice at time t."""
+    require_real("t", t)
     if phases is None:
         if rng is None:
             raise ValueError("either phases or rng must be given")

@@ -8,7 +8,8 @@ a uniform linear array sits at the positive end of the array axis, so
 antenna index l has signed offset (count - 2l + 1) * spacing / 2 from
 the array center along the tilt direction.
 
-Everything in this module is pure and deterministic.
+Everything in this module is pure and deterministic.  The ``require_*``
+checks own the package's input rules for counts, seeds, reals and times.
 """
 from __future__ import annotations
 
@@ -41,28 +42,46 @@ __all__ = [
 ]
 
 
-def require_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` if ``value`` is a bool or not an integer."""
+def require_integer(name: str, value, floor: int | None = None) -> None:
+    """Raise ValueError naming ``name`` if ``value`` is a bool, not an integer,
+    or below ``floor`` (0 for seeds, members and indices, 1 for counts)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if floor is not None and value < floor:
+        kind = "non-negative" if floor == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
 
 
-def require_integers(owner, *names: str) -> None:
+def require_integers(owner, *names: str, floor: int | None = None) -> None:
     """``require_integer`` on each field of ``owner`` in ``names``."""
     for name in names:
-        require_integer(name, getattr(owner, name))
+        require_integer(name, getattr(owner, name), floor)
 
 
-def require_real(name: str, value) -> None:
-    """Raise ValueError naming ``name`` if ``value`` is a bool or not a finite real."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+def _finite_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def require_real(name: str, value, floor: float | None = None) -> None:
+    """Raise ValueError naming ``name`` if ``value`` is a bool, not a finite
+    real, or below ``floor``."""
+    if not _finite_real(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
 
 
-def require_finite(owner, *names: str) -> None:
+def require_finite(owner, *names: str, floor: float | None = None) -> None:
     """``require_real`` on each field of ``owner`` in ``names``."""
     for name in names:
-        require_real(name, getattr(owner, name))
+        require_real(name, getattr(owner, name), floor)
+
+
+def require_time(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite
+    non-negative real (a bool is not a time)."""
+    if not (_finite_real(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite non-negative time, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +100,8 @@ class ArrayConfig:
     tilt_rx: float = math.pi / 2
 
     def __post_init__(self):
-        require_integers(self, "num_tx", "num_rx")
+        require_integers(self, "num_tx", "num_rx", floor=1)
         require_finite(self, "spacing_tx", "spacing_rx", "tilt_tx", "tilt_rx")
-        if self.num_tx < 1 or self.num_rx < 1:
-            raise ValueError("antenna counts must be at least 1")
         if self.spacing_tx <= 0 or self.spacing_rx <= 0:
             raise ValueError("antenna spacings must be positive")
         if not (0 <= self.tilt_tx < math.pi) or not (0 <= self.tilt_rx < math.pi):
@@ -106,8 +123,7 @@ class EllipseConfig:
 
 def virtual_angles(num_beams: int) -> np.ndarray:
     """Uniform angle grid -pi + 2*pi*m/M for m = 1..M (last entry is pi)."""
-    if num_beams < 1:
-        raise ValueError("num_beams must be at least 1")
+    require_integer("num_beams", num_beams, floor=1)
     m = np.arange(1, num_beams + 1, dtype=float)
     return -math.pi + 2.0 * math.pi * m / num_beams
 

@@ -69,7 +69,6 @@ fresh, a table is the same bytes.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -96,6 +95,7 @@ from .geometry import (
     los_path_from_offsets,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     ray_doppler,
     require_integer,
+    require_time,
     rx_focal_distance,
     virtual_angles,
 )
@@ -150,18 +150,9 @@ def _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time):
     for axis, a in zip(_LAG_AXES, arrays):
         if a.ndim > 1:
             raise ValueError(f"{axis} lags must be one-dimensional, got shape {a.shape}")
+        if a.size == 0:
+            raise ValueError(f"{axis} lags must not be empty")
     return [a.astype(float) for a in np.broadcast_arrays(*arrays)]
-
-
-def _require_index(name: str, value) -> None:
-    require_integer(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
-
-
-def _require_time(t) -> None:
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite non-negative time, got {t!r}")
 
 
 def _member_state(draws, streams, member, t, cluster_index=None):
@@ -206,9 +197,9 @@ def member_channel_state(config, seed: int, member: int, t: float):
     generator is the member's phase stream, for drawing the initial
     phases of a channel realization; it is the caller's to keep.
     """
-    _require_index("seed", seed)
-    _require_index("member", member)
-    _require_time(t)
+    require_integer("seed", seed, floor=0)
+    require_integer("member", member, floor=0)
+    require_time("t", t)
     streams = MemberStreams(int(seed), range(int(member), int(member) + 1), _PURPOSES)
     clusters = initial_clusters(config, streams.get(member, _STREAM_INIT))
     if t > 0 and config.evolution.death_rate > 0:
@@ -541,8 +532,7 @@ def _worker_count() -> int:
     except ValueError:
         raise ValueError(
             f"BEAMCHAN_WORKERS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"BEAMCHAN_WORKERS must be at least 1, got {n}")
+    require_integer("BEAMCHAN_WORKERS", n, floor=1)
     return n
 
 
@@ -551,19 +541,15 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
     if model not in ("gbsm", "bdcm"):
         raise ValueError(f"unknown model '{model}'")
     if cluster_index is not None:
-        require_integer("cluster_index", cluster_index)
-        if cluster_index < 1:
-            raise ValueError(f"cluster_index must be at least 1, got {cluster_index}")
+        require_integer("cluster_index", cluster_index, floor=1)
     ensemble = config.ensemble if ensemble is None else ensemble
     seed = config.seed if seed is None else seed
-    require_integer("ensemble", ensemble)
-    _require_index("seed", seed)
+    require_integer("ensemble", ensemble, floor=1)
+    require_integer("seed", seed, floor=0)
     ensemble, seed = int(ensemble), int(seed)
-    if ensemble < 1:
-        raise ValueError("ensemble must be at least 1")
     if config.normalization == "per_realization" and config.estimator_mode != "sampled":
         raise ValueError("per_realization normalization needs estimator_mode='sampled'")
-    _require_time(t)
+    require_time("t", t)
     dT, dR, dW, dL = _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time)
     for axis, lags in zip(_LAG_AXES, (dT, dR, dW, dL)):
         if not np.all(np.isfinite(lags)):

@@ -504,3 +504,38 @@ def test_bdcm_matrix_same_cold_and_warm(kfac):
     assert held_bases()
     warm = bdcm_matrix(0.3, clusters, cfg, phases=phases).coeffs
     assert cold.tobytes() == warm.tobytes()
+
+
+# ------------------------------------------------- beam count against aperture
+# The covariance U diag(w) U^H that a build realizes over its beam phases
+# matches the dense-grid one once the grid resolves the aperture: on the
+# receive side at M_R = ceil(k D) + 60 beams (k = 2 pi / lambda,
+# D = (N - 1) d).  The uniform arrival grid maps onto departure angles
+# stretched by up to (a + f) / (a - f), so the transmit side needs
+# M_T = 2 ceil(k D (a + f) / (a - f)); at M_R it is off by 5e-2 to 7e-2.
+
+DENSE_BEAMS = 20_000
+
+
+def realized_covariance(response, num_beams, ellipse, cfg):
+    grid = VirtualAngleGrid.build(num_beams, ellipse)
+    u = response(grid, ellipse, cfg.array, cfg.wavelength).entries
+    return (u * beam_weights(cfg.mean_aoa, cfg.kappa, grid)) @ u.conj().T
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+@pytest.mark.parametrize("semi_major", [100.0, 250.0])
+@pytest.mark.parametrize("antennas", [16, 32])
+def test_beam_grid_resolves_the_aperture_at_the_rule_count(antennas, semi_major, kappa):
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=antennas, num_rx=antennas),
+                           mean_aoa=math.pi / 3, kappa=kappa)
+    ellipse = EllipseConfig(semi_major, cfg.ellipse.focal_half)
+    stretch = (semi_major + ellipse.focal_half) / (semi_major - ellipse.focal_half)
+    k = TWO_PI / cfg.wavelength
+    kd_rx = k * (antennas - 1) * cfg.array.spacing_rx
+    kd_tx = k * (antennas - 1) * cfg.array.spacing_tx
+    for response, beams in ((response_matrix_rx, math.ceil(kd_rx) + 60),
+                            (response_matrix_tx, 2 * math.ceil(kd_tx * stretch))):
+        dense = realized_covariance(response, DENSE_BEAMS, ellipse, cfg)
+        err = np.abs(realized_covariance(response, beams, ellipse, cfg) - dense).max()
+        assert err < 1e-10, (response.__name__, beams, err)

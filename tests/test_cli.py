@@ -123,6 +123,34 @@ def test_float_fields_reject_non_finite_values(tmp_path, capsys, section, name, 
     assert not (tmp_path / "o").exists()
 
 
+SECTIONS = {ArrayConfig: "array", EvolutionConfig: "evolution"}
+
+
+@pytest.mark.parametrize("owner,name,value,message", [
+    (SimulationConfig, "seed", -1, "seed must be a non-negative integer, got -1"),
+    (SimulationConfig, "ensemble", 0, "ensemble must be a positive integer, got 0"),
+    (SimulationConfig, "num_beams", 0, "num_beams must be a positive integer"),
+    (SimulationConfig, "rays_per_cluster", -3, "rays_per_cluster must be a positive integer"),
+    (ArrayConfig, "num_tx", 0, "num_tx must be a positive integer, got 0"),
+    (ArrayConfig, "num_rx", -1, "num_rx must be a positive integer, got -1"),
+    (SimulationConfig, "max_doppler", -1.0, "max_doppler must be at least 0"),
+    (SimulationConfig, "rician_k", -0.5, "rician_k must be at least 0"),
+    (SimulationConfig, "kappa", -2.0, "kappa must be at least 0"),
+    (EvolutionConfig, "birth_rate", -1.0, "birth_rate must be at least 0"),
+    (EvolutionConfig, "death_rate", -1.0, "death_rate must be at least 0"),
+    (EvolutionConfig, "ms_speed", -0.1, "ms_speed must be at least 0"),
+])
+def test_fields_below_their_floor_fail_by_name(owner, name, value, message):
+    # a negative seed used to load and fail later inside numpy; the other
+    # floors named no field ("antenna counts must be at least 1")
+    with pytest.raises(ValueError, match=message):
+        owner(**{name: value})
+    section = SECTIONS.get(owner)
+    data = {section: {name: value}} if section else {name: value}
+    with pytest.raises(ValueError, match=message):
+        loads_config(json.dumps(data))
+
+
 @pytest.mark.parametrize("samples", [("a",), (math.nan,), (math.inf,), (-1.0,), (True,), (),
                                      1.0])
 def test_time_samples_must_be_finite_non_negative_times(samples):
@@ -144,12 +172,34 @@ def test_mean_clusters_must_be_a_positive_number(value):
 
 @pytest.mark.parametrize("name,value", [("ensemble", 10.7), ("ensemble", True),
                                         ("seed", 3.9), ("seed", "3")])
-@pytest.mark.parametrize("experiment", ["fig3_ccf", "fig6_complexity"])
+@pytest.mark.parametrize("experiment", ["fig3_ccf"])
 def test_run_experiment_rejects_a_non_integer_argument(experiment, name, value):
     # these used to be truncated by int(): 10.7 ran 10 members, True ran 1
     cfg = loads_config(json.dumps(SMALL))
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_experiment(cfg, experiment, **{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("ensemble", 10.7), ("ensemble", True), ("seed", 3.9), ("seed", "3"),
+    ("model", "gbsm"), ("model", "both"), ("seed", 7), ("seed", -1), ("ensemble", 0)])
+def test_fig6_rejects_each_simulation_argument_by_name(name, value):
+    # the cost table is closed-form: these used to be checked, then dropped
+    cfg = loads_config(json.dumps(SMALL))
+    with pytest.raises(ValueError, match=f"^{name} does not apply to the fig6 cost table"):
+        run_experiment(cfg, "fig6_complexity", **{name: value})
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--ensemble", "0"),
+                                        ("--model", "gbsm"), ("--seed", "3")])
+def test_reproduce_fig6_rejects_simulation_flags(tmp_path, capsys, flag, value):
+    # "reproduce fig6 --seed -1 --ensemble 0 --model gbsm" used to exit 0
+    out = tmp_path / "f6"
+    rc = main(["reproduce", "fig6", flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {flag[2:]} does not apply") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", [(1.0, 1.0), (1.0, 1.0000001)])

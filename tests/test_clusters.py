@@ -267,6 +267,14 @@ class TestEvolveTime:
         with pytest.raises(ValueError):
             evolve_time(clusters, -0.1, cfg, 3)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -0.1, True, "1"])
+    def test_dt_that_is_not_a_time_fails_by_name(self, dt):
+        # nan used to fail inside numpy ("lam < 0 or lam is NaN")
+        cfg = small_config()
+        clusters = initial_clusters(cfg, 2)
+        with pytest.raises(ValueError, match="dt must be a finite non-negative time"):
+            evolve_time(clusters, dt, cfg, 3)
+
     def test_survival_fraction(self):
         cfg = small_config(rays_per_cluster=1)
         rate = time_decay_rate(cfg.evolution)

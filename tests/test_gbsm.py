@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from beamchan.bdcm import bdcm_matrix
 from beamchan.clusters import Cluster, initial_clusters
 from beamchan.config import SimulationConfig
 from beamchan.gbsm import (
@@ -353,3 +354,16 @@ def test_time_reversal_conjugate_pairing():
     hp = entry(c, 2, 2, 0.6, cfg, PhaseDraw(nlos={1: x - psi}, los=0.0))
     hm = entry(c, 2, 2, -0.6, cfg, PhaseDraw(nlos={1: -x - psi}, los=0.0))
     assert hp == pytest.approx(hm.conjugate(), abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True, "1"])
+@pytest.mark.parametrize("builder", [gbsm_matrix, bdcm_matrix])
+def test_builders_reject_a_time_that_is_not_a_finite_real(builder, t):
+    # nan and inf used to return all-nan coefficients; a negative t is a
+    # valid time for a builder (the conjugate pairing above builds at -t)
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=2, num_rx=2), num_beams=8)
+    clusters = initial_clusters(cfg, 4)
+    with pytest.raises(ValueError, match="t must be a finite number"):
+        builder(t, clusters, cfg, rng=np.random.default_rng(1))
+    real = builder(-0.5, clusters, cfg, rng=np.random.default_rng(1))
+    assert np.all(np.isfinite(real.coeffs))

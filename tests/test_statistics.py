@@ -1060,13 +1060,17 @@ def test_validation_errors():
     (lambda cfg: stfcf(cfg, spacing_tx=math.inf), "transmit spacing lags must be finite"),
     (lambda cfg: fcf(cfg, freq_lag_grid=[0.0, math.nan]), "frequency lags must be finite"),
     (lambda cfg: stfcf(cfg, freq_lag=-math.inf), "frequency lags must be finite"),
+    (lambda cfg: space_ccf(cfg, spacing_grid=[]), "receive spacing lags must not be empty"),
+    (lambda cfg: fcf(cfg, freq_lag_grid=[]), "frequency lags must not be empty"),
 ], ids=["t-negative", "t-nan", "t-inf", "fcf-t-negative", "t-bool", "t-string",
         "time-lag-negative", "stfcf-time-lag-negative", "time-lag-nan", "rx-spacing-nan",
-        "tx-spacing-inf", "freq-lag-nan", "freq-lag-minus-inf"])
+        "tx-spacing-inf", "freq-lag-nan", "freq-lag-minus-inf", "rx-spacing-empty",
+        "freq-lag-empty"])
 def test_bad_times_and_lags_raise_naming_them(call, message):
     # each used to run: t < 0 or NaN gave the t = 0 curve labelled with
     # the bad time, a negative time lag skipped the survival gate, a NaN
-    # lag returned 0; a bool t ran as a time and a string t failed unnamed
+    # lag returned 0; a bool t ran as a time and a string t failed unnamed;
+    # an empty grid failed to unpack inside the estimator
     with pytest.raises(ValueError, match=message):
         call(preset("fig4").with_values(ensemble=8, seed=1))
 
