@@ -116,6 +116,11 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# the rays of a placed cluster (``ClusterDraws.positions_only``); read-only
+_UNDRAWN = np.empty(0)
+_UNDRAWN.flags.writeable = False
+
+
 def _draw_rays(rng, mean_aoa: float, kappa: float, count: int) -> np.ndarray:
     if kappa <= 0:
         return rng.uniform(-math.pi, math.pi, count)
@@ -146,10 +151,17 @@ class ClusterDraws:
     newborn its ladder slot, mean angle, rays and chains.  The fates read
     only the ensemble size, so a caller that reads a few clusters can stop
     drawing after the last one it reads without moving any other draw.
+
+    With ``positions_only`` the initial clusters are placed, not drawn:
+    each carries its slot, semi-major axis, delay and power, a NaN mean
+    angle, no rays and no chains, and nothing is drawn after the count.
+    That is for a caller that reads nothing else of them; newborns are
+    always drawn in full, since their slots sit behind their rays' draws.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, positions_only: bool = False):
         self.config = config
+        self.positions_only = positions_only
         self.kappa = config.kappa
         self.rays = config.rays_per_cluster
         self.tx_steps = max(config.array.num_tx - 1, 0)
@@ -192,6 +204,11 @@ class ClusterDraws:
         scale = self.pdp_scale(count)
         out = []
         for s in range(stop):
+            if self.positions_only:
+                semi_major, delay, weight = self.slot(s)
+                out.append(Cluster(s + 1, s + 1, s, semi_major, delay, weight * scale,
+                                   math.nan, _UNDRAWN, pdp_scale=scale))
+                continue
             mean_aoa = self.config.mean_aoa if s == 0 else rng.uniform(-math.pi, math.pi)
             out.append(_new_cluster(self, rng, s + 1, s + 1, s, mean_aoa, scale))
         return out

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .clusters import EvolutionConfig
 from .geometry import (ArrayConfig, EllipseConfig, require_finite, require_integer,
-                       require_integers, require_real, require_time)
+                       require_integers, require_positive, require_time)
 
 __all__ = [
     "SimulationConfig",
@@ -64,13 +64,15 @@ class SimulationConfig:
             raise ValueError("wavelength must be positive")
         if self.delay_spacing <= 0:
             raise ValueError("delay_spacing must be positive")
+        # the initial count rejects empty draws, so a zero mean would never end
         if self.mean_clusters is not None:
-            require_real("mean_clusters", self.mean_clusters)
-            if self.mean_clusters <= 0:
-                raise ValueError(f"mean_clusters must be positive, got {self.mean_clusters!r}")
-        if self.mean_clusters is None and self.evolution.death_rate <= 0:
+            require_positive("mean_clusters", self.mean_clusters)
+        elif self.evolution.death_rate <= 0:
             raise ValueError(
                 "mean_clusters must be set when evolution.death_rate is zero")
+        else:
+            require_positive("evolution.birth_rate without mean_clusters",
+                             self.evolution.birth_rate)
         if self.estimator_mode not in _MODES:
             raise ValueError(f"estimator_mode must be one of {_MODES}")
         if self.normalization not in _NORMS:

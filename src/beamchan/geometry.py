@@ -71,6 +71,13 @@ def require_real(name: str, value, floor: float | None = None) -> None:
         raise ValueError(f"{name} must be at least {floor}, got {value!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real
+    above zero (a bool is not a number)."""
+    if not (_finite_real(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def require_finite(owner, *names: str, floor: float | None = None) -> None:
     """``require_real`` on each field of ``owner`` in ``names``."""
     for name in names:

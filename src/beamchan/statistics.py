@@ -55,6 +55,16 @@ each delay slot's beam table.  The tables run the distance kernel over
 the distinct spacing pairs only.  Against a loop over single clusters
 only the summation order differs.
 
+An analytic call with every spacing and time lag zero (every ``fcf``,
+and an ``stfcf`` with only a frequency lag) is phase-free: each phasor
+is exactly 1 and each cluster's path weights, with the direct path's,
+sum to 1, so a cluster adds its gate times its delay rotation times its
+power.  Such a call places the initial clusters (slot, delay and power)
+instead of drawing their mean angles, rays and chains, and builds no
+table, calls no ``beam_weights`` and reads no held entry.  Its blocks
+are the same in both models, so the GBSM and BDCM estimates are the
+same bytes; against the full tables they differ by rounding (1e-16).
+
 The beam tables of a delay slot, and the GBSM direct-path rows, depend on
 the geometry and the lag columns only, so they are built once per process
 and held read-only in ``_held.HELD`` (next to the builders' bases, under
@@ -247,6 +257,13 @@ class _PathEllipses(NamedTuple):
     focal_half: float
 
 
+def _phase_free(sampled: bool, dT, dR, dL) -> bool:
+    """Whether every phasor of an estimate is exactly 1: analytic mode with
+    every spacing and time lag zero (every ``fcf``), where the estimate
+    reads only each cluster's gate, power and delay."""
+    return not sampled and not (np.any(dT) or np.any(dR) or np.any(dL))
+
+
 def _by_member(member, rows, count: int):
     """Sum of ``rows`` per member index, in row order."""
     out = np.zeros((count,) + rows.shape[1:], dtype=rows.dtype)
@@ -280,6 +297,7 @@ class _LagContext:
         self.model = model
         self.t = t
         self.sampled = config.estimator_mode == "sampled"
+        self.phase_free = _phase_free(self.sampled, dT, dR, dL)
         self.wn = TWO_PI / config.wavelength
         self.dT, self.dR, self.dW, self.dL = dT, dR, dW, dL  # checked by _estimate
         self.length = dT.size
@@ -291,8 +309,12 @@ class _LagContext:
         # P paths per cluster: its S rays (GBSM) or the M beams (BDCM)
         self.num_paths = config.rays_per_cluster if model == "gbsm" else config.num_beams
         # real entries a cluster adds to a block's per-path arrays: P x (complex
-        # lag columns + a few per-ray values) for GBSM; BDCM tables are per slot
-        self.cluster_cost = self.num_paths * (2 * (self.width + 8) if model == "gbsm" else 1)
+        # lag columns + a few per-ray values) for GBSM; BDCM tables are per
+        # slot; a phase-free cluster is one complex term per lag in either model
+        if self.phase_free:
+            self.cluster_cost = 2 * self.length
+        else:
+            self.cluster_cost = self.num_paths * (2 * (self.width + 8) if model == "gbsm" else 1)
         self.col_space, space_tx, space_rx = _distinct(col_tx, col_rx)
         self.col_lag, self.lag_time = _distinct(self.col_time)
         # [reference offsets of every spacing pair..., probe offsets...], so
@@ -399,7 +421,10 @@ def _block_terms(ctx: _LagContext, block, phases=None):
     that slot's beam table (BDCM).  Each cluster's term is gated, rotated by
     its delay and summed into its member's row: in analytic mode the
     member's exact expectation over initial phases, in sampled mode the
-    product of its realized coefficients.
+    product of its realized coefficients.  In a ``phase_free`` call every
+    phasor is 1 and a cluster's path weights, with the direct path's
+    k_eff / total, sum to 1, so its term is gate x delay rotation x power,
+    from no table at all.
     """
     cfg = ctx.config
     n = len(block)
@@ -408,8 +433,7 @@ def _block_terms(ctx: _LagContext, block, phases=None):
         zero = np.zeros((n, ctx.length))
         return (zero + 0j, zero, zero) if ctx.sampled else (zero + 0j, np.zeros(n), zero)
     member = np.repeat(np.arange(n), [len(clusters) for clusters, _ in block])
-    power, delay, semi_major, mean_aoa = np.array(
-        [(c.power, c.delay, c.semi_major, c.mean_aoa) for c in picked]).T
+    power, delay = np.array([(c.power, c.delay) for c in picked]).T
     budget = np.array([budgets[c.index - 1] for clusters, budgets in block for c in clusters])
     direct = np.array([c.index == 1 for c in picked]) & (ctx.kfac > 0)
     power = power / (ctx.kfac + 1.0)
@@ -422,6 +446,9 @@ def _block_terms(ctx: _LagContext, block, phases=None):
             gate &= (first[:, None] > hazard) | (hazard <= 0)
     delays, which = np.unique(delay, return_inverse=True)
     freq = np.exp(1j * TWO_PI * ctx.dW * delays[:, None])[which]
+    if ctx.phase_free:
+        return _analytic_terms(member, n, gate, 1.0, freq, total)
+    semi_major = np.array([c.semi_major for c in picked])
     if ctx.model == "gbsm":
         rays = np.stack([c.ray_aoas for c in picked])
         doppler, tables, _ = ctx.tables(rays.ravel(), np.repeat(semi_major, rays.shape[1]))
@@ -429,7 +456,8 @@ def _block_terms(ctx: _LagContext, block, phases=None):
         weights = np.full(rays.shape, 1.0 / rays.shape[1])
     else:
         doppler = ctx.beam_doppler
-        weights = beam_weights(mean_aoa, cfg.kappa, ctx.grid, cfg.beam_weighting)
+        weights = beam_weights([c.mean_aoa for c in picked], cfg.kappa, ctx.grid,
+                               cfg.beam_weighting)
     # cluster 1 shares its total power with the direct path, weight k_eff / total
     weights *= np.where(direct, power / total, 1.0)[:, None]
     w_direct = ctx.k_eff / total[direct]
@@ -467,7 +495,13 @@ def _block_terms(ctx: _LagContext, block, phases=None):
         x_tot = _by_member(member, out[0][:, ctx.column], n)
         y_tot = _by_member(member, out[1][:, ctx.column] * gate * np.conj(freq), n)
         return x_tot * np.conj(y_tot), np.abs(x_tot) ** 2, np.abs(y_tot) ** 2
-    term = gate * out[0][:, ctx.column] * freq * total[:, None]
+    return _analytic_terms(member, n, gate, out[0][:, ctx.column], freq, total)
+
+
+def _analytic_terms(member, n, gate, phasor, freq, total):
+    """Per-member analytic (numerator, |X|^2, |Y|^2) terms from each
+    cluster's gate, phasor sum and delay rotation per lag, and its power."""
+    term = gate * phasor * freq * total[:, None]
     return (_by_member(member, term, n), np.bincount(member, total, minlength=n),
             _by_member(member, gate * total[:, None], n))
 
@@ -488,7 +522,7 @@ def _accumulate(args):
     pr_num = np.zeros(ctx.length, dtype=complex)
     pr_sq = np.zeros(ctx.length)
     pr_cnt = np.zeros(ctx.length, dtype=np.int64)
-    draws = ClusterDraws(config)
+    draws = ClusterDraws(config, positions_only=ctx.phase_free)
     # the streams that _member_state and the loop below read
     purposes = [_STREAM_INIT, _STREAM_BUDGET]
     if t > 0 and config.evolution.death_rate > 0:

@@ -221,9 +221,9 @@ def test_criterion_6_fcf_direct_path_coherence():
     """Whole-channel FCF: both constructions coincide, and a direct path
     keeps the channel coherent over a wider frequency span.
 
-    At zero space and time lag the ray and beam phasors cancel, so both
-    estimates read only the shared cluster powers and delays: the model
-    gap is rounding (4.4e-16 here), not ray noise.
+    At zero space and time lag every ray and beam phasor is 1, so both
+    estimates read only the shared cluster powers and delays, through one
+    phase-free path: the model gap is exactly 0, not ray noise.
     """
     cfg = preset("fig5")
     grid = np.linspace(0.0, 20e6, 41)

@@ -170,6 +170,18 @@ def test_mean_clusters_must_be_a_positive_number(value):
         loads_config(json.dumps({"mean_clusters": value}))
 
 
+def test_zero_mean_cluster_count_is_rejected():
+    # birth_rate 0 without mean_clusters used to load with a mean count of
+    # 0, and the initial count, which rejects empty draws, then drew forever
+    want = "evolution.birth_rate without mean_clusters must be a finite positive number"
+    with pytest.raises(ValueError, match=want):
+        SimulationConfig(evolution=EvolutionConfig(birth_rate=0.0))
+    with pytest.raises(ValueError, match=want):
+        loads_config(json.dumps({"evolution": {"birth_rate": 0}}))
+    cfg = SimulationConfig(evolution=EvolutionConfig(birth_rate=0.0), mean_clusters=3.0)
+    assert cfg.mean_cluster_count == 3.0
+
+
 @pytest.mark.parametrize("name,value", [("ensemble", 10.7), ("ensemble", True),
                                         ("seed", 3.9), ("seed", "3")])
 @pytest.mark.parametrize("experiment", ["fig3_ccf"])

@@ -826,6 +826,69 @@ def test_single_cluster_estimate_draws_few_clusters(monkeypatch):
     assert 300 <= len(drawn) < 2 * 300
 
 
+# ------------------------------------------------------ phase-free estimates
+
+def _frequency_only(cfg, model):
+    """Values and std errors of an fcf, then a frequency-only stfcf of
+    cluster 1 and of all clusters, over two chunks of members."""
+    kw = dict(model=model, t=1.0, ensemble=300, seed=19)
+    series = fcf(cfg, freq_lag_grid=np.linspace(0.0, 8e6, 17), **kw)
+    return [series.values, series.std_error,
+            np.array([stfcf(cfg, freq_lag=3e6, cluster_index=index, **kw)
+                      for index in (1, None)])]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_phase_free_path_matches_the_full_tables(monkeypatch, model, kfac, kappa):
+    # at zero spacing and time lag every ray or beam phasor is 1, so the
+    # estimate reads only gates, powers and delays; with that condition
+    # switched off the same members go through the full tables and the
+    # placed initial clusters are drawn in full
+    cfg = preset("fig5").with_values(rician_k=kfac, kappa=kappa)
+    lags = statistics._broadcast_lags(0.0, 0.0, [0.0, 3e6], 0.0)
+    assert statistics._LagContext(cfg, model, 1.0, *lags).phase_free
+    got = _frequency_only(cfg, model)
+    monkeypatch.setattr(statistics, "_phase_free", lambda *args: False)
+    assert not statistics._LagContext(cfg, model, 1.0, *lags).phase_free
+    want = _frequency_only(cfg, model)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-15
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model):
+    # without evolution there are no newborns, so an fcf draws nothing
+    # after each member's count; a spacing lag needs the rays and weights
+    from beamchan import clusters
+    rays = []
+    draw_rays = clusters._draw_rays
+
+    def counted(*args):
+        rays.append(1)
+        return draw_rays(*args)
+
+    monkeypatch.setattr(clusters, "_draw_rays", counted)
+    weights = _recording(monkeypatch, "beam_weights")
+    cfg = frozen_config()
+    fcf(cfg, model=model, ensemble=50, seed=7)
+    assert len(rays) == 0 and len(weights) == 0
+    stfcf(cfg, model=model, spacing_rx=0.06, freq_lag=1e6, cluster_index=None,
+          ensemble=50, seed=7)
+    assert len(rays) >= 50 and (len(weights) > 0) == (model == "bdcm")
+
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+def test_gbsm_and_bdcm_fcf_are_bitwise_equal(kfac):
+    # the phase-free path reads only what both models share, in blocks of
+    # one size, so the two analytic FCFs are the same bytes
+    cfg = preset("fig5").with_values(rician_k=kfac)
+    gbsm, bdcm = (fcf(cfg, model=model, ensemble=300, seed=23) for model in ("gbsm", "bdcm"))
+    assert np.array_equal(gbsm.values, bdcm.values)
+    assert np.array_equal(gbsm.std_error, bdcm.std_error)
+
+
 # ----------------------------------------------------------------- oracles
 
 def test_clarke_oracle_uniform_rays():
