@@ -18,11 +18,17 @@ reproducible for any spacing: the cluster survives a step of length x
 
 ``ClusterDraws`` holds the draw steps that ``initial_clusters``,
 ``evolve_time``, ``evolve_array`` and the correlation estimators share, so
-every random draw of a cluster history is made in one place.
+every random draw of a cluster history is made in one place.  The ladder
+itself (each slot's semi-major axis, delay and power-delay weight) and the
+power scale per initial count read only the first semi-major axis, the
+delay spacing and the profile's time constant, so one ``_Ladder`` per
+such triple serves every ``ClusterDraws`` of the process.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,12 +127,6 @@ _UNDRAWN = np.empty(0)
 _UNDRAWN.flags.writeable = False
 
 
-def _draw_rays(rng, mean_aoa: float, kappa: float, count: int) -> np.ndarray:
-    if kappa <= 0:
-        return rng.uniform(-math.pi, math.pi, count)
-    return rng.vonmises(mean_aoa, kappa, count)
-
-
 def _copied(c: Cluster) -> Cluster:
     """Shallow copy of a cluster; its arrays are shared, nothing writes them."""
     out = object.__new__(Cluster)
@@ -140,9 +140,54 @@ def _parentage(clusters: list[Cluster]) -> tuple[int, float, int]:
             max((c.uid for c in clusters), default=0) + 1)
 
 
+class _Ladder:
+    """The delay ladder of one (first semi-major axis, delay spacing, tau0):
+    per slot its semi-major axis, delay and power-delay weight, grown on
+    demand, and the power scale of an initial set per cluster count.
+
+    Threads may share a ladder: it grows under a lock, so no slot is
+    appended twice, and a slot once appended never changes.
+    """
+
+    def __init__(self, semi_major: float, delay_spacing: float, tau0: float):
+        self.semi_major, self.delay_spacing, self.tau0 = semi_major, delay_spacing, tau0
+        self.slots: list[tuple[float, float, float]] = []
+        self.scales: dict[int, float] = {}
+        self._lock = threading.Lock()
+
+    def grow(self, length: int) -> list[tuple[float, float, float]]:
+        """The slot list, grown to at least ``length`` slots."""
+        slots = self.slots
+        if len(slots) < length:
+            with self._lock:
+                while len(slots) < length:
+                    s = len(slots)
+                    a = self.semi_major + s * SPEED_OF_LIGHT * self.delay_spacing / 2.0
+                    slots.append((a, 2.0 * a / SPEED_OF_LIGHT,
+                                  math.exp(-s * self.delay_spacing / self.tau0)))
+        return slots
+
+    def scale(self, count: int) -> float:
+        """Power scale that normalizes an initial set of ``count`` clusters;
+        a race computes it twice, to the same value."""
+        scale = self.scales.get(count)
+        if scale is None:
+            weights = np.array([w for _, _, w in self.grow(count)[:count]])
+            scale = self.scales[count] = 1.0 / weights.sum()
+        return scale
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder(semi_major: float, delay_spacing: float, tau0: float) -> _Ladder:
+    """The process's ladder of one key; the least recently used of more
+    than 64 keys leaves first."""
+    return _Ladder(semi_major, delay_spacing, tau0)
+
+
 class ClusterDraws:
     """The draw steps of a cluster history, with the config-derived
-    constants they share computed once per instance.
+    constants they share computed once per instance and the delay ladder
+    held once per process (``_ladder``).
 
     Every random draw of a history goes through these steps in a fixed
     order.  The initial stream holds the count, then per cluster its mean
@@ -170,26 +215,15 @@ class ClusterDraws:
         # exponential power-delay profile in excess delay; the time constant
         # is the mean excess delay of the average-length ladder
         self.tau0 = config.delay_spacing * max((self.mean_count - 1.0) / 2.0, 1.0)
-        self._slots: list[tuple[float, float, float]] = []
-        self._scales: dict[int, float] = {}
+        self.ladder = _ladder(config.ellipse.semi_major, config.delay_spacing, self.tau0)
 
     def slot(self, slot: int) -> tuple[float, float, float]:
         """Semi-major axis, delay and power-delay weight of a ladder slot."""
-        cfg, slots = self.config, self._slots
-        while len(slots) <= slot:
-            s = len(slots)
-            a = cfg.ellipse.semi_major + s * SPEED_OF_LIGHT * cfg.delay_spacing / 2.0
-            slots.append((a, 2.0 * a / SPEED_OF_LIGHT,
-                          math.exp(-s * cfg.delay_spacing / self.tau0)))
-        return slots[slot]
+        return self.ladder.grow(slot + 1)[slot]
 
     def pdp_scale(self, count: int) -> float:
         """Power scale that normalizes an initial set of ``count`` clusters."""
-        scale = self._scales.get(count)
-        if scale is None:
-            weights = np.array([self.slot(s)[2] for s in range(count)])
-            scale = self._scales[count] = 1.0 / weights.sum()
-        return scale
+        return self.ladder.scale(count)
 
     def count(self, rng) -> int:
         """Initial cluster count: Poisson with the steady-state mean, empty
@@ -202,14 +236,15 @@ class ClusterDraws:
     def initial(self, rng, count: int, stop: int) -> list[Cluster]:
         """The first ``stop`` clusters of an initial set of ``count``."""
         scale = self.pdp_scale(count)
+        slots = self.ladder.grow(stop)
+        if self.positions_only:
+            return [Cluster(s + 1, s + 1, s, semi_major, delay, weight * scale,
+                            math.nan, _UNDRAWN, pdp_scale=scale)
+                    for s, (semi_major, delay, weight) in enumerate(slots[:stop])]
+        uniform = rng.uniform
         out = []
         for s in range(stop):
-            if self.positions_only:
-                semi_major, delay, weight = self.slot(s)
-                out.append(Cluster(s + 1, s + 1, s, semi_major, delay, weight * scale,
-                                   math.nan, _UNDRAWN, pdp_scale=scale))
-                continue
-            mean_aoa = self.config.mean_aoa if s == 0 else rng.uniform(-math.pi, math.pi)
+            mean_aoa = self.config.mean_aoa if s == 0 else uniform(-math.pi, math.pi)
             out.append(_new_cluster(self, rng, s + 1, s + 1, s, mean_aoa, scale))
         return out
 
@@ -227,19 +262,26 @@ class ClusterDraws:
                  first_uid: int) -> list[Cluster]:
         """``count`` fresh clusters numbered from ``first_uid``; each draws a
         slot below ``ladder``, a uniform mean angle, then its rays and chains."""
+        self.ladder.grow(ladder)
+        integers, uniform = rng.integers, rng.uniform
         out = []
         for uid in range(first_uid, first_uid + count):
-            slot = int(rng.integers(0, ladder))
-            out.append(_new_cluster(self, rng, 0, uid, slot,
-                                    rng.uniform(-math.pi, math.pi), pdp_scale))
+            slot = int(integers(0, ladder))
+            out.append(_new_cluster(self, rng, 0, uid, slot, uniform(-math.pi, math.pi),
+                                    pdp_scale))
         return out
 
 
 def _new_cluster(draws: ClusterDraws, rng, index: int, uid: int, slot: int,
                  mean_aoa: float, pdp_scale: float) -> Cluster:
-    """The one per-cluster draw: rays, then both array chains in one call."""
-    semi_major, delay, weight = draws.slot(slot)
-    rays = _draw_rays(rng, mean_aoa, draws.kappa, draws.rays)
+    """The one per-cluster draw: rays (von Mises, or uniform when ``kappa``
+    is not positive), then both array chains in one call.  The caller has
+    grown the ladder through ``slot``."""
+    semi_major, delay, weight = draws.ladder.slots[slot]
+    if draws.kappa > 0:
+        rays = rng.vonmises(mean_aoa, draws.kappa, draws.rays)
+    else:
+        rays = rng.uniform(-math.pi, math.pi, draws.rays)
     chains = rng.exponential(1.0, draws.steps)
     return Cluster(index, uid, slot, semi_major, delay, weight * pdp_scale, mean_aoa,
                    rays, pdp_scale=pdp_scale, tx_chain=chains[:draws.tx_steps],

@@ -44,7 +44,11 @@ see identical cluster histories.
 
 Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
 do not depend on the worker count, and each chunk in blocks of bounded
-size.  Each member's cluster state is drawn on its own, then the clusters
+size.  A block writes only its members' rows; the chunk sums them over
+its members once, after its last block, so the bytes depend on the chunk
+alone and the block budget bounds memory (BDCM rows can still move by
+the rounding of the slot products, whose row count follows the block).
+Each member's cluster state is drawn on its own, then the clusters
 an estimate reads are stacked over the block.  In either model a cluster
 is then P weighted paths with one gate, delay and power: its S rays
 (GBSM) or the M beams (BDCM), so weights, Dopplers and sampled
@@ -61,8 +65,8 @@ is exactly 1 and each cluster's path weights, with the direct path's,
 sum to 1, so a cluster adds its gate times its delay rotation times its
 power.  Such a call places the initial clusters (slot, delay and power)
 instead of drawing their mean angles, rays and chains, and builds no
-table, calls no ``beam_weights`` and reads no held entry.  Its blocks
-are the same in both models, so the GBSM and BDCM estimates are the
+table, calls no ``beam_weights`` and reads no held entry.  Its member
+rows are the same in both models, so the GBSM and BDCM estimates are the
 same bytes; against the full tables they differ by rounding (1e-16).
 
 The beam tables of a delay slot, and the GBSM direct-path rows, depend on
@@ -125,9 +129,10 @@ TWO_PI = 2.0 * math.pi
 # worker count, only on the (seed, member) pairs
 _CHUNK = 256
 # a chunk is evaluated in blocks of about this many real per-path entries
-# (``_LagContext.cluster_cost`` per cluster), 128 KiB per array, which keeps
-# a block's temporaries under about a megabyte for any ray or beam count
-_BLOCK_ELEMENTS = 1 << 14
+# (``_LagContext.cluster_cost`` per cluster), 512 KiB per array, which bounds
+# a block's temporaries for any ray or beam count; the chunk is summed once
+# over its members' rows, so the budget bounds memory and moves no byte
+_BLOCK_ELEMENTS = 1 << 16
 
 _STREAM_INIT = 0
 _STREAM_EVOLVE = 1
@@ -265,9 +270,20 @@ def _phase_free(sampled: bool, dT, dR, dL) -> bool:
 
 
 def _by_member(member, rows, count: int):
-    """Sum of ``rows`` per member index, in row order."""
+    """Sum of ``rows`` per member index; a member with no rows sums to zero.
+
+    ``member`` is sorted.  Row k of each member goes to slab k of a
+    (rank, member) array, and the slabs are added one after another, so
+    every member's rows are summed in row order from zero: the bytes of
+    ``np.add.at`` (which scatters one row at a time) for a few slab adds.
+    """
+    counts = np.bincount(member, minlength=count)
+    rank = np.arange(member.size) - (np.cumsum(counts) - counts)[member]
+    slabs = np.zeros((counts.max(), count) + rows.shape[1:], dtype=rows.dtype)
+    slabs[rank, member] = rows
     out = np.zeros((count,) + rows.shape[1:], dtype=rows.dtype)
-    np.add.at(out, member, rows)
+    for slab in slabs:
+        out += slab
     return out
 
 
@@ -511,17 +527,13 @@ def _accumulate(args):
 
     Members are evaluated in blocks: a block closes once its largest
     arrays reach ``_BLOCK_ELEMENTS`` entries or the chunk ends, which
-    bounds the memory of one evaluation for any ray or beam count.
+    bounds the memory of one evaluation for any ray or beam count.  Each
+    block's per-member rows are kept, and the chunk is summed over its
+    members once, after the last block, so the sums do not depend on
+    where the blocks close.
     """
     config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
     ctx = _LagContext(config, model, t, dT, dR, dW, dL)
-    num = np.zeros(ctx.length, dtype=complex)
-    sq = np.zeros(ctx.length)
-    den_x = np.zeros(ctx.length)
-    den_y = np.zeros(ctx.length)
-    pr_num = np.zeros(ctx.length, dtype=complex)
-    pr_sq = np.zeros(ctx.length)
-    pr_cnt = np.zeros(ctx.length, dtype=np.int64)
     draws = ClusterDraws(config, positions_only=ctx.phase_free)
     # the streams that _member_state and the loop below read
     purposes = [_STREAM_INIT, _STREAM_BUDGET]
@@ -530,7 +542,7 @@ def _accumulate(args):
     if ctx.sampled:
         purposes.append(_STREAM_PHASE)
     streams = MemberStreams(seed, range(start, stop), purposes)
-    block, phases, cost = [], [], 0
+    terms, block, phases, cost = [], [], [], 0
     for member in range(start, stop):
         clusters, total = _member_state(draws, streams, member, t, cluster_index)
         budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
@@ -542,19 +554,18 @@ def _accumulate(args):
         cost += ctx.cluster_cost * len(clusters)
         if cost < _BLOCK_ELEMENTS and member < stop - 1:
             continue
-        v, a, b = _block_terms(ctx, block, phases)
+        terms.append(_block_terms(ctx, block, phases))
         block, phases, cost = [], [], 0
-        num += v.sum(axis=0)
-        sq += (np.abs(v) ** 2).sum(axis=0)
-        den_x = den_x + a.sum(axis=0)
-        den_y = den_y + b.sum(axis=0)
-        if ctx.sampled:
-            ok = (a * b) > 0
-            r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
-            pr_num += r.sum(axis=0)
-            pr_sq += (np.abs(r) ** 2).sum(axis=0)
-            pr_cnt += ok.sum(axis=0)
-    return num, sq, den_x, den_y, pr_num, pr_sq, pr_cnt
+    v, a, b = (np.concatenate(rows) for rows in zip(*terms))
+    # analytic |X|^2 terms are one per member, the same at every lag
+    den_x = np.zeros(ctx.length) + a.sum(axis=0)
+    out = [v.sum(axis=0), (np.abs(v) ** 2).sum(axis=0), den_x, b.sum(axis=0)]
+    if ctx.sampled:
+        ok = (a * b) > 0
+        r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
+        return (*out, r.sum(axis=0), (np.abs(r) ** 2).sum(axis=0), ok.sum(axis=0))
+    return (*out, np.zeros(ctx.length, dtype=complex), np.zeros(ctx.length),
+            np.zeros(ctx.length, dtype=np.int64))
 
 
 def _worker_count() -> int:

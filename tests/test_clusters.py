@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamchan.clusters import (
+    ClusterDraws,
     EvolutionConfig,
+    _Ladder,
     _visible_steps,
     array_survival,
     evolve_array,
@@ -17,7 +21,7 @@ from beamchan.clusters import (
     time_survival,
 )
 from beamchan.config import SimulationConfig
-from beamchan.geometry import SPEED_OF_LIGHT, ArrayConfig
+from beamchan.geometry import SPEED_OF_LIGHT, ArrayConfig, EllipseConfig
 
 
 def small_config(**kwargs):
@@ -114,6 +118,75 @@ class TestInitialClusters:
         for ca, cb in zip(a, b):
             assert ca.power == cb.power
             np.testing.assert_array_equal(ca.ray_aoas, cb.ray_aoas)
+
+
+def ladder_oracle(cfg, length):
+    """Slots and initial-set power scales as each draw once computed them
+    for itself: per slot (semi-major axis, delay, power-delay weight), and
+    the scale of every initial count up to ``length``."""
+    tau0 = cfg.delay_spacing * max((cfg.mean_cluster_count - 1.0) / 2.0, 1.0)
+    slots = []
+    for s in range(length):
+        a = cfg.ellipse.semi_major + s * SPEED_OF_LIGHT * cfg.delay_spacing / 2.0
+        slots.append((a, 2.0 * a / SPEED_OF_LIGHT, math.exp(-s * cfg.delay_spacing / tau0)))
+    scales = {count: 1.0 / np.array([w for _, _, w in slots[:count]]).sum()
+              for count in range(1, length + 1)}
+    return slots, scales
+
+
+class TestSharedLadder:
+    def test_equal_configs_share_one_ladder_of_the_same_values(self):
+        cfg = small_config(delay_spacing=17e-9, mean_clusters=13.0)
+        a, b = ClusterDraws(cfg), ClusterDraws(small_config(delay_spacing=17e-9,
+                                                            mean_clusters=13.0))
+        assert a.ladder is b.ladder
+        slots, scales = ladder_oracle(cfg, 60)
+        # one ClusterDraws grows the ladder, the other reads what it grew
+        assert [a.slot(s) for s in range(60)] == slots
+        assert [b.slot(s) for s in range(60)] == slots
+        assert {count: b.pdp_scale(count) for count in scales} == scales
+        assert {count: a.pdp_scale(count) for count in scales} == scales
+
+    @pytest.mark.parametrize("change", [
+        dict(delay_spacing=30e-9),
+        dict(mean_clusters=11.0),
+        dict(ellipse=EllipseConfig(semi_major=120.0)),
+    ], ids=["delay_spacing", "mean_clusters", "semi_major"])
+    def test_configs_that_differ_in_what_it_reads_do_not_share(self, change):
+        base = small_config(mean_clusters=20.0)
+        other = replace(base, **change)
+        assert ClusterDraws(base).ladder is not ClusterDraws(other).ladder
+        slots, scales = ladder_oracle(other, 30)
+        draws = ClusterDraws(other)
+        assert [draws.slot(s) for s in range(30)] == slots
+        assert {count: draws.pdp_scale(count) for count in scales} == scales
+
+    def test_threads_growing_one_ladder_give_the_serial_list(self):
+        # four threads grow one fresh ladder step by step, released together
+        # and switching as often as the interpreter allows; no slot may be
+        # appended twice or out of order
+        args = (100.0, 25e-9, 25e-9 * 9.5)
+        shared, length = _Ladder(*args), 500
+        start = threading.Barrier(4)
+
+        def grow():
+            start.wait(timeout=30)
+            for n in range(1, length + 1):
+                shared.grow(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared.slots == _Ladder(*args).grow(length)
+        assert len(shared.slots) == length
 
 
 def visible_steps_loop(chain, hazard, start, count):

@@ -628,6 +628,75 @@ def _all_estimates(cfg, model, cluster_index):
     return out
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(), (1,), (25,)], ids=["1d", "one-lag", "25-lags"])
+def test_by_member_matches_add_at(dtype, shape):
+    # the oracle scatters one row at a time in row order; members 0, 3 and
+    # the last have no rows, and one member has more rows than any other
+    rng = np.random.default_rng(8)
+    counts = rng.integers(1, 30, 12)
+    counts[[0, 3, 11]] = 0
+    counts[5] = 41
+    member = np.repeat(np.arange(12), counts)
+    rows = rng.standard_normal((member.size, *shape))
+    if dtype is complex:
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    want = np.zeros((12, *shape), dtype=dtype)
+    np.add.at(want, member, rows)
+    got = statistics._by_member(member, rows, 12)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # each member's rows are added in row order, so the bytes are the oracle's
+    assert np.array_equal(got, want)
+    assert not np.any(got[[0, 3, 11]])
+
+
+def _budget_estimates(cfg, model):
+    """Values and std errors of an analytic space CCF and time ACF of
+    cluster 1, a sampled per-realization time ACF, and an all-cluster
+    stfcf with every lag axis swept; two chunks of members each."""
+    kw = dict(model=model, t=1.0, ensemble=300, seed=29)
+    sampled = cfg.with_values(estimator_mode="sampled", normalization="per_realization")
+    series = [space_ccf(cfg, **kw), time_acf(cfg, **kw), time_acf(sampled, **kw)]
+    joint = stfcf(cfg, spacing_tx=0.03, spacing_rx=0.05, freq_lag=2e6, time_lag=0.01,
+                  cluster_index=None, **kw)
+    return [a for s in series for a in (s.values, s.std_error)] + [np.array([joint])]
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_estimates_do_not_depend_on_the_block_budget(monkeypatch, model):
+    # a chunk keeps its members' rows and sums them once, so where its
+    # blocks close moves no GBSM byte.  BDCM runs one GEMM per delay slot
+    # over the block's clusters of that slot, and the row count can change
+    # the BLAS kernel's rounding: these cases keep their bytes on OpenBLAS
+    # 0.3.31, but a 400-beam sampled time ACF moved by 1.6e-16 between the
+    # default budget and one block per chunk, so BDCM is held to 1e-15, not
+    # to its bytes
+    cfg = SimulationConfig(rician_k=3.0, num_beams=64)
+    block_terms = statistics._block_terms
+    runs = []
+    for budget in (3000, 1 << 14, statistics._BLOCK_ELEMENTS, 1 << 40):
+        blocks = []
+
+        def counted(*args):
+            blocks.append(1)
+            return block_terms(*args)
+
+        monkeypatch.setattr(statistics, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(statistics, "_block_terms", counted)
+        estimates = _budget_estimates(cfg, model)
+        runs.append((len(blocks), estimates))
+    counts = [count for count, _ in runs]
+    # one block per chunk and estimate at the largest budget
+    assert counts[0] > counts[1] > counts[2] > counts[3] == 4 * 2
+    want = runs[-1][1]
+    for _, got in runs:
+        for g, w in zip(got, want):
+            if model == "gbsm":
+                assert np.array_equal(g, w)
+            else:
+                assert np.max(np.abs(g - w)) <= 1e-15
+
+
 @pytest.mark.parametrize("cluster_index", [1, None, 20])
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
 @pytest.mark.parametrize("mode", ["analytic", "sampled", "per_realization"])
@@ -860,16 +929,17 @@ def test_phase_free_path_matches_the_full_tables(monkeypatch, model, kfac, kappa
 @pytest.mark.parametrize("model", ["gbsm", "bdcm"])
 def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model):
     # without evolution there are no newborns, so an fcf draws nothing
-    # after each member's count; a spacing lag needs the rays and weights
+    # after each member's count; a spacing lag needs the rays and weights.
+    # Rays are drawn only in the one per-cluster draw, so it counts them
     from beamchan import clusters
     rays = []
-    draw_rays = clusters._draw_rays
+    new_cluster = clusters._new_cluster
 
     def counted(*args):
         rays.append(1)
-        return draw_rays(*args)
+        return new_cluster(*args)
 
-    monkeypatch.setattr(clusters, "_draw_rays", counted)
+    monkeypatch.setattr(clusters, "_new_cluster", counted)
     weights = _recording(monkeypatch, "beam_weights")
     cfg = frozen_config()
     fcf(cfg, model=model, ensemble=50, seed=7)
@@ -881,8 +951,8 @@ def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model):
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
 def test_gbsm_and_bdcm_fcf_are_bitwise_equal(kfac):
-    # the phase-free path reads only what both models share, in blocks of
-    # one size, so the two analytic FCFs are the same bytes
+    # the phase-free path reads only what both models share, and a chunk
+    # sums its member rows once, so the two analytic FCFs are the same bytes
     cfg = preset("fig5").with_values(rician_k=kfac)
     gbsm, bdcm = (fcf(cfg, model=model, ensemble=300, seed=23) for model in ("gbsm", "bdcm"))
     assert np.array_equal(gbsm.values, bdcm.values)
