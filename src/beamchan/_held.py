@@ -1,12 +1,22 @@
-"""One process-wide store of read-only arrays under a byte budget.
+"""Process-wide stores of read-only arrays under a byte budget.
 
 The BDCM builder's per-slot bases and the estimators' per-slot beam
 tables depend on the geometry only, never on the realization, so each is
 built once and then shared read-only across calls.  ``HELD`` keeps both
-kinds under one budget of ``BUDGET`` bytes (8 MiB): the least recently
-used entries leave first, and an entry larger than the whole budget is
-built and returned but not held.  One lock covers look-up, build and
-eviction, so threads may share the store.
+kinds under one budget of ``BUDGET`` bytes (8 MiB).
+
+``STATES`` holds the estimators' cluster states: per chunk of ensemble
+members, the arrays of the clusters an estimate reads.  They depend on
+the seed but not on the model or the lags, so the calls of one seed
+(both models of a figure, the lag points of an ``stfcf`` sweep) draw
+each chunk once.  A call with a new seed empties it first
+(``ArrayStore.scope``), so it holds at most one seed's states, within
+its own ``BUDGET``.
+
+In either store the least recently used entries leave first, and an
+entry larger than the whole budget is built and returned but not held.
+One lock covers look-up, build and eviction, so threads may share a
+store.  Each worker process holds its own.
 """
 from __future__ import annotations
 
@@ -41,12 +51,22 @@ class ArrayStore:
         self.budget = budget
         self._entries: dict = {}  # key -> (value, bytes), least recently used first
         self._bytes = 0
+        self._scope = None
         self._lock = threading.Lock()
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+
+    def scope(self, scope) -> None:
+        """Empty the store unless its entries were made under ``scope``;
+        the entries held from now on are."""
+        with self._lock:
+            if scope != self._scope:
+                self._entries.clear()
+                self._bytes = 0
+                self._scope = scope
 
     def get(self, key, build):
         """The value held under ``key``, or ``build()`` on a miss."""
@@ -74,3 +94,4 @@ class ArrayStore:
 
 
 HELD = ArrayStore(BUDGET)
+STATES = ArrayStore(BUDGET)

@@ -40,7 +40,13 @@ the key words as arrays), and numpy's PCG64 seeds each stream from its
 words, instead of a SeedSequence being built per stream.
 Enlarging the ensemble never perturbs existing members, and model
 choice does not enter the state streams, so paired model comparisons
-see identical cluster histories.
+see identical cluster histories.  Each chunk's states are therefore
+drawn once per seed and held in ``_held.STATES``: the calls of one seed
+that agree on the config, chunk, t, cluster index and phase-free flag
+(both models of a figure, the lag points of an ``stfcf`` sweep) read
+the same arrays, and a call with a new seed empties the store.  Only
+the sampled phase draws, whose count follows the model's path count,
+are made per call.  Held or drawn, a chunk's states are the same bytes.
 
 Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
 do not depend on the worker count, and each chunk in blocks of bounded
@@ -48,8 +54,11 @@ size.  A block writes only its members' rows; the chunk sums them over
 its members once, after its last block, so the bytes depend on the chunk
 alone and the block budget bounds memory (BDCM rows can still move by
 the rounding of the slot products, whose row count follows the block).
-Each member's cluster state is drawn on its own, then the clusters
-an estimate reads are stacked over the block.  In either model a cluster
+Each member's cluster state is drawn on its own, and the clusters an
+estimate reads are stacked over the chunk once, as arrays (``_Picked``:
+per cluster its power, delay, semi-major axis, survival budget,
+cluster-1 flag, first chain steps, mean angle and rays); a block is a
+slice of them.  In either model a cluster
 is then P weighted paths with one gate, delay and power: its S rays
 (GBSM) or the M beams (BDCM), so weights, Dopplers and sampled
 coefficients are (clusters, P) arrays.  GBSM builds one phasor table over
@@ -90,7 +99,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._held import HELD
+from ._held import HELD, STATES
 from ._streams import MemberStreams
 from .bdcm import beam_weights, center_los_doppler, los_beam_index
 from .clusters import (
@@ -426,12 +435,71 @@ class _LagContext:
         return (np.exp(1j * (px - py)),)
 
 
-def _block_terms(ctx: _LagContext, block, phases=None):
+class _Picked(NamedTuple):
+    """The clusters an estimate reads of a run of members, as arrays.
+
+    ``count`` holds each member's number of picked clusters; every other
+    field holds one entry per cluster, members in order and each member's
+    clusters by position.  Mean angles are NaN for clusters a phase-free
+    call places instead of drawing, a chain step is NaN where the chain
+    was not drawn or has no step (one antenna), and ``rays`` is None in a
+    phase-free call (or when nothing is picked).
+    """
+
+    count: np.ndarray       # picked clusters per member
+    power: np.ndarray
+    delay: np.ndarray
+    semi_major: np.ndarray
+    budget: np.ndarray      # survival budget on the time axis
+    first: np.ndarray       # the cluster sits at position 1
+    tx_step: np.ndarray     # first budget of the transmit chain
+    rx_step: np.ndarray     # first budget of the receive chain
+    mean_aoa: np.ndarray
+    rays: np.ndarray | None  # (clusters, S) arrival angles
+
+    @classmethod
+    def stack(cls, count, clusters, budget, rays=True) -> "_Picked":
+        """Arrays of ``clusters`` (``count`` per member) and their survival
+        budgets; ``rays`` False leaves the rays out."""
+        def first_step(chain):
+            return chain[0] if chain is not None and chain.size else math.nan
+
+        return cls(np.array(count, dtype=np.intp),
+                   *(np.array([getattr(c, name) for c in clusters], dtype=float)
+                     for name in ("power", "delay", "semi_major")),
+                   np.array(budget, dtype=float),
+                   np.array([c.index == 1 for c in clusters], dtype=bool),
+                   np.array([first_step(c.tx_chain) for c in clusters], dtype=float),
+                   np.array([first_step(c.rx_chain) for c in clusters], dtype=float),
+                   np.array([c.mean_aoa for c in clusters], dtype=float),
+                   np.stack([c.ray_aoas for c in clusters]) if rays and clusters else None)
+
+    def members(self, lo: int, hi: int) -> "_Picked":
+        """The part of the run that its members ``lo`` to ``hi - 1`` own."""
+        first, last = int(self.count[:lo].sum()), int(self.count[:hi].sum())
+        return _Picked(self.count[lo:hi], *(None if a is None else a[first:last]
+                                            for a in self[1:]))
+
+
+def _draw_chunk(draws, streams, members: range, t, cluster_index) -> _Picked:
+    """The clusters an estimate reads of each member of a chunk at time t,
+    with their survival budgets on the time axis, as arrays."""
+    count, picked, budget = [], [], []
+    for member in members:
+        clusters, total = _member_state(draws, streams, member, t, cluster_index)
+        budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
+        count.append(len(clusters))
+        picked += clusters
+        budget += [budgets[c.index - 1] for c in clusters]
+    return _Picked.stack(count, picked, budget, rays=not draws.positions_only)
+
+
+def _block_terms(ctx: _LagContext, block: _Picked, phases=None):
     """Per-member (numerator, |X|^2 term, |Y|^2 term) of a block of members.
 
-    ``block`` holds each member's picked clusters and survival budgets (by
-    position) and, in sampled mode, ``phases`` each member's phase draw,
-    one per path in cluster order.  The block's clusters are evaluated
+    ``block`` holds the members' picked clusters and, in sampled mode,
+    ``phases`` their phase draws, one per path in cluster order, members
+    in order.  The block's clusters are evaluated
     together as (clusters, P) arrays: one table build over all their rays,
     summed over the ray axis (GBSM), or one product per delay slot against
     that slot's beam table (BDCM).  Each cluster's term is gated, rotated by
@@ -443,59 +511,53 @@ def _block_terms(ctx: _LagContext, block, phases=None):
     from no table at all.
     """
     cfg = ctx.config
-    n = len(block)
-    picked = [c for clusters, _ in block for c in clusters]
-    if not picked:
+    n = block.count.size
+    if not block.power.size:
         zero = np.zeros((n, ctx.length))
         return (zero + 0j, zero, zero) if ctx.sampled else (zero + 0j, np.zeros(n), zero)
-    member = np.repeat(np.arange(n), [len(clusters) for clusters, _ in block])
-    power, delay = np.array([(c.power, c.delay) for c in picked]).T
-    budget = np.array([budgets[c.index - 1] for clusters, budgets in block for c in clusters])
-    direct = np.array([c.index == 1 for c in picked]) & (ctx.kfac > 0)
-    power = power / (ctx.kfac + 1.0)
+    member = np.repeat(np.arange(n), block.count)
+    direct = block.first & (ctx.kfac > 0)
+    power = block.power / (ctx.kfac + 1.0)
     total = np.where(direct, power + ctx.k_eff, power)
-    gate = budget[:, None] > ctx.decay * ctx.dL
+    gate = block.budget[:, None] > ctx.decay * ctx.dL
     # the probe on antenna 2 sees the cluster if it survives the first step
-    for hazard, side in ((ctx.hazard_tx, "tx_chain"), (ctx.hazard_rx, "rx_chain")):
+    for hazard, first in ((ctx.hazard_tx, block.tx_step), (ctx.hazard_rx, block.rx_step)):
         if np.any(hazard > 0):
-            first = np.array([getattr(c, side)[0] for c in picked])
             gate &= (first[:, None] > hazard) | (hazard <= 0)
-    delays, which = np.unique(delay, return_inverse=True)
+    delays, which = np.unique(block.delay, return_inverse=True)
     freq = np.exp(1j * TWO_PI * ctx.dW * delays[:, None])[which]
     if ctx.phase_free:
         return _analytic_terms(member, n, gate, 1.0, freq, total)
-    semi_major = np.array([c.semi_major for c in picked])
     if ctx.model == "gbsm":
-        rays = np.stack([c.ray_aoas for c in picked])
-        doppler, tables, _ = ctx.tables(rays.ravel(), np.repeat(semi_major, rays.shape[1]))
+        rays = block.rays
+        doppler, tables, _ = ctx.tables(rays.ravel(), np.repeat(block.semi_major, rays.shape[1]))
         doppler = doppler.reshape(rays.shape)
         weights = np.full(rays.shape, 1.0 / rays.shape[1])
     else:
         doppler = ctx.beam_doppler
-        weights = beam_weights([c.mean_aoa for c in picked], cfg.kappa, ctx.grid,
-                               cfg.beam_weighting)
+        weights = beam_weights(block.mean_aoa, cfg.kappa, ctx.grid, cfg.beam_weighting)
     # cluster 1 shares its total power with the direct path, weight k_eff / total
     weights *= np.where(direct, power / total, 1.0)[:, None]
     w_direct = ctx.k_eff / total[direct]
     if ctx.sampled:
-        flat = np.concatenate(phases)
         # a direct-path phase follows the P path phases of its cluster 1
         ones = np.flatnonzero(direct)
         at_direct = (ones + 1) * weights.shape[1] + np.arange(ones.size)
         angle = (TWO_PI * doppler * ctx.t
-                 + np.delete(flat, at_direct).reshape(weights.shape))
+                 + np.delete(phases, at_direct).reshape(weights.shape))
         coef = np.sqrt(total[:, None] * weights) * np.exp(1j * angle)
-        coef_direct = np.sqrt(total[direct] * w_direct) * np.exp(1j * flat[at_direct])
+        coef_direct = np.sqrt(total[direct] * w_direct) * np.exp(1j * phases[at_direct])
     else:
         coef, coef_direct = weights, w_direct
     if ctx.model == "gbsm":
         out = [(coef[:, None, :] @ table.reshape(*coef.shape, -1))[:, 0] for table in tables]
         rows = ctx.direct_rows
     else:
-        out = [np.empty((len(picked), ctx.width), dtype=complex) for _ in range(1 + ctx.sampled)]
+        out = [np.empty((block.power.size, ctx.width), dtype=complex)
+               for _ in range(1 + ctx.sampled)]
         rows = [np.empty((np.count_nonzero(direct), ctx.width), dtype=complex) for _ in out]
         # the inverse form: plain np.unique imports numpy.ma on first use
-        semi, slot = np.unique(semi_major, return_inverse=True)
+        semi, slot = np.unique(block.semi_major, return_inverse=True)
         # each slot writes its own rows, so the order leaves the bytes alone
         for s in HELD.held_first([ctx.slot_key(v) for v in semi]):
             tables, slot_rows = ctx.slot_tables(semi[s])
@@ -522,40 +584,66 @@ def _analytic_terms(member, n, gate, phasor, freq, total):
             _by_member(member, gate * total[:, None], n))
 
 
+def _chunk_state(config, seed: int, members: range, t, cluster_index, ctx) -> tuple:
+    """The chunk's picked clusters, held in ``STATES`` per seed, and the
+    member streams when they were drawn here (None when held).
+
+    The key is what the draw reads, and not the model or the lags: the
+    config, seed, chunk, t, ``cluster_index`` and whether the call is
+    phase-free.  A sampled call's streams include the phase stream.
+    """
+    streams = None
+
+    def draw():
+        nonlocal streams
+        purposes = [_STREAM_INIT, _STREAM_BUDGET]
+        if t > 0 and config.evolution.death_rate > 0:
+            purposes.append(_STREAM_EVOLVE)
+        if ctx.sampled:
+            purposes.append(_STREAM_PHASE)
+        streams = MemberStreams(seed, members, purposes)
+        return _draw_chunk(ClusterDraws(config, positions_only=ctx.phase_free), streams,
+                           members, t, cluster_index)
+
+    STATES.scope(seed)
+    key = (config, seed, members.start, members.stop, t, cluster_index, ctx.phase_free)
+    return STATES.get(key, draw), streams
+
+
 def _accumulate(args):
     """Reduce one contiguous chunk of ensemble members.
 
+    The chunk's clusters come from ``_chunk_state``, drawn once per seed.
     Members are evaluated in blocks: a block closes once its largest
     arrays reach ``_BLOCK_ELEMENTS`` entries or the chunk ends, which
     bounds the memory of one evaluation for any ray or beam count.  Each
     block's per-member rows are kept, and the chunk is summed over its
     members once, after the last block, so the sums do not depend on
-    where the blocks close.
+    where the blocks close.  The phase draws read the path count, which
+    the model sets, so a sampled call draws them itself.
     """
     config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
     ctx = _LagContext(config, model, t, dT, dR, dW, dL)
-    draws = ClusterDraws(config, positions_only=ctx.phase_free)
-    # the streams that _member_state and the loop below read
-    purposes = [_STREAM_INIT, _STREAM_BUDGET]
-    if t > 0 and config.evolution.death_rate > 0:
-        purposes.append(_STREAM_EVOLVE)
+    members = range(start, stop)
+    state, streams = _chunk_state(config, seed, members, t, cluster_index, ctx)
+    phases = None
     if ctx.sampled:
-        purposes.append(_STREAM_PHASE)
-    streams = MemberStreams(seed, range(start, stop), purposes)
-    terms, block, phases, cost = [], [], [], 0
-    for member in range(start, stop):
-        clusters, total = _member_state(draws, streams, member, t, cluster_index)
-        budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
-        block.append((clusters, budgets))
-        if ctx.sampled:
-            direct = ctx.kfac > 0 and any(c.index == 1 for c in clusters)
-            phases.append(streams.get(member, _STREAM_PHASE).uniform(
-                0.0, TWO_PI, len(clusters) * ctx.num_paths + direct))
-        cost += ctx.cluster_cost * len(clusters)
-        if cost < _BLOCK_ELEMENTS and member < stop - 1:
+        streams = streams or MemberStreams(seed, members, [_STREAM_PHASE])
+        owner = np.repeat(np.arange(len(members)), state.count)
+        direct = np.bincount(owner[state.first], minlength=len(members)) > 0
+        direct &= ctx.kfac > 0
+        phases = [streams.get(member, _STREAM_PHASE).uniform(
+                      0.0, TWO_PI, count * ctx.num_paths + has_direct)
+                  for member, count, has_direct in zip(members, state.count.tolist(),
+                                                       direct.tolist())]
+    terms, lo, cost = [], 0, 0
+    for hi, count in enumerate(state.count.tolist(), 1):
+        cost += ctx.cluster_cost * count
+        if cost < _BLOCK_ELEMENTS and hi < len(members):
             continue
-        terms.append(_block_terms(ctx, block, phases))
-        block, phases, cost = [], [], 0
+        terms.append(_block_terms(ctx, state.members(lo, hi),
+                                  None if phases is None else np.concatenate(phases[lo:hi])))
+        lo, cost = hi, 0
     v, a, b = (np.concatenate(rows) for rows in zip(*terms))
     # analytic |X|^2 terms are one per member, the same at every lag
     den_x = np.zeros(ctx.length) + a.sum(axis=0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from beamchan.bdcm import bdcm_matrix, beam_weights, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import geometry, statistics
-from beamchan._held import HELD
+from beamchan._held import HELD, STATES
 from beamchan._streams import MemberStreams
 from beamchan.gbsm import PhaseDraw, draw_gbsm_phases, gbsm_matrix
 from beamchan.statistics import (
@@ -391,7 +392,7 @@ def test_gbsm_distance_kernel_runs_once_per_side_per_block(monkeypatch,
     ensemble, seed = 300, 61
     stfcf(cfg, spacing_tx=0.06, spacing_rx=0.12, cluster_index=None,
           ensemble=ensemble, seed=seed)
-    assert sum(len(args[1]) for args in blocks) == ensemble
+    assert sum(args[1].count.size for args in blocks) == ensemble
     assert sorted(args[2] for args in kernel) == [0.7] * len(blocks) + [1.9] * len(blocks)
     clusters = sum(len(full_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
     assert 10 * len(blocks) < clusters
@@ -410,7 +411,7 @@ def test_bdcm_beam_weights_once_per_block(monkeypatch, one_block_per_chunk):
     ensemble, seed = 300, 47
     stfcf(cfg, **ALL_CLUSTERS, ensemble=ensemble, seed=seed)
     assert len(weights) == len(blocks)
-    picked = [sum(len(clusters) for clusters, _ in args[1]) for args in blocks]
+    picked = [args[1].power.size for args in blocks]
     assert [np.size(args[0]) for args in weights] == picked
     clusters = sum(len(full_member_state(cfg, seed, m, 1.0)) for m in range(ensemble))
     assert sum(picked) == clusters and 10 * len(blocks) < clusters
@@ -471,7 +472,7 @@ def test_direct_path_row_matches_builder(model, slot):
                   rx_chain=np.array([10.0]))
     k_eff = 3.0 / 4.0
     # survival budgets far above the lag hazards keep both gates open
-    v, a, b = statistics._block_terms(ctx, [([occ], np.array([10.0]))])
+    v, a, b = statistics._block_terms(ctx, statistics._Picked.stack([1], [occ], [10.0]))
     assert a[0] == k_eff and b[0, 0] == k_eff
     respaced = cfg.with_values(array=replace(cfg.array, spacing_rx=d))
     rng = np.random.default_rng(5)
@@ -790,11 +791,192 @@ def test_estimates_equal_full_draw_oracle(monkeypatch, model, mode, kfac):
         cfg = base.with_values(**kw)
         for index in (1, 2, None, _past_some_counts(cfg, 31, 20, t)):
             got = _estimates(cfg, model, t, index)
+            # held states would serve the oracle the truncated draws
+            STATES.clear()
             with monkeypatch.context() as m:
                 m.setattr(statistics, "_member_state", full_draw_state)
                 want = _estimates(cfg, model, t, index)
+            STATES.clear()
             for (v, e), (v_want, e_want) in zip(got, want):
                 assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
+
+
+# ------------------------------------------------------ held cluster states
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("mode", ["analytic", "sampled", "per_realization"])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_second_call_on_a_seed_draws_nothing_and_keeps_the_bytes(monkeypatch, model,
+                                                                 mode, kfac):
+    # the cold reference holds nothing, so each of its calls draws its own
+    # states; a warm call reads the states an earlier call of the seed drew
+    kw = dict(rician_k=kfac, num_beams=32,
+              estimator_mode="analytic" if mode == "analytic" else "sampled",
+              normalization="per_realization" if mode == "per_realization" else "standard")
+    states = _recording(monkeypatch, "_member_state")
+    for base, t in (case.values for case in TRUNCATION_CASES):
+        cfg = base.with_values(**kw)
+        for index in (1, 2, None, _past_some_counts(cfg, 31, 20, t)):
+            STATES.clear()
+            with monkeypatch.context() as m:
+                m.setattr(STATES, "budget", 0)
+                cold = _estimates(cfg, model, t, index)
+            assert len(STATES._entries) == 0
+            warm = [_estimates(cfg, model, t, index)]
+            states.clear()
+            warm.append(_estimates(cfg, model, t, index))
+            assert states == []
+            for got in warm:
+                for (v, e), (v_want, e_want) in zip(got, cold):
+                    assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+def test_gbsm_then_bdcm_on_one_seed_draws_once(monkeypatch, mode):
+    # the state streams are model independent, so the BDCM call reads the
+    # states the GBSM call drew; a sampled call still draws its own phases
+    cfg = SimulationConfig(estimator_mode=mode, rician_k=3.0, num_beams=64)
+    kw = dict(cluster_index=None, ensemble=300, seed=17, t=2.0)
+    STATES.clear()
+    cold = space_ccf(cfg, model="bdcm", **kw)
+    STATES.clear()
+    states = _recording(monkeypatch, "_member_state")
+    space_ccf(cfg, model="gbsm", **kw)
+    assert len(states) == 300
+    warm = space_ccf(cfg, model="bdcm", **kw)
+    assert len(states) == 300
+    assert np.array_equal(warm.values, cold.values)
+    assert np.array_equal(warm.std_error, cold.std_error)
+
+
+def _changed_field(cfg, name):
+    """``cfg`` with the field ``name`` changed to another valid value."""
+    value = getattr(cfg, name)
+    other = {"array": replace(cfg.array, num_rx=cfg.array.num_rx + 1),
+             "ellipse": replace(cfg.ellipse, semi_major=cfg.ellipse.semi_major + 10.0),
+             "evolution": replace(cfg.evolution, death_rate=cfg.evolution.death_rate / 2.0),
+             "time_samples": cfg.time_samples + (2.0,),
+             "mean_clusters": 12.0,
+             "estimator_mode": "analytic",
+             "normalization": "per_realization",
+             "beam_weighting": "uniform"}.get(name)
+    if other is None:
+        other = value + 1 if isinstance(value, int) else (1.5 * value if value else 0.5)
+    return replace(cfg, **{name: other})
+
+
+STATE_KEY_CHANGES = ([pytest.param("config", f.name, id=f.name) for f in fields(SimulationConfig)]
+                     + [pytest.param("call", name, id=name) for name in
+                        ("seed", "t", "cluster_index", "last_chunk", "phase_free")])
+
+
+@pytest.mark.parametrize("where, name", STATE_KEY_CHANGES)
+def test_state_key_covers_its_inputs(monkeypatch, where, name):
+    # a held chunk serves another call only where that call would draw the
+    # same states: changing any part of the key draws afresh.  The whole
+    # config is in the key, including fields the draw does not read
+    cfg = SimulationConfig(array=ArrayConfig(num_tx=4, num_rx=4), num_beams=16,
+                           estimator_mode="sampled")
+    ensemble = statistics._CHUNK + 20
+    base = dict(spacing_rx=0.06, freq_lag=1e6, cluster_index=1, t=1.0,
+                ensemble=ensemble, seed=3)
+    changes = {"seed": dict(seed=4), "t": dict(t=2.0), "cluster_index": dict(cluster_index=2),
+               "last_chunk": dict(ensemble=ensemble - 5),
+               "phase_free": dict(spacing_rx=0.0)}
+    if where == "config":
+        other, kw = _changed_field(cfg, name), base
+    else:
+        other, kw = cfg, dict(base, **changes[name])
+    if name == "phase_free":
+        # only an analytic call with no spacing or time lag is phase-free
+        cfg = other = cfg.with_values(estimator_mode="analytic")
+    states = _recording(monkeypatch, "_member_state")
+    want = stfcf(other, model="gbsm", **kw)
+    states.clear()
+    STATES.clear()
+    stfcf(cfg, model="gbsm", **base)
+    assert len(states) == ensemble
+    states.clear()
+    got = stfcf(other, model="gbsm", **kw)
+    # a shorter ensemble shares the first chunk and draws its last afresh
+    assert len(states) == (15 if name == "last_chunk" else kw["ensemble"])
+    assert got == want
+
+
+def test_a_new_seed_empties_the_store(monkeypatch):
+    cfg = SimulationConfig(num_beams=16)
+    kw = dict(model="bdcm", cluster_index=None, ensemble=40)
+    space_ccf(cfg, seed=3, **kw)
+    time_acf(cfg, seed=3, **kw)
+    held = set(STATES._entries)
+    assert held and all(key[1] == 3 for key in held)
+    space_ccf(cfg, seed=4, **kw)
+    assert set(STATES._entries).isdisjoint(held)
+    assert all(key[1] == 4 for key in STATES._entries)
+    states = _recording(monkeypatch, "_member_state")
+    space_ccf(cfg, seed=3, **kw)
+    assert len(states) == 40
+
+
+def test_a_chunk_beyond_the_budget_is_drawn_but_not_held(monkeypatch):
+    # cluster 1 of 256 members at 4,096 rays: the rays alone fill 8 MiB
+    cfg = SimulationConfig(rays_per_cluster=4096, num_beams=16)
+    kw = dict(model="bdcm", spacing_grid=[0.0, 0.06], ensemble=statistics._CHUNK, seed=2)
+    states = _recording(monkeypatch, "_member_state")
+    first = space_ccf(cfg, **kw)
+    assert len(states) == statistics._CHUNK
+    assert STATES._entries == {} and STATES._bytes == 0
+    second = space_ccf(cfg, **kw)
+    assert len(states) == 2 * statistics._CHUNK
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.std_error, second.std_error)
+
+
+def test_threads_share_the_states_safely(monkeypatch):
+    # four threads with a short switch interval on two seeds and a budget
+    # of about two chunks, so states are looked up, drawn, evicted and the
+    # store emptied for a new seed concurrently
+    cfg = SimulationConfig(num_beams=16)
+    kw = dict(model="bdcm", cluster_index=None, spacing_grid=[0.0, 0.06], ensemble=30)
+    want = {seed: space_ccf(cfg, seed=seed, **kw).values.tobytes() for seed in (3, 4)}
+    monkeypatch.setattr(STATES, "budget", 2 * STATES._bytes)
+    STATES.clear()
+    wrong, errors = [], []
+
+    def run(offset):
+        try:
+            for k in range(30):
+                seed = 3 + (offset + k // 5) % 2
+                if space_ccf(cfg, seed=seed, **kw).values.tobytes() != want[seed]:
+                    wrong.append(offset)
+        except Exception as exc:  # reported below, the thread must not die silently
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []
+    sizes = [size for _, size in STATES._entries.values()]
+    assert STATES._bytes == sum(sizes) <= STATES.budget
+
+
+def test_held_states_are_read_only():
+    space_ccf(SimulationConfig(num_beams=16), model="gbsm", cluster_index=None,
+              ensemble=30, seed=6)
+    (state, size), = STATES._entries.values()
+    assert size == sum(a.nbytes for a in state if a is not None) > 0
+    for a in state:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
 
 
 def _member_builds(cfg, model, times, ensemble):
