@@ -7,11 +7,15 @@ kinds under one budget of ``BUDGET`` bytes (8 MiB).
 
 ``STATES`` holds the estimators' cluster states: per chunk of ensemble
 members, the arrays of the clusters an estimate reads.  They depend on
-the seed but not on the model or the lags, so the calls of one seed
-(both models of a figure, the lag points of an ``stfcf`` sweep) draw
-each chunk once.  A call with a new seed empties it first
-(``ArrayStore.scope``), so it holds at most one seed's states, within
-its own ``BUDGET``.
+the seed but not on the model or the lags, so the other estimates of
+one seed (the other model of a figure, the other lag points of an
+``stfcf`` sweep) draw nothing.  Each entry records the estimate that
+built it (its ``owner``), and a repeat of that estimate builds it again:
+an estimate reads only states another estimate drew, so a rerun of a
+sequence of calls does the work of its first run.  Each look-up names
+its seed (its ``scope``), and one from a new seed empties the store
+first, so it normally holds one seed's states, within its own
+``BUDGET``.
 
 In either store the least recently used entries leave first, and an
 entry larger than the whole budget is built and returned but not held.
@@ -49,7 +53,7 @@ class ArrayStore:
 
     def __init__(self, budget: int):
         self.budget = budget
-        self._entries: dict = {}  # key -> (value, bytes), least recently used first
+        self._entries: dict = {}  # key -> (value, bytes, owner), least recently used first
         self._bytes = 0
         self._scope = None
         self._lock = threading.Lock()
@@ -59,24 +63,26 @@ class ArrayStore:
             self._entries.clear()
             self._bytes = 0
 
-    def scope(self, scope) -> None:
-        """Empty the store unless its entries were made under ``scope``;
-        the entries held from now on are."""
+    def get(self, key, build, scope=None, owner=None):
+        """The value held under ``key``, or ``build()`` on a miss.
+
+        A look-up under another ``scope`` than the last empties the store
+        first.  An entry that ``owner`` (not None) built is built again
+        for it, and keeps that owner.
+        """
         with self._lock:
             if scope != self._scope:
                 self._entries.clear()
                 self._bytes = 0
                 self._scope = scope
-
-    def get(self, key, build):
-        """The value held under ``key``, or ``build()`` on a miss."""
-        with self._lock:
             entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._bytes -= entry[1]
+                if owner is not None and entry[2] == owner:
+                    entry = None
             if entry is None:
                 value = build()
-                entry = (value, _freeze(value))
-            else:
-                self._bytes -= entry[1]
+                entry = (value, _freeze(value), owner)
             size = entry[1]
             if size <= self.budget:
                 while self._entries and self._bytes + size > self.budget:
@@ -85,12 +91,17 @@ class ArrayStore:
                 self._bytes += size
         return entry[0]
 
-    def held_first(self, keys) -> list[int]:
+    def held_first(self, keys, owner=None) -> list[int]:
         """Positions of ``keys``, held ones first (a stable sort): a caller
         getting its entries in this order, when they need more than the
-        budget, evicts only entries it is done with, not the next one."""
+        budget, evicts only entries it is done with, not the next one.
+        An entry ``owner`` built counts as not held (``get`` builds it
+        again)."""
         with self._lock:
-            return sorted(range(len(keys)), key=lambda i: keys[i] not in self._entries)
+            def missing(i):
+                entry = self._entries.get(keys[i])
+                return entry is None or (owner is not None and entry[2] == owner)
+            return sorted(range(len(keys)), key=missing)
 
 
 HELD = ArrayStore(BUDGET)

@@ -8,7 +8,6 @@ spread kappa=5 around a pi/3 mean arrival angle, pure NLOS.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -156,17 +155,7 @@ def save_config(config: SimulationConfig, path) -> None:
 
 
 def config_hash(config: SimulationConfig) -> str:
-    """Stable short hash of the full configuration, memoized per config.
-
-    The hash reads the printed fields, and equal configs can print
-    differently (``kappa`` 5 and 5.0), so the memo's key holds the repr
-    too.
-    """
-    return _config_hash(config, repr(config))
-
-
-@functools.lru_cache(maxsize=16)
-def _config_hash(config: SimulationConfig, printed: str) -> str:
+    """Stable short hash of the full configuration."""
     canon = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

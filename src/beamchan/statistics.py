@@ -41,12 +41,16 @@ words, instead of a SeedSequence being built per stream.
 Enlarging the ensemble never perturbs existing members, and model
 choice does not enter the state streams, so paired model comparisons
 see identical cluster histories.  Each chunk's states are therefore
-drawn once per seed and held in ``_held.STATES``: the calls of one seed
+held in ``_held.STATES`` once drawn: the other estimates of one seed
 that agree on the config, chunk, t, cluster index and phase-free flag
-(both models of a figure, the lag points of an ``stfcf`` sweep) read
-the same arrays, and a call with a new seed empties the store.  Only
-the sampled phase draws, whose count follows the model's path count,
-are made per call.  Held or drawn, a chunk's states are the same bytes.
+(the other model of a figure, the other lag points of an ``stfcf``
+sweep) read the same arrays.  The estimate that drew a chunk (its model
+and lags) draws it again if repeated, so a rerun of a sequence of calls
+does the work of its first run, and a call with a new seed empties the
+store.  A serial call takes its held chunks first and sums the chunks in
+order.  Only the sampled phase draws, whose count follows the model's
+path count, are made per call.  Held or drawn, a chunk's states are the
+same bytes.
 
 Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
 do not depend on the worker count, and each chunk in blocks of bounded
@@ -584,14 +588,27 @@ def _analytic_terms(member, n, gate, phasor, freq, total):
             _by_member(member, gate * total[:, None], n))
 
 
-def _chunk_state(config, seed: int, members: range, t, cluster_index, ctx) -> tuple:
-    """The chunk's picked clusters, held in ``STATES`` per seed, and the
-    member streams when they were drawn here (None when held).
+def _state_key(args) -> tuple:
+    """The ``STATES`` key of a chunk of an estimate, and the estimate.
 
     The key is what the draw reads, and not the model or the lags: the
     config, seed, chunk, t, ``cluster_index`` and whether the call is
-    phase-free.  A sampled call's streams include the phase stream.
+    phase-free.  The estimate, the key's owner, is its model and lags.
     """
+    config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
+    phase_free = _phase_free(config.estimator_mode == "sampled", dT, dR, dL)
+    return ((config, seed, start, stop, t, cluster_index, phase_free),
+            (model, dT.tobytes(), dR.tobytes(), dW.tobytes(), dL.tobytes()))
+
+
+def _chunk_state(args, ctx) -> tuple:
+    """The chunk's picked clusters, held in ``STATES`` (see ``_state_key``),
+    and the member streams when they were drawn here (None when held).
+
+    A sampled call's streams include the phase stream.
+    """
+    config, _, cluster_index, t, *_, seed, start, stop = args
+    members = range(start, stop)
     streams = None
 
     def draw():
@@ -605,15 +622,14 @@ def _chunk_state(config, seed: int, members: range, t, cluster_index, ctx) -> tu
         return _draw_chunk(ClusterDraws(config, positions_only=ctx.phase_free), streams,
                            members, t, cluster_index)
 
-    STATES.scope(seed)
-    key = (config, seed, members.start, members.stop, t, cluster_index, ctx.phase_free)
-    return STATES.get(key, draw), streams
+    key, owner = _state_key(args)
+    return STATES.get(key, draw, scope=seed, owner=owner), streams
 
 
 def _accumulate(args):
     """Reduce one contiguous chunk of ensemble members.
 
-    The chunk's clusters come from ``_chunk_state``, drawn once per seed.
+    The chunk's clusters come from ``_chunk_state``, held or drawn.
     Members are evaluated in blocks: a block closes once its largest
     arrays reach ``_BLOCK_ELEMENTS`` entries or the chunk ends, which
     bounds the memory of one evaluation for any ray or beam count.  Each
@@ -625,7 +641,7 @@ def _accumulate(args):
     config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
     ctx = _LagContext(config, model, t, dT, dR, dW, dL)
     members = range(start, stop)
-    state, streams = _chunk_state(config, seed, members, t, cluster_index, ctx)
+    state, streams = _chunk_state(args, ctx)
     phases = None
     if ctx.sampled:
         streams = streams or MemberStreams(seed, members, [_STREAM_PHASE])
@@ -704,7 +720,12 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_accumulate, blocks))
     else:
-        parts = [_accumulate(b) for b in blocks]
+        # held chunks first, so that a call needing more than the budget
+        # evicts only chunks it is done with; the sums keep chunk order
+        keys = [_state_key(b) for b in blocks]
+        parts = [None] * len(blocks)
+        for i in STATES.held_first([key for key, _ in keys], keys[0][1]):
+            parts[i] = _accumulate(blocks[i])
     num, sq, den_x, den_y, pr_num, pr_sq, pr_cnt = (
         sum(p[i] for p in parts) for i in range(7))
     if config.normalization == "per_realization":

@@ -332,7 +332,7 @@ def fresh_basis(ellipse, config):
 
 def held_bytes():
     # the store counts the bytes of U_R and U_T, not those of the grid
-    total = sum(u_r.nbytes + u_t.nbytes for (_, u_r, u_t), _ in HELD._entries.values())
+    total = sum(u_r.nbytes + u_t.nbytes for (_, u_r, u_t), *_ in HELD._entries.values())
     assert total == HELD._bytes
     return total
 

@@ -436,28 +436,6 @@ def test_write_output_hashes_the_config_once(tmp_path, monkeypatch):
     assert all(f"# config: {config_hash(cfg)}" in g.decode() for g in got)
 
 
-def test_config_hash_is_memoized_per_printed_config():
-    # equal configs that print differently keep their own hashes whatever
-    # the call order; a repeated config reads the memo
-    import hashlib
-    from beamchan.config import _config_hash, config_to_dict
-
-    def fresh(config):
-        canon = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    as_int, as_float = loads_config('{"kappa": 5}'), SimulationConfig(kappa=5.0)
-    assert as_int == as_float and hash(as_int) == hash(as_float)
-    for first, second in ((as_int, as_float), (as_float, as_int)):
-        _config_hash.cache_clear()
-        assert config_hash(first) == fresh(first)
-        assert config_hash(second) == fresh(second)
-    assert fresh(as_int) != fresh(as_float)
-    hits = _config_hash.cache_info().hits
-    assert config_hash(as_float) == fresh(as_float)
-    assert _config_hash.cache_info().hits == hits + 1
-
-
 def test_unknown_experiment_rejected():
     cfg = loads_config(json.dumps(SMALL))
     with pytest.raises(ValueError, match="experiment"):

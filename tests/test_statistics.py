@@ -806,13 +806,14 @@ def test_estimates_equal_full_draw_oracle(monkeypatch, model, mode, kfac):
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
 @pytest.mark.parametrize("mode", ["analytic", "sampled", "per_realization"])
 @pytest.mark.parametrize("model", ["gbsm", "bdcm"])
-def test_second_call_on_a_seed_draws_nothing_and_keeps_the_bytes(monkeypatch, model,
-                                                                 mode, kfac):
+def test_other_estimates_of_a_seed_draw_nothing_and_keep_the_bytes(monkeypatch, model,
+                                                                  mode, kfac):
     # the cold reference holds nothing, so each of its calls draws its own
-    # states; a warm call reads the states an earlier call of the seed drew
+    # states; after the other model's estimates every chunk is held
     kw = dict(rician_k=kfac, num_beams=32,
               estimator_mode="analytic" if mode == "analytic" else "sampled",
               normalization="per_realization" if mode == "per_realization" else "standard")
+    other = {"gbsm": "bdcm", "bdcm": "gbsm"}[model]
     states = _recording(monkeypatch, "_member_state")
     for base, t in (case.values for case in TRUNCATION_CASES):
         cfg = base.with_values(**kw)
@@ -822,13 +823,28 @@ def test_second_call_on_a_seed_draws_nothing_and_keeps_the_bytes(monkeypatch, mo
                 m.setattr(STATES, "budget", 0)
                 cold = _estimates(cfg, model, t, index)
             assert len(STATES._entries) == 0
-            warm = [_estimates(cfg, model, t, index)]
+            _estimates(cfg, other, t, index)
             states.clear()
-            warm.append(_estimates(cfg, model, t, index))
+            warm = _estimates(cfg, model, t, index)
             assert states == []
-            for got in warm:
-                for (v, e), (v_want, e_want) in zip(got, cold):
-                    assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
+            for (v, e), (v_want, e_want) in zip(warm, cold):
+                assert np.array_equal(v, v_want) and np.array_equal(e, e_want)
+
+
+def test_a_repeated_estimate_draws_again(monkeypatch):
+    # an estimate reads only states another estimate drew, so a repeated
+    # sequence of calls draws what its first run drew, and the same bytes
+    cfg = SimulationConfig(num_beams=16, rician_k=3.0)
+    calls = [lambda m=m, d=d: stfcf(cfg, model=m, spacing_rx=d, cluster_index=None,
+                                    ensemble=40, seed=8)
+             for m in ("gbsm", "bdcm") for d in (0.05, 0.1)]
+    states = _recording(monkeypatch, "_member_state")
+    runs = []
+    for _ in range(3):
+        states.clear()
+        runs.append([call() for call in calls])
+        assert len(states) == 40
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("mode", ["analytic", "sampled"])
@@ -867,20 +883,21 @@ def _changed_field(cfg, name):
 
 STATE_KEY_CHANGES = ([pytest.param("config", f.name, id=f.name) for f in fields(SimulationConfig)]
                      + [pytest.param("call", name, id=name) for name in
-                        ("seed", "t", "cluster_index", "last_chunk", "phase_free")])
+                        ("none", "seed", "t", "cluster_index", "last_chunk", "phase_free")])
 
 
 @pytest.mark.parametrize("where, name", STATE_KEY_CHANGES)
 def test_state_key_covers_its_inputs(monkeypatch, where, name):
-    # a held chunk serves another call only where that call would draw the
-    # same states: changing any part of the key draws afresh.  The whole
-    # config is in the key, including fields the draw does not read
+    # a held chunk serves another estimate only where that estimate would
+    # draw the same states: changing any part of the key draws afresh.  The
+    # whole config is in the key, including fields the draw does not read
     cfg = SimulationConfig(array=ArrayConfig(num_tx=4, num_rx=4), num_beams=16,
                            estimator_mode="sampled")
     ensemble = statistics._CHUNK + 20
     base = dict(spacing_rx=0.06, freq_lag=1e6, cluster_index=1, t=1.0,
                 ensemble=ensemble, seed=3)
-    changes = {"seed": dict(seed=4), "t": dict(t=2.0), "cluster_index": dict(cluster_index=2),
+    changes = {"none": {}, "seed": dict(seed=4), "t": dict(t=2.0),
+               "cluster_index": dict(cluster_index=2),
                "last_chunk": dict(ensemble=ensemble - 5),
                "phase_free": dict(spacing_rx=0.0)}
     if where == "config":
@@ -894,12 +911,14 @@ def test_state_key_covers_its_inputs(monkeypatch, where, name):
     want = stfcf(other, model="gbsm", **kw)
     states.clear()
     STATES.clear()
-    stfcf(cfg, model="gbsm", **base)
+    # the other model, so that the GBSM call below is another estimate
+    stfcf(cfg, model="bdcm", **base)
     assert len(states) == ensemble
     states.clear()
     got = stfcf(other, model="gbsm", **kw)
     # a shorter ensemble shares the first chunk and draws its last afresh
-    assert len(states) == (15 if name == "last_chunk" else kw["ensemble"])
+    drawn = {"none": 0, "last_chunk": 15}.get(name, kw["ensemble"])
+    assert len(states) == drawn
     assert got == want
 
 
@@ -921,24 +940,52 @@ def test_a_new_seed_empties_the_store(monkeypatch):
 def test_a_chunk_beyond_the_budget_is_drawn_but_not_held(monkeypatch):
     # cluster 1 of 256 members at 4,096 rays: the rays alone fill 8 MiB
     cfg = SimulationConfig(rays_per_cluster=4096, num_beams=16)
-    kw = dict(model="bdcm", spacing_grid=[0.0, 0.06], ensemble=statistics._CHUNK, seed=2)
+    kw = dict(model="bdcm", ensemble=statistics._CHUNK, seed=2)
     states = _recording(monkeypatch, "_member_state")
-    first = space_ccf(cfg, **kw)
+    first = space_ccf(cfg, spacing_grid=[0.0, 0.06], **kw)
     assert len(states) == statistics._CHUNK
     assert STATES._entries == {} and STATES._bytes == 0
-    second = space_ccf(cfg, **kw)
+    # another estimate of the chunk finds nothing held
+    time_acf(cfg, lag_grid=[0.0, 0.01], **kw)
     assert len(states) == 2 * statistics._CHUNK
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(first.std_error, second.std_error)
+    again = space_ccf(cfg, spacing_grid=[0.0, 0.06], **kw)
+    assert np.array_equal(first.values, again.values)
+    assert np.array_equal(first.std_error, again.std_error)
+
+
+def test_a_call_beyond_the_budget_reads_its_held_chunks_first(monkeypatch):
+    # four chunks under a budget of three: the GBSM call leaves chunks 1
+    # to 3 held, and the BDCM call reads them before it draws chunk 0 (in
+    # chunk order, drawing chunk 0 would evict chunk 1 before its turn,
+    # and so on down the call)
+    cfg = SimulationConfig(num_beams=16)
+    kw = dict(spacing_grid=[0.0, 0.06], ensemble=4 * statistics._CHUNK, seed=12)
+    cold = space_ccf(cfg, model="bdcm", **kw)
+    sizes = [size for _, size, _ in STATES._entries.values()]
+    assert len(sizes) == 4
+    STATES.clear()
+    monkeypatch.setattr(STATES, "budget", sum(sizes[1:]))
+    states = _recording(monkeypatch, "_member_state")
+    space_ccf(cfg, model="gbsm", **kw)
+    assert [key[2] for key in STATES._entries] == [256, 512, 768]
+    states.clear()
+    warm = space_ccf(cfg, model="bdcm", **kw)
+    assert sorted(args[2] for args in states) == list(range(statistics._CHUNK))
+    assert np.array_equal(warm.values, cold.values)
+    assert np.array_equal(warm.std_error, cold.std_error)
 
 
 def test_threads_share_the_states_safely(monkeypatch):
-    # four threads with a short switch interval on two seeds and a budget
-    # of about two chunks, so states are looked up, drawn, evicted and the
-    # store emptied for a new seed concurrently
+    # four threads with a short switch interval on two seeds and two models
+    # and a budget of about two chunks, so states are looked up, drawn,
+    # evicted and the store emptied for a new seed concurrently
     cfg = SimulationConfig(num_beams=16)
-    kw = dict(model="bdcm", cluster_index=None, spacing_grid=[0.0, 0.06], ensemble=30)
-    want = {seed: space_ccf(cfg, seed=seed, **kw).values.tobytes() for seed in (3, 4)}
+    kw = dict(cluster_index=None, spacing_grid=[0.0, 0.06], ensemble=30)
+    cases = [(seed, model) for seed in (3, 4) for model in ("gbsm", "bdcm")]
+    want = {}
+    for seed, model in cases:
+        STATES.clear()
+        want[seed, model] = space_ccf(cfg, seed=seed, model=model, **kw).values.tobytes()
     monkeypatch.setattr(STATES, "budget", 2 * STATES._bytes)
     STATES.clear()
     wrong, errors = [], []
@@ -946,8 +993,9 @@ def test_threads_share_the_states_safely(monkeypatch):
     def run(offset):
         try:
             for k in range(30):
-                seed = 3 + (offset + k // 5) % 2
-                if space_ccf(cfg, seed=seed, **kw).values.tobytes() != want[seed]:
+                seed, model = cases[(offset + k // 3) % 4]
+                got = space_ccf(cfg, seed=seed, model=model, **kw).values.tobytes()
+                if got != want[seed, model]:
                     wrong.append(offset)
         except Exception as exc:  # reported below, the thread must not die silently
             errors.append(exc)
@@ -964,14 +1012,14 @@ def test_threads_share_the_states_safely(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and wrong == []
-    sizes = [size for _, size in STATES._entries.values()]
+    sizes = [size for _, size, _ in STATES._entries.values()]
     assert STATES._bytes == sum(sizes) <= STATES.budget
 
 
 def test_held_states_are_read_only():
     space_ccf(SimulationConfig(num_beams=16), model="gbsm", cluster_index=None,
               ensemble=30, seed=6)
-    (state, size), = STATES._entries.values()
+    (state, size, _), = STATES._entries.values()
     assert size == sum(a.nbytes for a in state if a is not None) > 0
     for a in state:
         assert not a.flags.writeable
