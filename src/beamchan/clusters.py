@@ -217,9 +217,10 @@ class ClusterDraws:
         self.tau0 = config.delay_spacing * max((self.mean_count - 1.0) / 2.0, 1.0)
         self.ladder = _ladder(config.ellipse.semi_major, config.delay_spacing, self.tau0)
 
-    def slot(self, slot: int) -> tuple[float, float, float]:
-        """Semi-major axis, delay and power-delay weight of a ladder slot."""
-        return self.ladder.grow(slot + 1)[slot]
+    def evolves(self, t: float) -> bool:
+        """Whether a history at ``t`` reads its evolve stream: with no deaths
+        its fates would keep every cluster and add none."""
+        return t > 0 and self.config.evolution.death_rate > 0
 
     def pdp_scale(self, count: int) -> float:
         """Power scale that normalizes an initial set of ``count`` clusters."""

@@ -52,12 +52,16 @@ order.  Only the sampled phase draws, whose count follows the model's
 path count, are made per call.  Held or drawn, a chunk's states are the
 same bytes.
 
-Evaluation: members are reduced in fixed chunks of ``_CHUNK``, so results
-do not depend on the worker count, and each chunk in blocks of bounded
-size.  A block writes only its members' rows; the chunk sums them over
-its members once, after its last block, so the bytes depend on the chunk
-alone and the block budget bounds memory (BDCM rows can still move by
-the rounding of the slot products, whose row count follows the block).
+Evaluation: one ``_LagContext`` per call is the plan of the estimate (its
+lag columns, table key, chunk state key and owner), and every chunk reads
+it, in this process or pickled to a worker.  Members are reduced in fixed
+chunks of ``_CHUNK``, so results do not depend on the worker count, and
+each chunk in blocks of bounded size; a chunk returns only the sums the
+normalization reads.  A block writes only its members' rows; the chunk
+sums them over its members once, after its last block, so the bytes
+depend on the chunk alone and the block budget bounds memory (BDCM rows
+can still move by the rounding of the slot products, whose row count
+follows the block).
 Each member's cluster state is drawn on its own, and the clusters an
 estimate reads are stacked over the chunk once, as arrays (``_Picked``:
 per cluster its power, delay, semi-major axis, survival budget,
@@ -198,7 +202,7 @@ def _member_state(draws, streams, member, t, cluster_index=None):
     init = streams.get(member, _STREAM_INIT)
     count = draws.count(init)
     alive, births = np.arange(count), 0
-    if t > 0 and draws.config.evolution.death_rate > 0:
+    if draws.evolves(t):
         evolve = streams.get(member, _STREAM_EVOLVE)
         alive, births = draws.fates(evolve, count, t)
     total = alive.size + births
@@ -230,8 +234,7 @@ def member_channel_state(config, seed: int, member: int, t: float):
     require_time("t", t)
     streams = MemberStreams(int(seed), range(int(member), int(member) + 1), _PURPOSES)
     clusters = initial_clusters(config, streams.get(member, _STREAM_INIT))
-    if t > 0 and config.evolution.death_rate > 0:
-        clusters = evolve_time(clusters, t, config, streams.get(member, _STREAM_EVOLVE))
+    clusters = evolve_time(clusters, t, config, streams.get(member, _STREAM_EVOLVE))
     clusters = evolve_array(clusters, config.array, config.evolution,
                             streams.get(member, _STREAM_ARRAY), config=config)
     return clusters, streams.get(member, _STREAM_PHASE)
@@ -301,7 +304,11 @@ def _by_member(member, rows, count: int):
 
 
 class _LagContext:
-    """Precomputed per-call quantities shared by all ensemble members.
+    """The plan of one estimate, built once per call and handed to every
+    chunk (pickled to a worker, so it holds no ``ClusterDraws``, whose
+    ladder holds a lock).  ``state_key`` is what a chunk's draw reads, not
+    the model or the lags; ``owner``, the model and lag bytes, names the
+    estimate, which draws again the ``STATES`` entries it drew itself.
 
     The phasor tables depend on the lags through (dT, dR, dL) only, so
     they are built over the distinct columns of that triple, in
@@ -320,15 +327,17 @@ class _LagContext:
     it (see the module docstring).
     """
 
-    def __init__(self, config, model, t, dT, dR, dW, dL):
+    def __init__(self, config, model, t, dT, dR, dW, dL, *, cluster_index, seed):
         arr = config.array
         self.config = config
         self.model = model
         self.t = t
+        self.cluster_index, self.seed = cluster_index, seed
         self.sampled = config.estimator_mode == "sampled"
         self.phase_free = _phase_free(self.sampled, dT, dR, dL)
         self.wn = TWO_PI / config.wavelength
         self.dT, self.dR, self.dW, self.dL = dT, dR, dW, dL  # checked by _estimate
+        self.owner = (model, dT.tobytes(), dR.tobytes(), dW.tobytes(), dL.tobytes())
         self.length = dT.size
         self.column, col_tx, col_rx, self.col_time = _distinct(dT, dR, dL)
         self.key = (config.ellipse.focal_half, arr, config.wavelength,
@@ -370,8 +379,13 @@ class _LagContext:
             self.direct_beam = slice(m0 - 1, m0) if self.kfac > 0 else None
             self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
             self.direct_key = t if self.kfac > 0 else None
-        elif self.kfac > 0:
+        elif self.kfac > 0 and not self.phase_free:
             self.direct_rows = HELD.get(("gbsm direct", *self.key, t), self._antenna_direct_rows)
+
+    def state_key(self, start: int, stop: int) -> tuple:
+        """The ``STATES`` key of the chunk of members ``start`` to ``stop - 1``."""
+        return (self.config, self.seed, start, stop, self.t, self.cluster_index,
+                self.phase_free)
 
     def _antenna_direct_rows(self):
         """The antenna-domain direct path joins the arrays, whatever the
@@ -485,19 +499,6 @@ class _Picked(NamedTuple):
                                             for a in self[1:]))
 
 
-def _draw_chunk(draws, streams, members: range, t, cluster_index) -> _Picked:
-    """The clusters an estimate reads of each member of a chunk at time t,
-    with their survival budgets on the time axis, as arrays."""
-    count, picked, budget = [], [], []
-    for member in members:
-        clusters, total = _member_state(draws, streams, member, t, cluster_index)
-        budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
-        count.append(len(clusters))
-        picked += clusters
-        budget += [budgets[c.index - 1] for c in clusters]
-    return _Picked.stack(count, picked, budget, rays=not draws.positions_only)
-
-
 def _block_terms(ctx: _LagContext, block: _Picked, phases=None):
     """Per-member (numerator, |X|^2 term, |Y|^2 term) of a block of members.
 
@@ -588,46 +589,37 @@ def _analytic_terms(member, n, gate, phasor, freq, total):
             _by_member(member, gate * total[:, None], n))
 
 
-def _state_key(args) -> tuple:
-    """The ``STATES`` key of a chunk of an estimate, and the estimate.
-
-    The key is what the draw reads, and not the model or the lags: the
-    config, seed, chunk, t, ``cluster_index`` and whether the call is
-    phase-free.  The estimate, the key's owner, is its model and lags.
-    """
-    config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
-    phase_free = _phase_free(config.estimator_mode == "sampled", dT, dR, dL)
-    return ((config, seed, start, stop, t, cluster_index, phase_free),
-            (model, dT.tobytes(), dR.tobytes(), dW.tobytes(), dL.tobytes()))
-
-
-def _chunk_state(args, ctx) -> tuple:
-    """The chunk's picked clusters, held in ``STATES`` (see ``_state_key``),
-    and the member streams when they were drawn here (None when held).
-
-    A sampled call's streams include the phase stream.
-    """
-    config, _, cluster_index, t, *_, seed, start, stop = args
-    members = range(start, stop)
+def _chunk_state(ctx: _LagContext, members: range) -> tuple:
+    """The clusters ``ctx`` reads of each member of a chunk, with their
+    survival budgets on the time axis, as arrays held in ``STATES``; and the
+    member streams when drawn here (None when held), a sampled call's with
+    the phase stream."""
     streams = None
 
     def draw():
         nonlocal streams
+        draws = ClusterDraws(ctx.config, positions_only=ctx.phase_free)
         purposes = [_STREAM_INIT, _STREAM_BUDGET]
-        if t > 0 and config.evolution.death_rate > 0:
+        if draws.evolves(ctx.t):
             purposes.append(_STREAM_EVOLVE)
         if ctx.sampled:
             purposes.append(_STREAM_PHASE)
-        streams = MemberStreams(seed, members, purposes)
-        return _draw_chunk(ClusterDraws(config, positions_only=ctx.phase_free), streams,
-                           members, t, cluster_index)
+        streams = MemberStreams(ctx.seed, members, purposes)
+        count, picked, budget = [], [], []
+        for member in members:
+            clusters, total = _member_state(draws, streams, member, ctx.t, ctx.cluster_index)
+            budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
+            count.append(len(clusters))
+            picked += clusters
+            budget += [budgets[c.index - 1] for c in clusters]
+        return _Picked.stack(count, picked, budget, rays=not ctx.phase_free)
 
-    key, owner = _state_key(args)
-    return STATES.get(key, draw, scope=seed, owner=owner), streams
+    key = ctx.state_key(members.start, members.stop)
+    return STATES.get(key, draw, scope=ctx.seed, owner=ctx.owner), streams
 
 
-def _accumulate(args):
-    """Reduce one contiguous chunk of ensemble members.
+def _accumulate(ctx: _LagContext, start: int, stop: int) -> tuple:
+    """Reduce the chunk of ensemble members ``start`` to ``stop - 1``.
 
     The chunk's clusters come from ``_chunk_state``, held or drawn.
     Members are evaluated in blocks: a block closes once its largest
@@ -637,14 +629,15 @@ def _accumulate(args):
     members once, after the last block, so the sums do not depend on
     where the blocks close.  The phase draws read the path count, which
     the model sets, so a sampled call draws them itself.
+    Returns the per-lag sums the normalization reads: numerator, its
+    |.|^2, |X|^2 and |Y|^2 ("standard"), or the per-member ratio, its |.|^2
+    and the count of members whose ratio is defined ("per_realization").
     """
-    config, model, cluster_index, t, dT, dR, dW, dL, seed, start, stop = args
-    ctx = _LagContext(config, model, t, dT, dR, dW, dL)
     members = range(start, stop)
-    state, streams = _chunk_state(args, ctx)
+    state, streams = _chunk_state(ctx, members)
     phases = None
     if ctx.sampled:
-        streams = streams or MemberStreams(seed, members, [_STREAM_PHASE])
+        streams = streams or MemberStreams(ctx.seed, members, [_STREAM_PHASE])
         owner = np.repeat(np.arange(len(members)), state.count)
         direct = np.bincount(owner[state.first], minlength=len(members)) > 0
         direct &= ctx.kfac > 0
@@ -661,15 +654,13 @@ def _accumulate(args):
                                   None if phases is None else np.concatenate(phases[lo:hi])))
         lo, cost = hi, 0
     v, a, b = (np.concatenate(rows) for rows in zip(*terms))
-    # analytic |X|^2 terms are one per member, the same at every lag
-    den_x = np.zeros(ctx.length) + a.sum(axis=0)
-    out = [v.sum(axis=0), (np.abs(v) ** 2).sum(axis=0), den_x, b.sum(axis=0)]
-    if ctx.sampled:
+    if ctx.config.normalization == "per_realization":
         ok = (a * b) > 0
         r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
-        return (*out, r.sum(axis=0), (np.abs(r) ** 2).sum(axis=0), ok.sum(axis=0))
-    return (*out, np.zeros(ctx.length, dtype=complex), np.zeros(ctx.length),
-            np.zeros(ctx.length, dtype=np.int64))
+        return r.sum(axis=0), (np.abs(r) ** 2).sum(axis=0), ok.sum(axis=0)
+    # analytic |X|^2 terms are one per member, the same at every lag
+    return (v.sum(axis=0), (np.abs(v) ** 2).sum(axis=0),
+            np.zeros(ctx.length) + a.sum(axis=0), b.sum(axis=0))
 
 
 def _worker_count() -> int:
@@ -713,28 +704,30 @@ def _estimate(config: SimulationConfig, model, cluster_index, lag_tx, lag_rx,
             raise ValueError(f"{side} spacing lags must be non-negative")
         if np.any(lags > 0) and count < 2:
             raise ValueError(f"{side} spacing lag needs at least two {side} antennas")
-    blocks = [(config, model, cluster_index, t, dT, dR, dW, dL, seed, s,
-               min(s + _CHUNK, ensemble)) for s in range(0, ensemble, _CHUNK)]
+    ctx = _LagContext(config, model, t, dT, dR, dW, dL, cluster_index=cluster_index, seed=seed)
+    starts = range(0, ensemble, _CHUNK)
+    stops = [min(start + _CHUNK, ensemble) for start in starts]
     workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_accumulate, blocks))
+            parts = list(pool.map(_accumulate, [ctx] * len(starts), starts, stops))
     else:
         # held chunks first, so that a call needing more than the budget
         # evicts only chunks it is done with; the sums keep chunk order
-        keys = [_state_key(b) for b in blocks]
-        parts = [None] * len(blocks)
-        for i in STATES.held_first([key for key, _ in keys], keys[0][1]):
-            parts[i] = _accumulate(blocks[i])
-    num, sq, den_x, den_y, pr_num, pr_sq, pr_cnt = (
-        sum(p[i] for p in parts) for i in range(7))
+        parts = [None] * len(starts)
+        keys = [ctx.state_key(start, stop) for start, stop in zip(starts, stops)]
+        for i in STATES.held_first(keys, ctx.owner):
+            parts[i] = _accumulate(ctx, starts[i], stops[i])
+    sums = [sum(column) for column in zip(*parts)]
     if config.normalization == "per_realization":
+        pr_num, pr_sq, pr_cnt = sums
         cnt = np.maximum(pr_cnt, 1)
         values = pr_num / cnt
         var = np.maximum(pr_sq / cnt - np.abs(values) ** 2, 0.0)
         err = np.sqrt(var / cnt)
         values = np.where(pr_cnt > 0, values, 0.0)
     else:
+        num, sq, den_x, den_y = sums
         scale = np.sqrt((den_x / ensemble) * (den_y / ensemble))
         safe = np.where(scale > 0, scale, 1.0)
         values = np.where(scale > 0, (num / ensemble) / safe, 0.0)

@@ -406,8 +406,9 @@ def test_basis_arrays_are_read_only():
 def test_basis_cache_stays_within_budget():
     cfg = SimulationConfig(array=ArrayConfig(num_tx=128, num_rx=128))
     draws = ClusterDraws(cfg)
-    slots = [EllipseConfig(draws.slot(s)[0], cfg.ellipse.focal_half)
-             for s in range(int(2 * cfg.mean_cluster_count))]
+    count = int(2 * cfg.mean_cluster_count)
+    slots = [EllipseConfig(semi_major, cfg.ellipse.focal_half)
+             for semi_major, _, _ in draws.ladder.grow(count)[:count]]
     for ell in slots:
         bdcm._basis(ell, cfg)
         assert held_bytes() <= HELD.budget

@@ -142,8 +142,8 @@ class TestSharedLadder:
         assert a.ladder is b.ladder
         slots, scales = ladder_oracle(cfg, 60)
         # one ClusterDraws grows the ladder, the other reads what it grew
-        assert [a.slot(s) for s in range(60)] == slots
-        assert [b.slot(s) for s in range(60)] == slots
+        assert [a.ladder.grow(s + 1)[s] for s in range(60)] == slots
+        assert [b.ladder.grow(s + 1)[s] for s in range(60)] == slots
         assert {count: b.pdp_scale(count) for count in scales} == scales
         assert {count: a.pdp_scale(count) for count in scales} == scales
 
@@ -158,7 +158,7 @@ class TestSharedLadder:
         assert ClusterDraws(base).ladder is not ClusterDraws(other).ladder
         slots, scales = ladder_oracle(other, 30)
         draws = ClusterDraws(other)
-        assert [draws.slot(s) for s in range(30)] == slots
+        assert [draws.ladder.grow(s + 1)[s] for s in range(30)] == slots
         assert {count: draws.pdp_scale(count) for count in scales} == scales
 
     def test_threads_growing_one_ladder_give_the_serial_list(self):

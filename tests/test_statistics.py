@@ -271,7 +271,8 @@ def test_slot_table_key_covers_what_the_tables_read(kfac):
     lags = (0.05, [0.0, 0.1, 0.1], 0.0, [0.0, 0.0, 0.02])
 
     def held_tables(cfg, t=1.0, lags=lags):
-        ctx = statistics._LagContext(cfg, "bdcm", t, *statistics._broadcast_lags(*lags))
+        ctx = statistics._LagContext(cfg, "bdcm", t, *statistics._broadcast_lags(*lags),
+                                     cluster_index=1, seed=0)
         tables, rows = ctx.slot_tables(107.5)
         return b"".join(a.tobytes() for a in tables + (rows or ()))
 
@@ -430,7 +431,8 @@ def test_tables_match_cartesian_path_lengths(model):
     lag_tx = np.array([0.0, 0.03, 0.0, 0.11])
     lag_rx = np.array([0.0, 0.0, 0.07, 0.02])
     ctx = statistics._LagContext(cfg, model, 1.0,
-                                 *statistics._broadcast_lags(lag_tx, lag_rx, 0.0, 0.0))
+                                 *statistics._broadcast_lags(lag_tx, lag_rx, 0.0, 0.0),
+                                 cluster_index=1, seed=0)
     occ = full_member_state(cfg, 3, 0, 1.0)[0]
     ang = occ.ray_aoas if model == "gbsm" else virtual_angles(cfg.num_beams)
     _, (tables,), _ = ctx.tables(ang, np.full(ang.size, occ.semi_major))
@@ -463,7 +465,8 @@ def test_direct_path_row_matches_builder(model, slot):
     # rides the last beam of the cluster's own ellipse, so the slot matters
     cfg = SimulationConfig(rician_k=3.0, num_beams=64)
     t, d, dL = 4.0, 0.09, 0.03
-    ctx = statistics._LagContext(cfg, model, t, *statistics._broadcast_lags(0.0, d, 0.0, dL))
+    ctx = statistics._LagContext(cfg, model, t, *statistics._broadcast_lags(0.0, d, 0.0, dL),
+                                 cluster_index=1, seed=0)
     semi = cfg.ellipse.semi_major + slot * SPEED_OF_LIGHT * cfg.delay_spacing / 2.0
     occ = Cluster(index=1, uid=1, slot=slot, semi_major=semi,
                   delay=2.0 * semi / SPEED_OF_LIGHT, power=0.0,
@@ -493,8 +496,8 @@ class PerClusterContext(statistics._LagContext):
     the batched one: tables over the full (dT, dR, dL) columns, built per
     GBSM cluster and per BDCM slot, reduced one cluster at a time."""
 
-    def __init__(self, config, model, t, *lags):
-        super().__init__(config, model, t, *lags)
+    def __init__(self, config, model, t, *lags, **plan):
+        super().__init__(config, model, t, *lags, **plan)
         tx, rx = (np.array([0.0] * self.width) for _ in range(2))
         for lag_tx, lag_rx, col in zip(self.dT, self.dR, self.column):
             tx[col], rx[col] = lag_tx, lag_rx
@@ -599,22 +602,24 @@ def per_cluster_terms(ctx, clusters, budgets, cluster_index, phase_rng):
     return v, a, b
 
 
-def per_cluster_accumulate(args):
+def per_cluster_accumulate(plan, start, stop):
     """Drop-in for ``statistics._accumulate``, one member at a time."""
-    (config, model, cluster_index, t, lag_tx, lag_rx, lag_freq, lag_time,
-     seed, start, stop) = args
-    ctx = PerClusterContext(config, model, t, lag_tx, lag_rx, lag_freq, lag_time)
-    sums = [np.zeros(ctx.length, dtype=dtype)
-            for dtype in (complex, float, float, float, complex, float, np.int64)]
+    config, t, seed = plan.config, plan.t, plan.seed
+    ctx = PerClusterContext(config, plan.model, t, plan.dT, plan.dR, plan.dW, plan.dL,
+                            cluster_index=plan.cluster_index, seed=seed)
+    per_realization = config.normalization == "per_realization"
+    dtypes = (complex, float, np.int64) if per_realization else (complex, float, float, float)
+    sums = [np.zeros(ctx.length, dtype=dtype) for dtype in dtypes]
     for member in range(start, stop):
         clusters = full_member_state(config, seed, member, t)
         budgets = member_stream(seed, member, statistics._STREAM_BUDGET).exponential(
             size=max(len(clusters), 1))
         phase_rng = member_stream(seed, member, statistics._STREAM_PHASE)
-        v, a, b = per_cluster_terms(ctx, clusters, budgets, cluster_index, phase_rng)
+        v, a, b = per_cluster_terms(ctx, clusters, budgets, ctx.cluster_index, phase_rng)
         ok = (a * b) > 0
         r = np.where(ok, v / np.sqrt(np.where(ok, a * b, 1.0)), 0.0)
-        for total, term in zip(sums, (v, np.abs(v) ** 2, a, b, r, np.abs(r) ** 2, ok)):
+        terms = (r, np.abs(r) ** 2, ok) if per_realization else (v, np.abs(v) ** 2, a, b)
+        for total, term in zip(sums, terms):
             total += term
     return tuple(sums)
 
@@ -845,6 +850,23 @@ def test_a_repeated_estimate_draws_again(monkeypatch):
         runs.append([call() for call in calls])
         assert len(states) == 40
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+def test_an_estimate_plans_once_for_all_its_chunks(monkeypatch, model):
+    # a serial call over three chunks builds one lag context and hands
+    # that one to each chunk
+    monkeypatch.delenv("BEAMCHAN_WORKERS", raising=False)
+    plans = _recording(monkeypatch, "_LagContext")
+    chunks = _recording(monkeypatch, "_accumulate")
+    ensemble = 2 * statistics._CHUNK + 10
+    time_acf(SimulationConfig(num_beams=16, rician_k=3.0), model=model,
+             ensemble=ensemble, seed=4)
+    assert len(plans) == 1
+    assert [(start, stop) for _, start, stop in chunks] == [
+        (0, statistics._CHUNK), (statistics._CHUNK, 2 * statistics._CHUNK),
+        (2 * statistics._CHUNK, ensemble)]
+    assert len({id(ctx) for ctx, _, _ in chunks}) == 1
 
 
 @pytest.mark.parametrize("mode", ["analytic", "sampled"])
@@ -1147,20 +1169,24 @@ def test_phase_free_path_matches_the_full_tables(monkeypatch, model, kfac, kappa
     # placed initial clusters are drawn in full
     cfg = preset("fig5").with_values(rician_k=kfac, kappa=kappa)
     lags = statistics._broadcast_lags(0.0, 0.0, [0.0, 3e6], 0.0)
-    assert statistics._LagContext(cfg, model, 1.0, *lags).phase_free
+    assert statistics._LagContext(cfg, model, 1.0, *lags, cluster_index=1, seed=0).phase_free
     got = _frequency_only(cfg, model)
     monkeypatch.setattr(statistics, "_phase_free", lambda *args: False)
-    assert not statistics._LagContext(cfg, model, 1.0, *lags).phase_free
+    assert not statistics._LagContext(cfg, model, 1.0, *lags, cluster_index=1,
+                                      seed=0).phase_free
     want = _frequency_only(cfg, model)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < 1e-15
 
 
-@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
-def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model):
+@pytest.mark.parametrize("model, kfac", [
+    pytest.param(model, kfac, id=model + ("-k3" if kfac else ""))
+    for kfac in (0.0, 3.0) for model in ("gbsm", "bdcm")])
+def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model, kfac):
     # without evolution there are no newborns, so an fcf draws nothing
-    # after each member's count; a spacing lag needs the rays and weights.
-    # Rays are drawn only in the one per-cluster draw, so it counts them
+    # after each member's count; a spacing lag needs the rays and weights,
+    # and with K > 0 the GBSM direct-path rows.  Rays are drawn only in the
+    # one per-cluster draw, so it counts them
     from beamchan import clusters
     rays = []
     new_cluster = clusters._new_cluster
@@ -1171,12 +1197,14 @@ def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model):
 
     monkeypatch.setattr(clusters, "_new_cluster", counted)
     weights = _recording(monkeypatch, "beam_weights")
-    cfg = frozen_config()
+    direct = _recording(monkeypatch, "los_doppler_from_offsets")
+    cfg = frozen_config(rician_k=kfac)
     fcf(cfg, model=model, ensemble=50, seed=7)
-    assert len(rays) == 0 and len(weights) == 0
+    assert len(rays) == 0 and len(weights) == 0 and len(direct) == 0
     stfcf(cfg, model=model, spacing_rx=0.06, freq_lag=1e6, cluster_index=None,
           ensemble=50, seed=7)
     assert len(rays) >= 50 and (len(weights) > 0) == (model == "bdcm")
+    assert (len(direct) > 0) == (model == "gbsm" and kfac > 0)
 
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
@@ -1565,6 +1593,9 @@ def test_worker_env_does_not_change_results():
         "from beamchan.statistics import fcf, time_acf\n"
         "a = time_acf(SimulationConfig(), ensemble=300, seed=77)\n"
         "print(repr(a.values.tobytes().hex()))\n"
+        "los = SimulationConfig(rician_k=3.0, estimator_mode='sampled')\n"
+        "s = time_acf(los, cluster_index=None, ensemble=300, seed=77)\n"
+        "print(repr((s.values.tobytes() + s.std_error.tobytes()).hex()))\n"
         "f = fcf(SimulationConfig(), model='bdcm', ensemble=300, seed=77)\n"
         "print(repr(f.values.tobytes().hex()))\n"
     )
