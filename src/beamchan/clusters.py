@@ -18,11 +18,15 @@ reproducible for any spacing: the cluster survives a step of length x
 
 ``ClusterDraws`` holds the draw steps that ``initial_clusters``,
 ``evolve_time``, ``evolve_array`` and the correlation estimators share, so
-every random draw of a cluster history is made in one place.  The ladder
-itself (each slot's semi-major axis, delay and power-delay weight) and the
-power scale per initial count read only the first semi-major axis, the
-delay spacing and the profile's time constant, so one ``_Ladder`` per
-such triple serves every ``ClusterDraws`` of the process.
+every random draw of a cluster history is made in one place: one raw
+draw per cluster (``_new_cluster``: rays, then chains), which the
+builders' paths wrap into ``Cluster`` objects and the estimators' path
+(``ClusterDraws.member_rows``) writes into rows of the fields they read.
+The ladder itself (each slot's semi-major axis, delay and power-delay
+weight) and the power scale per initial count read only the first
+semi-major axis, the delay spacing and the profile's time constant, so
+one ``_Ladder`` per such triple serves every ``ClusterDraws`` of the
+process.
 """
 from __future__ import annotations
 
@@ -122,11 +126,6 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-# the rays of a placed cluster (``ClusterDraws.positions_only``); read-only
-_UNDRAWN = np.empty(0)
-_UNDRAWN.flags.writeable = False
-
-
 def _copied(c: Cluster) -> Cluster:
     """Shallow copy of a cluster; its arrays are shared, nothing writes them."""
     out = object.__new__(Cluster)
@@ -197,16 +196,14 @@ class ClusterDraws:
     only the ensemble size, so a caller that reads a few clusters can stop
     drawing after the last one it reads without moving any other draw.
 
-    With ``positions_only`` the initial clusters are placed, not drawn:
-    each carries its slot, semi-major axis, delay and power, a NaN mean
-    angle, no rays and no chains, and nothing is drawn after the count.
-    That is for a caller that reads nothing else of them; newborns are
-    always drawn in full, since their slots sit behind their rays' draws.
+    ``initial`` and ``newborns`` wrap the draws into ``Cluster`` objects
+    (for the builders, ``initial_clusters`` and ``evolve_time``);
+    ``member_rows`` appends only the clusters an estimate reads to column
+    lists and builds no objects.
     """
 
-    def __init__(self, config, positions_only: bool = False):
+    def __init__(self, config):
         self.config = config
-        self.positions_only = positions_only
         self.kappa = config.kappa
         self.rays = config.rays_per_cluster
         self.tx_steps = max(config.array.num_tx - 1, 0)
@@ -234,20 +231,37 @@ class ClusterDraws:
             count = int(rng.poisson(self.mean_count))
         return count
 
-    def initial(self, rng, count: int, stop: int) -> list[Cluster]:
-        """The first ``stop`` clusters of an initial set of ``count``."""
-        scale = self.pdp_scale(count)
-        slots = self.ladder.grow(stop)
-        if self.positions_only:
-            return [Cluster(s + 1, s + 1, s, semi_major, delay, weight * scale,
-                            math.nan, _UNDRAWN, pdp_scale=scale)
-                    for s, (semi_major, delay, weight) in enumerate(slots[:stop])]
-        uniform = rng.uniform
-        out = []
+    def _drawn_initial(self, rng, stop: int):
+        """Mean angle, rays and chains of each of the first ``stop`` initial
+        clusters.  A mean angle is uniform(-pi, pi) written out, the same
+        bits from the same stream position."""
+        random = rng.random
         for s in range(stop):
-            mean_aoa = self.config.mean_aoa if s == 0 else uniform(-math.pi, math.pi)
-            out.append(_new_cluster(self, rng, s + 1, s + 1, s, mean_aoa, scale))
-        return out
+            mean_aoa = self.config.mean_aoa if s == 0 else -math.pi + 2.0 * math.pi * random()
+            yield (mean_aoa, *_new_cluster(self, rng, mean_aoa))
+
+    def _drawn_newborns(self, rng, count: int, ladder: int):
+        """Slot below ``ladder``, mean angle, rays and chains of each of
+        ``count`` newborns."""
+        self.ladder.grow(ladder)
+        integers, random = rng.integers, rng.random
+        for _ in range(count):
+            slot = int(integers(0, ladder))
+            mean_aoa = -math.pi + 2.0 * math.pi * random()
+            yield (slot, mean_aoa, *_new_cluster(self, rng, mean_aoa))
+
+    def _cluster(self, index, uid, slot, pdp_scale, mean_aoa, rays, chains) -> Cluster:
+        semi_major, delay, weight = self.ladder.slots[slot]
+        return Cluster(index, uid, slot, semi_major, delay, weight * pdp_scale, mean_aoa,
+                       rays, pdp_scale=pdp_scale, tx_chain=chains[:self.tx_steps],
+                       rx_chain=chains[self.tx_steps:])
+
+    def initial(self, rng, count: int) -> list[Cluster]:
+        """An initial set of ``count`` clusters."""
+        scale = self.pdp_scale(count)
+        self.ladder.grow(count)
+        return [self._cluster(s + 1, s + 1, s, scale, *drawn)
+                for s, drawn in enumerate(self._drawn_initial(rng, count))]
 
     def fates(self, rng, count: int, dt: float) -> tuple[np.ndarray, int]:
         """Positions of the survivors among ``count`` clusters after ``dt``
@@ -263,30 +277,72 @@ class ClusterDraws:
                  first_uid: int) -> list[Cluster]:
         """``count`` fresh clusters numbered from ``first_uid``; each draws a
         slot below ``ladder``, a uniform mean angle, then its rays and chains."""
-        self.ladder.grow(ladder)
-        integers, uniform = rng.integers, rng.uniform
-        out = []
-        for uid in range(first_uid, first_uid + count):
-            slot = int(integers(0, ladder))
-            out.append(_new_cluster(self, rng, 0, uid, slot, uniform(-math.pi, math.pi),
-                                    pdp_scale))
-        return out
+        return [self._cluster(0, uid, slot, pdp_scale, mean_aoa, rays, chains)
+                for uid, (slot, mean_aoa, rays, chains)
+                in enumerate(self._drawn_newborns(rng, count, ladder), first_uid)]
+
+    def member_rows(self, init, evolve, budget, t: float, cluster_index, rows: list,
+                    positions_only: bool) -> int:
+        """Append one row per cluster an estimate reads of one member's
+        history at ``t`` to ``rows``; return their number.
+
+        ``init``, ``evolve`` and ``budget`` are the member's initial, evolve
+        (None when the history does not evolve at ``t``) and time-budget
+        streams; ``cluster_index`` picks one position (``None`` picks all).
+        Each stream is read in the order of a full draw (``initial_clusters``,
+        then ``evolve_time``), and drawing stops after the last cluster
+        picked: the initial clusters run through the last survivor picked,
+        the newborns through the last newborn picked.  So every row holds the
+        full draw's values, position for position.  The budget stream holds
+        one unit-exponential survival budget on the time axis per position.
+
+        A row is a cluster's power, delay, budget, position-1 flag,
+        semi-major axis, first transmit and receive chain budgets (NaN with
+        one antenna on that side), mean angle and rays.  With
+        ``positions_only`` it holds the first four, and the initial clusters
+        are placed from the ladder: nothing after the count is drawn from the
+        initial stream.  Newborns are drawn in full, since their slots sit
+        behind the rays' draws.
+        """
+        count = self.count(init)
+        alive, births = range(count), 0
+        if evolve is not None:
+            alive, births = self.fates(evolve, count, t)
+            alive = alive.tolist()
+        total = len(alive) + births
+        lo, hi = ((0, total) if cluster_index is None
+                  else (cluster_index - 1, min(cluster_index, total)))
+        budgets = budget.standard_exponential(max(total, 1)).tolist()
+        scale = self.pdp_scale(count)
+        slots = self.ladder.grow(count)
+        survivors = alive[lo:hi]  # initial positions of the picked survivors
+        drawn = ([] if positions_only or not survivors
+                 else list(self._drawn_initial(init, survivors[-1] + 1)))
+        picked = [(s, drawn[s] if drawn else None) for s in survivors]
+        first = max(lo - len(alive), 0)  # the first newborn picked, if any
+        if hi - len(alive) > first:  # births, so the evolve stream exists
+            newborns = list(self._drawn_newborns(evolve, hi - len(alive), count))[first:]
+            picked += [(slot, rest) for slot, *rest in newborns]
+        tx, rx = self.tx_steps, self.steps > self.tx_steps
+        for position, (slot, drawn) in enumerate(picked, lo):
+            semi_major, delay, weight = slots[slot]
+            row = (weight * scale, delay, budgets[position], position == 0)
+            if not positions_only:
+                mean_aoa, rays, chains = drawn
+                row += (semi_major, chains[0] if tx else math.nan,
+                        chains[tx] if rx else math.nan, mean_aoa, rays)
+            rows.append(row)
+        return len(picked)
 
 
-def _new_cluster(draws: ClusterDraws, rng, index: int, uid: int, slot: int,
-                 mean_aoa: float, pdp_scale: float) -> Cluster:
-    """The one per-cluster draw: rays (von Mises, or uniform when ``kappa``
-    is not positive), then both array chains in one call.  The caller has
-    grown the ladder through ``slot``."""
-    semi_major, delay, weight = draws.ladder.slots[slot]
+def _new_cluster(draws: ClusterDraws, rng, mean_aoa: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one per-cluster draw: its rays (von Mises, or uniform when
+    ``kappa`` is not positive), then both array chains in one call."""
     if draws.kappa > 0:
         rays = rng.vonmises(mean_aoa, draws.kappa, draws.rays)
     else:
         rays = rng.uniform(-math.pi, math.pi, draws.rays)
-    chains = rng.exponential(1.0, draws.steps)
-    return Cluster(index, uid, slot, semi_major, delay, weight * pdp_scale, mean_aoa,
-                   rays, pdp_scale=pdp_scale, tx_chain=chains[:draws.tx_steps],
-                   rx_chain=chains[draws.tx_steps:])
+    return rays, rng.standard_exponential(draws.steps)
 
 
 def initial_clusters(config, rng_seed) -> list[Cluster]:
@@ -300,8 +356,7 @@ def initial_clusters(config, rng_seed) -> list[Cluster]:
     """
     rng = _as_rng(rng_seed)
     draws = ClusterDraws(config)
-    count = draws.count(rng)
-    return draws.initial(rng, count, count)
+    return draws.initial(rng, draws.count(rng))
 
 
 def _visible_steps(chains, hazard: float, starts, count: int) -> list[range]:

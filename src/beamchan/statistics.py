@@ -62,18 +62,20 @@ sums them over its members once, after its last block, so the bytes
 depend on the chunk alone and the block budget bounds memory (BDCM rows
 can still move by the rounding of the slot products, whose row count
 follows the block).
-Each member's cluster state is drawn on its own, and the clusters an
-estimate reads are stacked over the chunk once, as arrays (``_Picked``:
-per cluster its power, delay, semi-major axis, survival budget,
-cluster-1 flag, first chain steps, mean angle and rays); a block is a
-slice of them.  In either model a cluster
+Each member's clusters are drawn on their own, straight into rows
+(``ClusterDraws.member_rows``: per cluster its power, delay, survival
+budget, cluster-1 flag, semi-major axis, first chain steps, mean angle
+and rays), with no ``Cluster`` objects; the chunk turns its rows into
+one array per field once (``_Picked``), and a block is a slice of
+them.  In either model a cluster
 is then P weighted paths with one gate, delay and power: its S rays
 (GBSM) or the M beams (BDCM), so weights, Dopplers and sampled
 coefficients are (clusters, P) arrays.  GBSM builds one phasor table over
 the block's rays and sums it over the ray axis; BDCM calls
 ``beam_weights`` once over the mean angles and multiplies the weights by
 each delay slot's beam table.  The tables run the distance kernel over
-the distinct spacing pairs only.  Against a loop over single clusters
+the distinct spacing pairs only, and on each side over its distinct
+antenna offsets.  Against a loop over single clusters
 only the summation order differs.
 
 An analytic call with every spacing and time lag zero (every ``fcf``,
@@ -81,8 +83,10 @@ and an ``stfcf`` with only a frequency lag) is phase-free: each phasor
 is exactly 1 and each cluster's path weights, with the direct path's,
 sum to 1, so a cluster adds its gate times its delay rotation times its
 power.  Such a call places the initial clusters (slot, delay and power)
-instead of drawing their mean angles, rays and chains, and builds no
-table, calls no ``beam_weights`` and reads no held entry.  Its member
+instead of drawing their mean angles, rays and chains, and its chunks
+hold only each cluster's power, delay, budget and cluster-1 flag.  Its
+plan builds no beam geometry, and it builds no table, calls no
+``beam_weights`` and reads no held entry.  Its member
 rows are the same in both models, so the GBSM and BDCM estimates are the
 same bytes; against the full tables they differ by rounding (1e-16).
 
@@ -187,37 +191,14 @@ def _broadcast_lags(lag_tx, lag_rx, lag_freq, lag_time):
     return [a.astype(float) for a in np.broadcast_arrays(*arrays)]
 
 
-def _member_state(draws, streams, member, t, cluster_index=None):
-    """The clusters an estimate reads of one member's ensemble at time t,
-    and the ensemble's size.
-
-    ``draws`` holds the draw steps of the call's config, ``streams`` the
-    member's ``MemberStreams``, and ``cluster_index`` picks one position
-    (``None`` picks all).  Each stream is read in the order of a full draw
-    (``initial_clusters``, then ``evolve_time``), and drawing stops after
-    the last cluster picked: the initial clusters run through the last
-    survivor picked, the newborns through the last newborn picked.  So the
-    picked clusters equal the full draw's, position for position.
-    """
-    init = streams.get(member, _STREAM_INIT)
-    count = draws.count(init)
-    alive, births = np.arange(count), 0
-    if draws.evolves(t):
-        evolve = streams.get(member, _STREAM_EVOLVE)
-        alive, births = draws.fates(evolve, count, t)
-    total = alive.size + births
-    lo, hi = ((0, total) if cluster_index is None
-              else (cluster_index - 1, min(cluster_index, total)))
-    picked = alive[lo:hi]  # initial positions of the picked survivors
-    initial = draws.initial(init, count, int(picked[-1]) + 1 if picked.size else 0)
-    out = [initial[i] for i in picked]
-    first = max(lo - alive.size, 0)  # the first newborn picked, if any
-    if hi - alive.size > first:  # births, so the evolve stream exists
-        out += draws.newborns(evolve, hi - alive.size, count, draws.pdp_scale(count),
-                              count + 1)[first:]
-    for position, c in enumerate(out, lo + 1):
-        c.index = position
-    return out, total
+def _member_state(draws, streams, member, t, cluster_index, rows, positions_only):
+    """Append a row per cluster an estimate reads of one member's ensemble
+    at time t to ``rows`` and return their number: ``ClusterDraws.member_rows``
+    over the member's initial, evolve and budget streams from ``streams``."""
+    evolve = streams.get(member, _STREAM_EVOLVE) if draws.evolves(t) else None
+    return draws.member_rows(streams.get(member, _STREAM_INIT), evolve,
+                             streams.get(member, _STREAM_BUDGET), t, cluster_index, rows,
+                             positions_only)
 
 
 def member_channel_state(config, seed: int, member: int, t: float):
@@ -359,6 +340,11 @@ class _LagContext:
         # one kernel call per side covers both antennas; _split separates them
         self.off_tx = _side_offsets(arr.num_tx, arr.spacing_tx, space_tx)
         self.off_rx = _side_offsets(arr.num_rx, arr.spacing_rx, space_rx)
+        # the kernel is elementwise, so it runs over each side's distinct
+        # offsets (in a receive sweep every transmit offset is the configured
+        # one) and ``tables`` scatters them back
+        self.kernel_tx = np.unique(self.off_tx, return_inverse=True)
+        self.kernel_rx = np.unique(self.off_rx, return_inverse=True)
         hz = config.evolution.death_rate / config.evolution.array_decorrelation
         self.hazard_tx = hz * dT
         self.hazard_rx = hz * dR
@@ -366,6 +352,8 @@ class _LagContext:
         self.kfac = config.rician_k
         self.k_eff = self.kfac / (self.kfac + 1.0)
         self.direct_rows = None
+        if self.phase_free:  # reads no table, weight or direct-path row
+            return
         if model == "bdcm":
             angles = virtual_angles(config.num_beams)
             # beam weights read only the arrival angles, which every slot shares
@@ -379,7 +367,7 @@ class _LagContext:
             self.direct_beam = slice(m0 - 1, m0) if self.kfac > 0 else None
             self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
             self.direct_key = t if self.kfac > 0 else None
-        elif self.kfac > 0 and not self.phase_free:
+        elif self.kfac > 0:
             self.direct_rows = HELD.get(("gbsm direct", *self.key, t), self._antenna_direct_rows)
 
     def state_key(self, start: int, stop: int) -> tuple:
@@ -428,9 +416,10 @@ class _LagContext:
         ell = _PathEllipses(semi_major, cfg.ellipse.focal_half)
         d_rx = rx_focal_distance(ang, ell)
         d_tx = 2.0 * semi_major - d_rx
+        (off_tx, back_tx), (off_rx, back_rx) = self.kernel_tx, self.kernel_rx
         tx_x, tx_y = _split(antenna_distances(d_tx, aod_from_aoa(ang, ell),
-                                              cfg.array.tilt_tx, self.off_tx))
-        rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
+                                              cfg.array.tilt_tx, off_tx)[:, back_tx])
+        rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, off_rx)[:, back_rx])
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
         lag_phase = (TWO_PI * doppler[:, None] * self.lag_time[None, :])[:, self.col_lag]
         rows = None if direct is None else self._direct_row(
@@ -458,39 +447,35 @@ class _Picked(NamedTuple):
 
     ``count`` holds each member's number of picked clusters; every other
     field holds one entry per cluster, members in order and each member's
-    clusters by position.  Mean angles are NaN for clusters a phase-free
-    call places instead of drawing, a chain step is NaN where the chain
-    was not drawn or has no step (one antenna), and ``rays`` is None in a
-    phase-free call (or when nothing is picked).
+    clusters by position.  A chain step is NaN where the chain has no step
+    (one antenna on that side).  A phase-free chunk holds the first five
+    fields only, the ones its estimate reads; ``rays`` is also None when
+    nothing is picked.
     """
 
     count: np.ndarray       # picked clusters per member
     power: np.ndarray
     delay: np.ndarray
-    semi_major: np.ndarray
     budget: np.ndarray      # survival budget on the time axis
     first: np.ndarray       # the cluster sits at position 1
-    tx_step: np.ndarray     # first budget of the transmit chain
-    rx_step: np.ndarray     # first budget of the receive chain
-    mean_aoa: np.ndarray
-    rays: np.ndarray | None  # (clusters, S) arrival angles
+    semi_major: np.ndarray | None = None
+    tx_step: np.ndarray | None = None   # first budget of the transmit chain
+    rx_step: np.ndarray | None = None   # first budget of the receive chain
+    mean_aoa: np.ndarray | None = None
+    rays: np.ndarray | None = None      # (clusters, S) arrival angles
 
     @classmethod
-    def stack(cls, count, clusters, budget, rays=True) -> "_Picked":
-        """Arrays of ``clusters`` (``count`` per member) and their survival
-        budgets; ``rays`` False leaves the rays out."""
-        def first_step(chain):
-            return chain[0] if chain is not None and chain.size else math.nan
-
-        return cls(np.array(count, dtype=np.intp),
-                   *(np.array([getattr(c, name) for c in clusters], dtype=float)
-                     for name in ("power", "delay", "semi_major")),
-                   np.array(budget, dtype=float),
-                   np.array([c.index == 1 for c in clusters], dtype=bool),
-                   np.array([first_step(c.tx_chain) for c in clusters], dtype=float),
-                   np.array([first_step(c.rx_chain) for c in clusters], dtype=float),
-                   np.array([c.mean_aoa for c in clusters], dtype=float),
-                   np.stack([c.ray_aoas for c in clusters]) if rays and clusters else None)
+    def of_rows(cls, count, rows: list, phase_free: bool) -> "_Picked":
+        """The arrays of the per-member cluster counts and the cluster rows
+        of ``ClusterDraws.member_rows`` (fields ``power`` onward)."""
+        names = cls._fields[1:5] if phase_free else cls._fields[1:]
+        columns = list(zip(*rows)) or [()] * len(names)
+        dtype = {"first": bool}
+        out = {name: np.array(column, dtype=dtype.get(name, float))
+               for name, column in zip(names, columns)}
+        if not phase_free and not rows:
+            out["rays"] = None
+        return cls(np.array(count, dtype=np.intp), **out)
 
     def members(self, lo: int, hi: int) -> "_Picked":
         """The part of the run that its members ``lo`` to ``hi - 1`` own."""
@@ -598,21 +583,17 @@ def _chunk_state(ctx: _LagContext, members: range) -> tuple:
 
     def draw():
         nonlocal streams
-        draws = ClusterDraws(ctx.config, positions_only=ctx.phase_free)
+        draws = ClusterDraws(ctx.config)
         purposes = [_STREAM_INIT, _STREAM_BUDGET]
         if draws.evolves(ctx.t):
             purposes.append(_STREAM_EVOLVE)
         if ctx.sampled:
             purposes.append(_STREAM_PHASE)
         streams = MemberStreams(ctx.seed, members, purposes)
-        count, picked, budget = [], [], []
-        for member in members:
-            clusters, total = _member_state(draws, streams, member, ctx.t, ctx.cluster_index)
-            budgets = streams.get(member, _STREAM_BUDGET).exponential(size=max(total, 1))
-            count.append(len(clusters))
-            picked += clusters
-            budget += [budgets[c.index - 1] for c in clusters]
-        return _Picked.stack(count, picked, budget, rays=not ctx.phase_free)
+        rows = []
+        count = [_member_state(draws, streams, member, ctx.t, ctx.cluster_index, rows,
+                               ctx.phase_free) for member in members]
+        return _Picked.of_rows(count, rows, ctx.phase_free)
 
     key = ctx.state_key(members.start, members.stop)
     return STATES.get(key, draw, scope=ctx.seed, owner=ctx.owner), streams

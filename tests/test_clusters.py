@@ -212,6 +212,37 @@ def walks(draw):
     return chain, draw(budgets), start, count
 
 
+class TestStreamIdentities:
+    """numpy stream identities the draws rely on, checked on every numpy
+    that CI installs: a mean angle written out as -pi + 2*pi*random() is
+    scalar ``uniform(-pi, pi)``, and ``standard_exponential(n)`` is
+    ``exponential(1.0, n)``, bit for bit and leaving the stream at the same
+    position, which the draws after them show."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01, 5.0])
+    def test_written_out_mean_angle_keeps_the_stream(self, kappa):
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(300):
+            x, y = a.uniform(-math.pi, math.pi), -math.pi + 2.0 * math.pi * b.random()
+            assert x == y
+            if kappa:
+                assert a.vonmises(x, kappa, 20).tobytes() == b.vonmises(y, kappa, 20).tobytes()
+            else:
+                assert (a.uniform(-math.pi, math.pi, 20).tobytes()
+                        == b.uniform(-math.pi, math.pi, 20).tobytes())
+            assert a.exponential(1.0, 7).tobytes() == b.exponential(1.0, 7).tobytes()
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 40])
+    def test_standard_exponential_is_the_unit_exponential(self, size):
+        a, b = np.random.default_rng(22), np.random.default_rng(22)
+        for _ in range(300):
+            assert a.exponential(1.0, size).tobytes() == b.standard_exponential(size).tobytes()
+            assert a.exponential(size=size).tobytes() == b.standard_exponential(size).tobytes()
+            assert a.vonmises(0.3, 5.0, 20).tobytes() == b.vonmises(0.3, 5.0, 20).tobytes()
+            assert a.random() == b.random()
+
+
 class TestVisibleSteps:
     @given(walk=walks())
     @example(walk=([], 0.5, 1, 6))                       # empty chain

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0, j0
 
-from beamchan.bdcm import bdcm_matrix, beam_weights, draw_bdcm_phases
+from beamchan.bdcm import bdcm_matrix, beam_weights, center_los_doppler, draw_bdcm_phases
 from beamchan.clusters import Cluster, EvolutionConfig, time_decay_rate
 from beamchan.config import SimulationConfig, preset
 from beamchan import geometry, statistics
@@ -51,6 +51,39 @@ def full_member_state(config, seed, member, t):
         clusters = evolve_time(clusters, t, config,
                                member_stream(seed, member, statistics._STREAM_EVOLVE))
     return clusters
+
+
+def stack(count, clusters, budget, phase_free=False):
+    """The arrays of ``clusters`` (``count`` per member) and their survival
+    budgets, read field by field from the ``Cluster`` objects: the oracle
+    of the estimators' row draw.  A phase-free chunk keeps the first five
+    fields."""
+    def first_step(chain):
+        return chain[0] if chain is not None and chain.size else math.nan
+
+    def column(read):
+        return np.array([read(c) for c in clusters], dtype=float)
+
+    state = dict(count=np.array(count, dtype=np.intp),
+                 power=column(lambda c: c.power), delay=column(lambda c: c.delay),
+                 budget=np.array(budget, dtype=float),
+                 first=np.array([c.index == 1 for c in clusters], dtype=bool))
+    if not phase_free:
+        state.update(semi_major=column(lambda c: c.semi_major),
+                     tx_step=column(lambda c: first_step(c.tx_chain)),
+                     rx_step=column(lambda c: first_step(c.rx_chain)),
+                     mean_aoa=column(lambda c: c.mean_aoa),
+                     rays=np.stack([c.ray_aoas for c in clusters]) if clusters else None)
+    return statistics._Picked(**state)
+
+
+def assert_same_state(got, want):
+    """Every field of two ``_Picked`` the same bytes, or both None."""
+    for name, g, w in zip(want._fields, got, want):
+        if w is None:
+            assert g is None, name
+        else:
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
 
 
 def frozen_config(**kw):
@@ -455,6 +488,42 @@ def test_tables_match_cartesian_path_lengths(model):
     assert np.max(np.abs(tables[:, ctx.column] - np.exp(1j * dphase))) < 1e-9
 
 
+KERNEL_LAGS = {
+    "receive-sweep": (0.0, np.linspace(0.0, 0.18, 31), 0.0, 0.0),
+    "transmit-sweep": (np.linspace(0.0, 0.18, 31), 0.0, 0.0, 0.0),
+    "mixed": ([0.0, 0.03, 0.0, 0.11, 0.03], [0.0, 0.0, 0.07, 0.02, 0.07], 1e6,
+              [0.0, 0.01, 0.02, 0.0, 0.01]),
+}
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+@pytest.mark.parametrize("lags", list(KERNEL_LAGS), ids=list(KERNEL_LAGS))
+def test_tables_equal_a_per_offset_kernel(model, mode, lags):
+    # the distance kernel runs over each side's distinct offsets and is
+    # scattered back; the tables and direct-path rows are the bytes of a
+    # kernel over every offset
+    arr = ArrayConfig(num_tx=8, num_rx=6, spacing_tx=0.05, spacing_rx=0.08,
+                      tilt_tx=0.7, tilt_rx=1.9)
+    cfg = SimulationConfig(array=arr, num_beams=64, rician_k=3.0, estimator_mode=mode)
+    ctx = statistics._LagContext(cfg, model, 1.0, *statistics._broadcast_lags(*KERNEL_LAGS[lags]),
+                                 cluster_index=1, seed=0)
+    if lags == "receive-sweep":
+        assert ctx.kernel_tx[0].size == 1 and ctx.off_tx.size == 62
+    occ = full_member_state(cfg, 3, 0, 1.0)[0]
+    ang = occ.ray_aoas if model == "gbsm" else ctx.grid.aoa
+    args = (ang, np.full(ang.size, occ.semi_major), ctx.direct_beam if model == "bdcm" else None)
+    got = ctx.tables(*args)
+    ctx.kernel_tx = (ctx.off_tx, np.arange(ctx.off_tx.size))
+    ctx.kernel_rx = (ctx.off_rx, np.arange(ctx.off_rx.size))
+    want = ctx.tables(*args)
+    doppler, tables, rows = got
+    assert doppler.tobytes() == want[0].tobytes()
+    for g, w in zip((*tables, *(rows or ())), (*want[1], *(want[2] or ()))):
+        assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
+    assert (rows is None) == (model == "gbsm")
+
+
 @pytest.mark.parametrize("model", ["gbsm", "bdcm"])
 @pytest.mark.parametrize("slot", [0, 3])
 def test_direct_path_row_matches_builder(model, slot):
@@ -475,7 +544,7 @@ def test_direct_path_row_matches_builder(model, slot):
                   rx_chain=np.array([10.0]))
     k_eff = 3.0 / 4.0
     # survival budgets far above the lag hazards keep both gates open
-    v, a, b = statistics._block_terms(ctx, statistics._Picked.stack([1], [occ], [10.0]))
+    v, a, b = statistics._block_terms(ctx, stack([1], [occ], [10.0]))
     assert a[0] == k_eff and b[0, 0] == k_eff
     respaced = cfg.with_values(array=replace(cfg.array, spacing_rx=d))
     rng = np.random.default_rng(5)
@@ -505,6 +574,12 @@ class PerClusterContext(statistics._LagContext):
         self.off_tx = statistics._side_offsets(arr.num_tx, arr.spacing_tx, tx)
         self.off_rx = statistics._side_offsets(arr.num_rx, arr.spacing_rx, rx)
         self.slot_cache = {}
+        if model == "bdcm":
+            # a phase-free plan builds no beam geometry; the oracle reads it
+            angles = virtual_angles(config.num_beams)
+            self.grid = geometry.VirtualAngleGrid(num_beams=config.num_beams, aoa=angles,
+                                                  aod=aod_from_aoa(angles, config.ellipse))
+            self.center_doppler = center_los_doppler(config)
 
     def cluster_paths(self, occ):
         cfg = self.config
@@ -729,18 +804,19 @@ def test_batched_terms_match_per_cluster_oracle(monkeypatch, model, mode, kfac,
 
 # ------------------------------------------ truncated draws: full-draw oracle
 
-def full_draw_state(draws, streams, member, t, cluster_index=None):
-    """Drop-in for ``statistics._member_state`` that draws every cluster
-    of the member's history and picks afterwards."""
+def full_draw_state(draws, streams, member, t, cluster_index, rows, positions_only):
+    """Drop-in for ``statistics._member_state`` that draws every cluster of
+    the member's history as ``Cluster`` objects, picks afterwards and
+    appends every field of the picked clusters (all nine, also for a
+    phase-free call) to ``rows``."""
     clusters = full_member_state(draws.config, streams.seed, member, t)
-    picked = clusters if cluster_index is None else clusters[cluster_index - 1:cluster_index]
-    return picked, len(clusters)
-
-
-def cluster_fields(c):
-    return (c.index, c.uid, c.slot, c.semi_major, c.delay, c.power, c.mean_aoa,
-            c.pdp_scale, c.visible_tx, c.visible_rx, c.ray_aoas.tolist(),
-            c.tx_chain.tolist(), c.rx_chain.tolist())
+    lo, hi = (0, len(clusters)) if cluster_index is None else (cluster_index - 1, cluster_index)
+    budgets = member_stream(streams.seed, member, statistics._STREAM_BUDGET).exponential(
+        size=max(len(clusters), 1))
+    picked = clusters[lo:hi]
+    if picked:
+        rows.extend(zip(*stack([len(picked)], picked, budgets[lo:hi])[1:]))
+    return len(picked)
 
 
 # at t = 40 s cluster 1 dies with probability 0.38, so the first cluster
@@ -758,18 +834,37 @@ def _past_some_counts(cfg, seed, members, t):
     return max(counts)
 
 
-@pytest.mark.parametrize("cfg, t", TRUNCATION_CASES)
+ROW_CASES = TRUNCATION_CASES + [
+    pytest.param(cfg, t, id=f"{name}-t{t:g}")
+    for name, cfg in (("kappa0", SimulationConfig(num_beams=32, kappa=0.0)),
+                      ("one-tx", SimulationConfig(array=ArrayConfig(num_tx=1, num_rx=4),
+                                                  num_beams=32)))
+    for t in (0.0, 1.0, 40.0)]
+
+
+@pytest.mark.parametrize("cfg, t", ROW_CASES)
 def test_truncated_state_equals_full_draw(cfg, t):
+    # every field of the row draw, bit for bit, against the full draw
+    # (initial_clusters, then evolve_time) stacked field by field; a
+    # phase-free draw places its initial clusters and still draws newborns
     draws = statistics.ClusterDraws(cfg)
     streams = MemberStreams(8, range(60), statistics._PURPOSES)
     past = _past_some_counts(cfg, 8, 60, t)
+    newborns = {False: 0, True: 0}
     for member in range(60):
         full = full_member_state(cfg, 8, member, t)
+        budgets = member_stream(8, member, statistics._STREAM_BUDGET).exponential(size=len(full))
+        initial = draws.count(member_stream(8, member, statistics._STREAM_INIT))
         for index in (1, 2, None, past):
-            got, total = statistics._member_state(draws, streams, member, t, index)
-            want, want_total = full_draw_state(draws, streams, member, t, index)
-            assert total == want_total == len(full)
-            assert [cluster_fields(c) for c in got] == [cluster_fields(c) for c in want]
+            lo, hi = (0, len(full)) if index is None else (index - 1, index)
+            for phase_free in (False, True):
+                rows = []
+                count = statistics._member_state(draws, streams, member, t, index, rows,
+                                                 phase_free)
+                want = stack([len(full[lo:hi])], full[lo:hi], budgets[lo:hi], phase_free)
+                assert_same_state(statistics._Picked.of_rows([count], rows, phase_free), want)
+                newborns[phase_free] += sum(c.uid > initial for c in full[lo:hi])
+    assert all((n > 0) == draws.evolves(t) for n in newborns.values())
 
 
 def _estimates(cfg, model, t, index):
@@ -1205,6 +1300,54 @@ def test_phase_free_fcf_draws_no_rays_and_no_beam_weights(monkeypatch, model, kf
           ensemble=50, seed=7)
     assert len(rays) >= 50 and (len(weights) > 0) == (model == "bdcm")
     assert (len(direct) > 0) == (model == "gbsm" and kfac > 0)
+
+
+def test_a_phase_free_chunk_holds_only_what_its_estimate_reads(monkeypatch):
+    # a phase-free estimate reads each cluster's count, power, delay, budget
+    # and position-1 flag; the chunk holds nothing else, and the estimate is
+    # the bytes of one whose chunks hold every field of the full draw
+    cfg = preset("fig5")
+    kw = dict(freq_lag_grid=np.linspace(0.0, 8e6, 17), ensemble=300, seed=19)
+    STATES.clear()
+    got = fcf(cfg, **kw)
+    slim = [state for state, _, _ in STATES._entries.values()]
+    assert len(slim) == 2
+    for state in slim:
+        assert state[5:] == (None,) * 5
+    of_rows = statistics._Picked.of_rows
+    STATES.clear()
+    with monkeypatch.context() as m:
+        m.setattr(statistics, "_member_state", full_draw_state)
+        m.setattr(statistics._Picked, "of_rows",
+                  classmethod(lambda cls, count, rows, phase_free: of_rows(count, rows, False)))
+        want = fcf(cfg, **kw)
+        full = [state for state, _, _ in STATES._entries.values()]
+    STATES.clear()
+    assert all(a is not None for state in full for a in state)
+    for state, fat in zip(slim, full):
+        assert_same_state(state, statistics._Picked(*fat[:5]))
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.std_error, want.std_error)
+
+
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+def test_a_phase_free_context_builds_no_beam_geometry(monkeypatch, kfac):
+    # a BDCM fcf reads no beam, so its plan builds no grid, no beam Dopplers
+    # and no direct beam; a spacing lag builds them (the center Doppler at
+    # K > 0 only)
+    cfg = preset("fig5").with_values(rician_k=kfac)
+    kw = dict(ensemble=300, seed=23)
+    gbsm = fcf(cfg, model="gbsm", **kw)
+    names = ("virtual_angles", "aod_from_aoa", "ray_doppler", "los_beam_index",
+             "center_los_doppler")
+    calls = {name: _recording(monkeypatch, name) for name in names}
+    bdcm = fcf(cfg, model="bdcm", **kw)
+    assert all(calls[name] == [] for name in names)
+    assert np.array_equal(bdcm.values, gbsm.values)
+    assert np.array_equal(bdcm.std_error, gbsm.std_error)
+    stfcf(cfg, model="bdcm", spacing_rx=0.06, ensemble=20, seed=23)
+    assert all((len(calls[name]) > 0) == (kfac > 0 or name != "center_los_doppler")
+               for name in names)
 
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
