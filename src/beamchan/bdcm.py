@@ -35,6 +35,7 @@ from .geometry import (
     ray_doppler,
     require_real,
     rx_focal_distance,
+    unit_phasors,
 )
 
 __all__ = [
@@ -79,7 +80,7 @@ def response_matrix_tx(grid: VirtualAngleGrid, ellipse, array,
     """Unit phasors of the center-minus-antenna path differences at the transmitter."""
     d_tx = 2.0 * ellipse.semi_major - rx_focal_distance(grid.aoa, ellipse)
     dist = antenna_distance_tx(d_tx, grid.aod, np.arange(1, array.num_tx + 1), array)
-    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (d_tx - dist)))
+    return ResponseMatrix(entries=unit_phasors(TWO_PI / wavelength, d_tx - dist))
 
 
 def response_matrix_rx(grid: VirtualAngleGrid, ellipse, array,
@@ -87,7 +88,7 @@ def response_matrix_rx(grid: VirtualAngleGrid, ellipse, array,
     """Unit phasors of the antenna-minus-center path differences at the receiver."""
     d_rx = rx_focal_distance(grid.aoa, ellipse)
     dist = antenna_distance_rx(d_rx, grid.aoa, np.arange(1, array.num_rx + 1), array)
-    return ResponseMatrix(entries=np.exp(1j * TWO_PI / wavelength * (dist - d_rx)))
+    return ResponseMatrix(entries=unit_phasors(TWO_PI / wavelength, dist - d_rx))
 
 
 def center_los_doppler(config) -> float:

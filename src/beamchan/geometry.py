@@ -29,11 +29,13 @@ __all__ = [
     "virtual_angles",
     "aod_from_aoa",
     "rx_focal_distance",
+    "scatter_geometry",
     "antenna_offset",
     "antenna_distances",
     "antenna_distance_tx",
     "antenna_distance_rx",
     "ray_doppler",
+    "unit_phasors",
     "los_path_from_offsets",
     "los_doppler_from_offsets",
     "los_geometry",
@@ -144,6 +146,20 @@ def rx_focal_distance(aoa, ellipse: EllipseConfig):
     return (a * a - f * f) / (a + f * np.cos(aoa))
 
 
+def scatter_geometry(aoa, semi_major, focal_half):
+    """(d_rx, aod) of the scatterers at arrival angles ``aoa``: the
+    receive-focus distance of ``rx_focal_distance`` and the departure angle
+    of ``aod_from_aoa``, by the same expressions from one cosine and one
+    sine per angle.  ``semi_major`` may hold one ellipse per angle.
+    """
+    a, f = semi_major, focal_half
+    cos, sin = np.cos(aoa), np.sin(aoa)
+    r = (a * a - f * f) / (a + f * cos)
+    # Cartesian position relative to the transmit focus at (-f, 0):
+    # scatterer = (f + r*cos(aoa), r*sin(aoa)), so shift by +2f in x.
+    return r, np.arctan2(r * sin, r * cos + 2.0 * f)
+
+
 def aod_from_aoa(aoa, ellipse: EllipseConfig):
     """Departure angle at the transmit focus for a given arrival angle.
 
@@ -151,11 +167,7 @@ def aod_from_aoa(aoa, ellipse: EllipseConfig):
     receive focus; the returned angle is the direction of that point seen
     from the transmit focus.  Accepts scalars or arrays.
     """
-    f = ellipse.focal_half
-    r = rx_focal_distance(aoa, ellipse)
-    # Cartesian position relative to the transmit focus at (-f, 0):
-    # scatterer = (f + r*cos(aoa), r*sin(aoa)), so shift by +2f in x.
-    return np.arctan2(r * np.sin(aoa), r * np.cos(aoa) + 2.0 * f)
+    return scatter_geometry(aoa, ellipse.semi_major, ellipse.focal_half)[1]
 
 
 def antenna_offset(index, count: int, spacing: float):
@@ -169,38 +181,55 @@ def antenna_offset(index, count: int, spacing: float):
 
 
 def antenna_distances(center, angles, tilt: float, offsets):
-    """Exact antenna-to-scatterer distances, an (A, N) array.
+    """Exact antenna-to-scatterer distances, an (N, A) array, C-ordered.
 
-    Law of cosines between the center-to-scatterer segments (A paths of
-    length ``center`` in direction ``angles``) and the N antenna
-    ``offsets`` along the array axis at ``tilt``: the spherical
-    wavefront distance, no plane-wave approximation.
+    Law of cosines between the N antenna ``offsets`` along the array axis
+    at ``tilt`` and the center-to-scatterer segments (A paths of length
+    ``center`` in direction ``angles``): the spherical wavefront distance,
+    no plane-wave approximation.  Each row is one antenna, so sums over
+    paths run along contiguous memory.
     """
-    c = np.asarray(center, dtype=float).reshape(-1, 1)
-    ca = np.cos(np.asarray(angles, dtype=float) - tilt).reshape(-1, 1)
-    o = np.asarray(offsets, dtype=float)
+    c = np.asarray(center, dtype=float).reshape(-1)
+    ca = np.cos(np.asarray(angles, dtype=float) - tilt).reshape(-1)
+    o = np.asarray(offsets, dtype=float).reshape(-1, 1)
     return np.sqrt(c * c + o * o - 2.0 * c * o * ca)
 
 
 def antenna_distance_tx(center_dist, aod, antenna_index, array: ArrayConfig):
-    """(antennas, paths) distances from the transmit antennas
-    ``antenna_index`` (1-based) to the scatterers at departure angles
-    ``aod``, C-ordered: the rounding of sums over paths can depend on
-    the layout."""
+    """``antenna_distances`` from the transmit antennas ``antenna_index``
+    (1-based) to the scatterers at departure angles ``aod``: (antennas,
+    paths), C-ordered (the rounding of sums over paths can depend on the
+    layout)."""
     off = antenna_offset(antenna_index, array.num_tx, array.spacing_tx)
-    return np.ascontiguousarray(antenna_distances(center_dist, aod, array.tilt_tx, off).T)
+    return antenna_distances(center_dist, aod, array.tilt_tx, off)
 
 
 def antenna_distance_rx(center_dist, aoa, antenna_index, array: ArrayConfig):
-    """(antennas, paths) distances from the receive antennas
-    ``antenna_index`` (1-based) to the scatterers at arrival angles ``aoa``."""
+    """``antenna_distances`` from the receive antennas ``antenna_index``
+    (1-based) to the scatterers at arrival angles ``aoa``: (antennas,
+    paths), C-ordered."""
     off = antenna_offset(antenna_index, array.num_rx, array.spacing_rx)
-    return np.ascontiguousarray(antenna_distances(center_dist, aoa, array.tilt_rx, off).T)
+    return antenna_distances(center_dist, aoa, array.tilt_rx, off)
 
 
 def ray_doppler(aoas, max_doppler: float, velocity_angle: float):
     """Doppler shift of rays or beams arriving from ``aoas``."""
     return max_doppler * np.cos(np.asarray(aoas) - velocity_angle)
+
+
+def unit_phasors(wavenumber, lengths, lag_phase=None, combine=np.add):
+    """exp(1j * wavenumber * lengths), or with ``lag_phase``
+    exp(1j * combine(wavenumber * lengths, lag_phase)), shaped like
+    ``lengths`` and C-ordered.  The phase is written into the imaginary part
+    of the output, which is then exponentiated in place, so no temporary is
+    built; the values are those of ``np.exp(1j * phase)``.
+    """
+    out = np.zeros(np.shape(lengths), dtype=complex)
+    phase = out.imag
+    np.multiply(wavenumber, lengths, out=phase)
+    if lag_phase is not None:
+        combine(phase, lag_phase, out=phase)
+    return np.exp(out, out=out)
 
 
 def los_path_from_offsets(off_tx, off_rx, ellipse: EllipseConfig,

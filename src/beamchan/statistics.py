@@ -75,8 +75,13 @@ the block's rays and sums it over the ray axis; BDCM calls
 ``beam_weights`` once over the mean angles and multiplies the weights by
 each delay slot's beam table.  The tables run the distance kernel over
 the distinct spacing pairs only, and on each side over its distinct
-antenna offsets.  Against a loop over single clusters
-only the summation order differs.
+antenna offsets.  Each path's geometry takes one cosine and one sine
+(``scatter_geometry``), and each table is built lag-major, (columns,
+paths), its phase written into the imaginary part and exponentiated in
+place (``unit_phasors``).  The products read (paths, columns) views of
+them with the strides of column-major tables: the BLAS call a product
+makes, and so its rounding, follows the strides.  Against a loop over
+single clusters only the summation order differs.
 
 An analytic call with every spacing and time lag zero (every ``fcf``,
 and an ``stfcf`` with only a frequency lag) is phase-free: each phasor
@@ -125,13 +130,15 @@ from .config import SimulationConfig
 from .geometry import (
     VirtualAngleGrid,
     antenna_distances,
-    aod_from_aoa,
+    aod_from_aoa,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     los_doppler_from_offsets,
     los_path_from_offsets,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     ray_doppler,
     require_integer,
     require_time,
-    rx_focal_distance,
+    rx_focal_distance,  # noqa: F401  (a name benchmarks/tracing.py wraps)
+    scatter_geometry,
+    unit_phasors,
     virtual_angles,
 )
 
@@ -238,9 +245,15 @@ def _side_offsets(count: int, spacing_cfg: float, deltas: np.ndarray):
 
 
 def _split(values):
-    """Reference and probe halves of a per-offset array (last axis)."""
-    half = values.shape[-1] // 2
-    return values[..., :half], values[..., half:]
+    """Reference and probe halves of a per-offset array (first axis)."""
+    half = values.shape[0] // 2
+    return values[:half], values[half:]
+
+
+def _by_path(table):
+    """The (paths, columns) view of a C-ordered (columns, paths) table:
+    F-ordered, or C-ordered with one column or one path."""
+    return table.reshape(table.shape[::-1]) if 1 in table.shape else table.T
 
 
 def _distinct(*keys):
@@ -249,14 +262,6 @@ def _distinct(*keys):
     seen: dict[tuple, int] = {}
     index = np.array([seen.setdefault(key, len(seen)) for key in zip(*keys)])
     return (index, *(np.array(v) for v in zip(*seen)))
-
-
-class _PathEllipses(NamedTuple):
-    """One ellipse per path: stands in for an ``EllipseConfig`` in the
-    geometry functions, which read both fields elementwise."""
-
-    semi_major: np.ndarray
-    focal_half: float
 
 
 def _phase_free(sampled: bool, dT, dR, dL) -> bool:
@@ -356,17 +361,20 @@ class _LagContext:
             return
         if model == "bdcm":
             angles = virtual_angles(config.num_beams)
-            # beam weights read only the arrival angles, which every slot shares
-            self.grid = VirtualAngleGrid(num_beams=config.num_beams, aoa=angles,
-                                         aod=aod_from_aoa(angles, config.ellipse))
+            # beam weights and the direct beam read only the arrival angles,
+            # which every slot shares; each slot's tables compute its own
+            # departure angles
+            self.grid = VirtualAngleGrid(num_beams=config.num_beams, aoa=angles, aod=None)
             self.beam_doppler = ray_doppler(angles, config.max_doppler,
                                             config.velocity_angle)
-            # the beam-domain direct path rides each slot's direct-path beam
-            # with the array-center Doppler
-            m0 = los_beam_index(self.grid)
-            self.direct_beam = slice(m0 - 1, m0) if self.kfac > 0 else None
-            self.center_doppler = center_los_doppler(config) if self.kfac > 0 else None
-            self.direct_key = t if self.kfac > 0 else None
+            self.direct_beam = self.center_doppler = self.direct_key = None
+            if self.kfac > 0:
+                # the beam-domain direct path rides each slot's direct-path
+                # beam with the array-center Doppler
+                m0 = los_beam_index(self.grid)
+                self.direct_beam = slice(m0 - 1, m0)
+                self.center_doppler = center_los_doppler(config)
+                self.direct_key = t
         elif self.kfac > 0:
             self.direct_rows = HELD.get(("gbsm direct", *self.key, t), self._antenna_direct_rows)
 
@@ -382,12 +390,8 @@ class _LagContext:
         dist, doppler = los_doppler_from_offsets(
             self.off_tx, self.off_rx, cfg.ellipse, arr.tilt_tx, arr.tilt_rx,
             cfg.max_doppler, cfg.velocity_angle)
-        return self._direct_row(*(self._columns(v[None]) for v in
+        return self._direct_row(*(v[None, self.col_space] for v in
                                   (*_split(dist), *_split(doppler))))
-
-    def _columns(self, values):
-        """Spacing-pair values (last axis) spread to the distinct lag columns."""
-        return values[..., self.col_space]
 
     def slot_key(self, semi_major):
         """The held-store key of one delay slot's beam tables."""
@@ -411,26 +415,35 @@ class _LagContext:
         both modes.  With ``direct``, a slice of the one path the direct
         path rides (the beam ``bdcm.los_beam_index`` picks), the last item
         holds the direct-path row along it, in the same form as the tables.
+
+        The geometry takes one cosine and one sine per path, the distances
+        come (offsets, paths) from ``antenna_distances``, and each table is
+        built as (columns, paths), its phase written into the imaginary
+        part and exponentiated in place.  The tables returned are (paths,
+        columns) views of them, F-ordered (the analytic and probe tables
+        C-ordered with one column or one path), the layout of column-major
+        tables, because the BLAS call of a ray sum or slot product follows
+        the strides.
         """
         cfg = self.config
-        ell = _PathEllipses(semi_major, cfg.ellipse.focal_half)
-        d_rx = rx_focal_distance(ang, ell)
+        d_rx, aod = scatter_geometry(ang, semi_major, cfg.ellipse.focal_half)
         d_tx = 2.0 * semi_major - d_rx
         (off_tx, back_tx), (off_rx, back_rx) = self.kernel_tx, self.kernel_rx
-        tx_x, tx_y = _split(antenna_distances(d_tx, aod_from_aoa(ang, ell),
-                                              cfg.array.tilt_tx, off_tx)[:, back_tx])
-        rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, off_rx)[:, back_rx])
+        tx_x, tx_y = _split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, off_tx)[back_tx])
+        rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, off_rx)[back_rx])
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
-        lag_phase = (TWO_PI * doppler[:, None] * self.lag_time[None, :])[:, self.col_lag]
+        lag_phase = (TWO_PI * doppler * self.lag_time[:, None])[self.col_lag]
+        spread = self.col_space
         rows = None if direct is None else self._direct_row(
-            self._columns(tx_x[direct] + rx_x[direct]), self._columns(tx_y[direct] + rx_y[direct]),
+            (tx_x[:, direct] + rx_x[:, direct])[spread].T,
+            (tx_y[:, direct] + rx_y[:, direct])[spread].T,
             self.center_doppler, self.center_doppler)
         if self.sampled:
-            return doppler, (self._columns(np.exp(1j * self.wn * (tx_x + rx_x))),
-                             np.exp(1j * (self.wn * self._columns(tx_y + rx_y)
-                                          + lag_phase))), rows
-        dphase = self.wn * self._columns((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
-        return doppler, (np.exp(1j * dphase),), rows
+            return doppler, (unit_phasors(self.wn, tx_x + rx_x)[spread].T,
+                             _by_path(unit_phasors(self.wn, (tx_y + rx_y)[spread],
+                                                   lag_phase))), rows
+        dpath = ((tx_x - tx_y) + (rx_x - rx_y))[spread]
+        return doppler, (_by_path(unit_phasors(self.wn, dpath, lag_phase, np.subtract)),), rows
 
     def _direct_row(self, d_x, d_y, f_x, f_y):
         """Direct-path table rows from their reference and probe path lengths

@@ -112,7 +112,7 @@ def test_criterion_2_ellipse_geometry_invariants():
     worst_far = 0.0
     for k in (1, 16, 32):
         off = antenna_offset(k, arr.num_rx, arr.spacing_rx)
-        exact = antenna_distances(dist, theta, arr.tilt_rx, [off])[:, 0]
+        exact = antenna_distances(dist, theta, arr.tilt_rx, [off])[0]
         planar = dist - off * np.cos(theta - arr.tilt_rx)
         worst_far = max(worst_far, float(np.max(np.abs(exact - planar) / dist)))
     elapsed = time.perf_counter() - start

@@ -28,6 +28,8 @@ from beamchan.geometry import (
     ArrayConfig,
     EllipseConfig,
     VirtualAngleGrid,
+    antenna_distance_rx,
+    antenna_distance_tx,
     antenna_offset,
     ray_doppler,
     rx_focal_distance,
@@ -54,6 +56,24 @@ def test_response_entries_unit_modulus():
     assert u_r.entries.shape == (4, 16)
     assert np.max(np.abs(np.abs(u_t.entries) - 1.0)) < 1e-12
     assert np.max(np.abs(np.abs(u_r.entries) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("antennas", [16, 128])
+def test_response_matrices_equal_the_complex_temporary_form(antennas):
+    # the in-place phasors are the bytes of np.exp(1j * TWO_PI / wavelength * (...))
+    cfg = small_config(array=ArrayConfig(num_tx=antennas, num_rx=antennas), num_beams=64)
+    ell = EllipseConfig(117.0, cfg.ellipse.focal_half)
+    grid = VirtualAngleGrid.build(cfg.num_beams, ell)
+    index = np.arange(1, antennas + 1)
+    d_rx = rx_focal_distance(grid.aoa, ell)
+    d_tx = 2.0 * ell.semi_major - d_rx
+    want_t = np.exp(1j * TWO_PI / cfg.wavelength
+                    * (d_tx - antenna_distance_tx(d_tx, grid.aod, index, cfg.array)))
+    want_r = np.exp(1j * TWO_PI / cfg.wavelength
+                    * (antenna_distance_rx(d_rx, grid.aoa, index, cfg.array) - d_rx))
+    for got, want in ((response_matrix_tx(grid, ell, cfg.array, cfg.wavelength), want_t),
+                      (response_matrix_rx(grid, ell, cfg.array, cfg.wavelength), want_r)):
+        assert (got.entries.shape, got.entries.tobytes()) == (want.shape, want.tobytes())
 
 
 def test_response_entry_against_cartesian_oracle():

@@ -11,12 +11,15 @@ from beamchan.geometry import (
     VirtualAngleGrid,
     antenna_distance_rx,
     antenna_distance_tx,
+    antenna_distances,
     antenna_offset,
     aod_from_aoa,
     los_doppler,
     los_geometry,
     nearest_beam,
     rx_focal_distance,
+    scatter_geometry,
+    unit_phasors,
     virtual_angles,
 )
 
@@ -263,6 +266,58 @@ class TestAntennaDistances:
             want = np.hypot(scat[0] - ant_x, scat[1] - ant_y)
             scale = ellipse.semi_major + np.abs(offsets)
             assert np.all(np.abs(got[:, 0] - want) <= 1e-9 * scale)
+
+
+    @pytest.mark.parametrize("center", ["scalar", "per-path"])
+    @pytest.mark.parametrize("offsets", [[0.09], np.linspace(-0.5, 0.5, 7)],
+                             ids=["one-offset", "many-offsets"])
+    def test_kernel_is_offset_major_and_equals_a_scalar_loop(self, center, offsets):
+        # one row per offset, C-ordered, each entry the law of cosines on
+        # the kernel's own cosines
+        rng = np.random.default_rng(17)
+        angles, tilt = rng.uniform(-math.pi, math.pi, 5), 0.7
+        c = 90.0 if center == "scalar" else rng.uniform(20.0, 180.0, 5)
+        got = antenna_distances(c, angles, tilt, offsets)
+        assert got.shape == (len(offsets), 5) and got.flags.c_contiguous
+        cosines = np.cos(angles - tilt)
+        for n, o in enumerate(offsets):
+            for p, ca in enumerate(cosines):
+                cp = c if center == "scalar" else c[p]
+                assert got[n, p] == math.sqrt(cp * cp + o * o - 2.0 * cp * o * ca)
+
+
+class TestScatterGeometry:
+    @pytest.mark.parametrize("semi_major", ["one", "per-path"])
+    def test_equals_the_focal_distance_and_departure_angle(self, semi_major):
+        # the bytes of rx_focal_distance and of the departure angle from
+        # three cosines, with a scalar or a per-angle ellipse
+        rng = np.random.default_rng(19)
+        aoa = np.append(rng.uniform(-math.pi, math.pi, 200), [0.0, math.pi, -math.pi / 2])
+        a = 100.0 if semi_major == "one" else rng.uniform(81.0, 300.0, aoa.size)
+        f = 80.0
+        d_rx, aod = scatter_geometry(aoa, a, f)
+        r = (a * a - f * f) / (a + f * np.cos(aoa))
+        assert d_rx.tobytes() == r.tobytes()
+        want = np.arctan2(r * np.sin(aoa), r * np.cos(aoa) + 2.0 * f)
+        assert aod.tobytes() == want.tobytes()
+        if semi_major == "one":
+            assert d_rx.tobytes() == rx_focal_distance(aoa, EllipseConfig(a, f)).tobytes()
+            assert aod.tobytes() == aod_from_aoa(aoa, EllipseConfig(a, f)).tobytes()
+
+
+@pytest.mark.parametrize("lag", [None, "add", "subtract"])
+def test_unit_phasors_equal_exp_of_the_phase(lag):
+    rng = np.random.default_rng(23)
+    lengths = rng.uniform(0.0, 300.0, (7, 33))
+    lag_phase = rng.uniform(-50.0, 50.0, (7, 33))
+    wn = 2.0 * math.pi / 0.0857
+    if lag is None:
+        got, want = unit_phasors(wn, lengths), np.exp(1j * wn * lengths)
+    else:
+        combine = getattr(np, lag)
+        got = unit_phasors(wn, lengths, lag_phase, combine)
+        want = np.exp(1j * combine(wn * lengths, lag_phase))
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 class TestLosGeometry:

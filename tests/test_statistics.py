@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -524,6 +525,98 @@ def test_tables_equal_a_per_offset_kernel(model, mode, lags):
     assert (rows is None) == (model == "gbsm")
 
 
+class PathEllipses(NamedTuple):
+    """One ellipse per path, read elementwise by the geometry functions."""
+
+    semi_major: np.ndarray
+    focal_half: float
+
+
+def path_major_distances(center, angles, tilt, offsets):
+    """The distance kernel in its former (paths, offsets) layout."""
+    c = np.asarray(center, dtype=float).reshape(-1, 1)
+    ca = np.cos(np.asarray(angles, dtype=float) - tilt).reshape(-1, 1)
+    o = np.asarray(offsets, dtype=float)
+    return np.sqrt(c * c + o * o - 2.0 * c * o * ca)
+
+
+def column_major_tables(ctx, ang, semi_major, direct=None):
+    """``_LagContext.tables`` as it was built in (paths, columns) order, three
+    cosines per path and one complex temporary per table: the oracle of
+    the lag-major, in-place tables."""
+    cfg = ctx.config
+    ell = PathEllipses(semi_major, cfg.ellipse.focal_half)
+    d_rx = rx_focal_distance(ang, ell)
+    d_tx = 2.0 * semi_major - d_rx
+
+    def halves(values):
+        half = values.shape[-1] // 2
+        return values[..., :half], values[..., half:]
+
+    def columns(values):
+        return values[..., ctx.col_space]
+
+    (off_tx, back_tx), (off_rx, back_rx) = ctx.kernel_tx, ctx.kernel_rx
+    tx_x, tx_y = halves(path_major_distances(d_tx, aod_from_aoa(ang, ell),
+                                             cfg.array.tilt_tx, off_tx)[:, back_tx])
+    rx_x, rx_y = halves(path_major_distances(d_rx, ang, cfg.array.tilt_rx, off_rx)[:, back_rx])
+    doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
+    lag_phase = (TWO_PI * doppler[:, None] * ctx.lag_time[None, :])[:, ctx.col_lag]
+    rows = None if direct is None else ctx._direct_row(
+        columns(tx_x[direct] + rx_x[direct]), columns(tx_y[direct] + rx_y[direct]),
+        ctx.center_doppler, ctx.center_doppler)
+    if ctx.sampled:
+        return doppler, (columns(np.exp(1j * ctx.wn * (tx_x + rx_x))),
+                         np.exp(1j * (ctx.wn * columns(tx_y + rx_y) + lag_phase))), rows
+    dphase = ctx.wn * columns((tx_x - tx_y) + (rx_x - rx_y)) - lag_phase
+    return doppler, (np.exp(1j * dphase),), rows
+
+
+# KERNEL_LAGS and one lag point, whose tables have a single column
+ORACLE_LAGS = dict(KERNEL_LAGS, point=(0.0, 0.06, 0.0, 0.01))
+
+
+@pytest.mark.parametrize("paths", [20, 1], ids=["paths", "one-path"])
+@pytest.mark.parametrize("kfac", [0.0, 3.0])
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+@pytest.mark.parametrize("model", ["gbsm", "bdcm"])
+@pytest.mark.parametrize("lags", list(ORACLE_LAGS), ids=list(ORACLE_LAGS))
+def test_tables_equal_the_column_major_oracle(model, mode, kfac, lags, paths):
+    # same bytes, shapes and strides: the ray sums and slot products read
+    # the strides, so equal strides keep every estimate's bytes; one path
+    # (one ray of one cluster, or one beam) makes the tables C-ordered too
+    arr = ArrayConfig(num_tx=8, num_rx=6, spacing_tx=0.05, spacing_rx=0.08,
+                      tilt_tx=0.7, tilt_rx=1.9)
+    cfg = SimulationConfig(array=arr, num_beams=64 if paths > 1 else 1, rays_per_cluster=paths,
+                           rician_k=kfac, estimator_mode=mode)
+    ctx = statistics._LagContext(cfg, model, 1.0, *statistics._broadcast_lags(*ORACLE_LAGS[lags]),
+                                 cluster_index=None, seed=0)
+    assert (ctx.width == 1) == (lags == "point")
+    clusters = full_member_state(cfg, 3, 0, 1.0)
+    if model == "gbsm":
+        # a block's rays, each with its own cluster's ellipse
+        clusters = clusters[:1] if paths == 1 else clusters
+        ang = np.concatenate([c.ray_aoas for c in clusters])
+        args = (ang, np.repeat([c.semi_major for c in clusters], cfg.rays_per_cluster))
+    else:
+        args = (ctx.grid.aoa, np.float64(clusters[-1].semi_major), ctx.direct_beam)
+    got, want = ctx.tables(*args), column_major_tables(ctx, *args)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert len(got[1]) == len(want[1]) == 1 + ctx.sampled
+    assert (got[2] is None) == (want[2] is None) == (model == "gbsm" or kfac == 0)
+    for g, w in zip((*got[1], *(got[2] or ())), (*want[1], *(want[2] or ()))):
+        assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
+    if model == "gbsm" and kfac > 0:
+        dist, doppler = los_doppler_from_offsets(ctx.off_tx, ctx.off_rx, cfg.ellipse,
+                                                 arr.tilt_tx, arr.tilt_rx, cfg.max_doppler,
+                                                 cfg.velocity_angle)
+        half = ctx.off_tx.size // 2
+        want_rows = ctx._direct_row(*(v[None, ctx.col_space] for v in
+                                      (dist[:half], dist[half:], doppler[:half], doppler[half:])))
+        for g, w in zip(ctx.direct_rows, want_rows):
+            assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
+
+
 @pytest.mark.parametrize("model", ["gbsm", "bdcm"])
 @pytest.mark.parametrize("slot", [0, 3])
 def test_direct_path_row_matches_builder(model, slot):
@@ -622,8 +715,10 @@ class PerClusterContext(statistics._LagContext):
         split = statistics._split
         d_rx = rx_focal_distance(ang, ellipse)
         d_tx = 2.0 * ellipse.semi_major - d_rx
-        tx_x, tx_y = split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, self.off_tx))
-        rx_x, rx_y = split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, self.off_rx))
+        tx_x, tx_y = (h.T for h in split(antenna_distances(d_tx, aod, cfg.array.tilt_tx,
+                                                            self.off_tx)))
+        rx_x, rx_y = (h.T for h in split(antenna_distances(d_rx, ang, cfg.array.tilt_rx,
+                                                            self.off_rx)))
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
         lag_phase = TWO_PI * doppler[:, None] * self.col_time[None, :]
         direct = None if not with_direct else self.direct_row(
@@ -1333,8 +1428,10 @@ def test_a_phase_free_chunk_holds_only_what_its_estimate_reads(monkeypatch):
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
 def test_a_phase_free_context_builds_no_beam_geometry(monkeypatch, kfac):
     # a BDCM fcf reads no beam, so its plan builds no grid, no beam Dopplers
-    # and no direct beam; a spacing lag builds them (the center Doppler at
-    # K > 0 only)
+    # and no direct beam; a spacing lag builds the grid and the Dopplers,
+    # the direct beam and the center Doppler at K > 0 only, and never the
+    # departure angles of the config ellipse (each slot's tables compute
+    # their own)
     cfg = preset("fig5").with_values(rician_k=kfac)
     kw = dict(ensemble=300, seed=23)
     gbsm = fcf(cfg, model="gbsm", **kw)
@@ -1346,8 +1443,10 @@ def test_a_phase_free_context_builds_no_beam_geometry(monkeypatch, kfac):
     assert np.array_equal(bdcm.values, gbsm.values)
     assert np.array_equal(bdcm.std_error, gbsm.std_error)
     stfcf(cfg, model="bdcm", spacing_rx=0.06, ensemble=20, seed=23)
-    assert all((len(calls[name]) > 0) == (kfac > 0 or name != "center_los_doppler")
-               for name in names)
+    assert len(calls["virtual_angles"]) > 0 and len(calls["ray_doppler"]) > 0
+    assert calls["aod_from_aoa"] == []
+    for name in ("los_beam_index", "center_los_doppler"):
+        assert len(calls[name]) == (1 if kfac > 0 else 0)
 
 
 @pytest.mark.parametrize("kfac", [0.0, 3.0])
@@ -1416,8 +1515,8 @@ def _von_mises_expectation(cfg, semi_major, lag_tx, lag_rx, lag_time):
     def phasor(th):
         d_rx = rx_focal_distance(th, ell)
         tx = antenna_distances(2 * semi_major - d_rx, aod_from_aoa(th, ell), arr.tilt_tx,
-                               off_tx)[0]
-        rx = antenna_distances(d_rx, th, arr.tilt_rx, off_rx)[0]
+                               off_tx)[:, 0]
+        rx = antenna_distances(d_rx, th, arr.tilt_rx, off_rx)[:, 0]
         phase = (TWO_PI / cfg.wavelength * ((tx[0] - tx[1]) + (rx[0] - rx[1]))
                  - TWO_PI * ray_doppler(th, cfg.max_doppler, cfg.velocity_angle) * lag_time)
         return math.exp(cfg.kappa * math.cos(th - cfg.mean_aoa)) * complex(math.cos(phase),
