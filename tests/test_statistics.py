@@ -611,7 +611,7 @@ def test_tables_equal_the_column_major_oracle(model, mode, kfac, lags, paths):
                                                  arr.tilt_tx, arr.tilt_rx, cfg.max_doppler,
                                                  cfg.velocity_angle)
         half = ctx.off_tx.size // 2
-        want_rows = ctx._direct_row(*(v[None, ctx.col_space] for v in
+        want_rows = ctx._direct_row(*(v[None][..., ctx.col_space] for v in
                                       (dist[:half], dist[half:], doppler[:half], doppler[half:])))
         for g, w in zip(ctx.direct_rows, want_rows):
             assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
