@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         paths = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in paths:

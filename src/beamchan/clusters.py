@@ -23,16 +23,15 @@ draw per cluster (``_new_cluster``: rays, then chains), which the
 builders' paths wrap into ``Cluster`` objects and the estimators' path
 (``ClusterDraws.member_rows``) writes into rows of the fields they read.
 The ladder itself (each slot's semi-major axis, delay and power-delay
-weight) and the power scale per initial count read only the first
+weight) and the power scale of an initial count read only the first
 semi-major axis, the delay spacing and the profile's time constant, so
-one ``_Ladder`` per such triple serves every ``ClusterDraws`` of the
-process.
+one cached, immutable ``_ladder`` call per such triple and count serves
+every ``ClusterDraws`` of the process.
 """
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,54 +138,25 @@ def _parentage(clusters: list[Cluster]) -> tuple[int, float, int]:
             max((c.uid for c in clusters), default=0) + 1)
 
 
-class _Ladder:
-    """The delay ladder of one (first semi-major axis, delay spacing, tau0):
-    per slot its semi-major axis, delay and power-delay weight, grown on
-    demand, and the power scale of an initial set per cluster count.
-
-    Threads may share a ladder: it grows under a lock, so no slot is
-    appended twice, and a slot once appended never changes.
-    """
-
-    def __init__(self, semi_major: float, delay_spacing: float, tau0: float):
-        self.semi_major, self.delay_spacing, self.tau0 = semi_major, delay_spacing, tau0
-        self.slots: list[tuple[float, float, float]] = []
-        self.scales: dict[int, float] = {}
-        self._lock = threading.Lock()
-
-    def grow(self, length: int) -> list[tuple[float, float, float]]:
-        """The slot list, grown to at least ``length`` slots."""
-        slots = self.slots
-        if len(slots) < length:
-            with self._lock:
-                while len(slots) < length:
-                    s = len(slots)
-                    a = self.semi_major + s * SPEED_OF_LIGHT * self.delay_spacing / 2.0
-                    slots.append((a, 2.0 * a / SPEED_OF_LIGHT,
-                                  math.exp(-s * self.delay_spacing / self.tau0)))
-        return slots
-
-    def scale(self, count: int) -> float:
-        """Power scale that normalizes an initial set of ``count`` clusters;
-        a race computes it twice, to the same value."""
-        scale = self.scales.get(count)
-        if scale is None:
-            weights = np.array([w for _, _, w in self.grow(count)[:count]])
-            scale = self.scales[count] = 1.0 / weights.sum()
-        return scale
-
-
-@functools.lru_cache(maxsize=64)
-def _ladder(semi_major: float, delay_spacing: float, tau0: float) -> _Ladder:
-    """The process's ladder of one key; the least recently used of more
-    than 64 keys leaves first."""
-    return _Ladder(semi_major, delay_spacing, tau0)
+@functools.lru_cache(maxsize=1024)
+def _ladder(semi_major: float, delay_spacing: float, tau0: float,
+            length: int) -> tuple[tuple[tuple[float, float, float], ...], float]:
+    """The first ``length`` slots of the delay ladder of one (first
+    semi-major axis, delay spacing, tau0), each (semi-major axis, delay,
+    power-delay weight), and the power scale that normalizes an initial set
+    of ``length`` clusters.  Pure and cached, so threads may share it; the
+    least recently used of more than 1024 entries leaves first."""
+    slots = []
+    for s in range(length):
+        a = semi_major + s * SPEED_OF_LIGHT * delay_spacing / 2.0
+        slots.append((a, 2.0 * a / SPEED_OF_LIGHT, math.exp(-s * delay_spacing / tau0)))
+    return tuple(slots), 1.0 / np.array([w for _, _, w in slots]).sum()
 
 
 class ClusterDraws:
     """The draw steps of a cluster history, with the config-derived
-    constants they share computed once per instance and the delay ladder
-    held once per process (``_ladder``).
+    constants they share computed once per instance; ``key`` is what the
+    delay ladder (``_ladder``) reads of the config.
 
     Every random draw of a history goes through these steps in a fixed
     order.  The initial stream holds the count, then per cluster its mean
@@ -198,8 +168,8 @@ class ClusterDraws:
 
     ``initial`` and ``newborns`` wrap the draws into ``Cluster`` objects
     (for the builders, ``initial_clusters`` and ``evolve_time``);
-    ``member_rows`` appends only the clusters an estimate reads to column
-    lists and builds no objects.
+    ``member_rows`` appends one row tuple per cluster an estimate reads to
+    one list and builds no objects.
     """
 
     def __init__(self, config):
@@ -211,17 +181,13 @@ class ClusterDraws:
         self.mean_count = config.mean_cluster_count
         # exponential power-delay profile in excess delay; the time constant
         # is the mean excess delay of the average-length ladder
-        self.tau0 = config.delay_spacing * max((self.mean_count - 1.0) / 2.0, 1.0)
-        self.ladder = _ladder(config.ellipse.semi_major, config.delay_spacing, self.tau0)
+        tau0 = config.delay_spacing * max((self.mean_count - 1.0) / 2.0, 1.0)
+        self.key = (config.ellipse.semi_major, config.delay_spacing, tau0)
 
     def evolves(self, t: float) -> bool:
         """Whether a history at ``t`` reads its evolve stream: with no deaths
         its fates would keep every cluster and add none."""
         return t > 0 and self.config.evolution.death_rate > 0
-
-    def pdp_scale(self, count: int) -> float:
-        """Power scale that normalizes an initial set of ``count`` clusters."""
-        return self.ladder.scale(count)
 
     def count(self, rng) -> int:
         """Initial cluster count: Poisson with the steady-state mean, empty
@@ -243,24 +209,23 @@ class ClusterDraws:
     def _drawn_newborns(self, rng, count: int, ladder: int):
         """Slot below ``ladder``, mean angle, rays and chains of each of
         ``count`` newborns."""
-        self.ladder.grow(ladder)
         integers, random = rng.integers, rng.random
         for _ in range(count):
             slot = int(integers(0, ladder))
             mean_aoa = -math.pi + 2.0 * math.pi * random()
             yield (slot, mean_aoa, *_new_cluster(self, rng, mean_aoa))
 
-    def _cluster(self, index, uid, slot, pdp_scale, mean_aoa, rays, chains) -> Cluster:
-        semi_major, delay, weight = self.ladder.slots[slot]
+    def _cluster(self, slots, index, uid, slot, pdp_scale, mean_aoa, rays,
+                 chains) -> Cluster:
+        semi_major, delay, weight = slots[slot]
         return Cluster(index, uid, slot, semi_major, delay, weight * pdp_scale, mean_aoa,
                        rays, pdp_scale=pdp_scale, tx_chain=chains[:self.tx_steps],
                        rx_chain=chains[self.tx_steps:])
 
     def initial(self, rng, count: int) -> list[Cluster]:
         """An initial set of ``count`` clusters."""
-        scale = self.pdp_scale(count)
-        self.ladder.grow(count)
-        return [self._cluster(s + 1, s + 1, s, scale, *drawn)
+        slots, scale = _ladder(*self.key, count)
+        return [self._cluster(slots, s + 1, s + 1, s, scale, *drawn)
                 for s, drawn in enumerate(self._drawn_initial(rng, count))]
 
     def fates(self, rng, count: int, dt: float) -> tuple[np.ndarray, int]:
@@ -277,7 +242,8 @@ class ClusterDraws:
                  first_uid: int) -> list[Cluster]:
         """``count`` fresh clusters numbered from ``first_uid``; each draws a
         slot below ``ladder``, a uniform mean angle, then its rays and chains."""
-        return [self._cluster(0, uid, slot, pdp_scale, mean_aoa, rays, chains)
+        slots = _ladder(*self.key, ladder)[0]
+        return [self._cluster(slots, 0, uid, slot, pdp_scale, mean_aoa, rays, chains)
                 for uid, (slot, mean_aoa, rays, chains)
                 in enumerate(self._drawn_newborns(rng, count, ladder), first_uid)]
 
@@ -313,8 +279,7 @@ class ClusterDraws:
         lo, hi = ((0, total) if cluster_index is None
                   else (cluster_index - 1, min(cluster_index, total)))
         budgets = budget.standard_exponential(max(total, 1)).tolist()
-        scale = self.pdp_scale(count)
-        slots = self.ladder.grow(count)
+        slots, scale = _ladder(*self.key, count)
         survivors = alive[lo:hi]  # initial positions of the picked survivors
         drawn = ([] if positions_only or not survivors
                  else list(self._drawn_initial(init, survivors[-1] + 1)))

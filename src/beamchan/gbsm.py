@@ -20,13 +20,14 @@ from .geometry import (
     EllipseConfig,
     antenna_distance_rx,
     antenna_distance_tx,
-    aod_from_aoa,
+    aod_from_aoa,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     los_doppler,
     los_geometry,  # noqa: F401  (a name benchmarks/tracing.py wraps)
     ray_doppler,
     require_integer,
     require_real,
-    rx_focal_distance,
+    rx_focal_distance,  # noqa: F401  (a name benchmarks/tracing.py wraps)
+    scatter_geometry,
 )
 
 __all__ = [
@@ -95,9 +96,9 @@ def gbsm_matrix(t: float, clusters, config, phases: PhaseDraw | None = None,
         vis_rx, vis_tx = np.asarray(c.visible_rx), np.asarray(c.visible_tx)
         aoas = c.ray_aoas
         ellipse = cluster_ellipse(c, config)
-        d_rx = rx_focal_distance(aoas, ellipse)
+        d_rx, aod = scatter_geometry(aoas, ellipse.semi_major, ellipse.focal_half)
         d_tx = 2.0 * ellipse.semi_major - d_rx
-        dist_t = antenna_distance_tx(d_tx, aod_from_aoa(aoas, ellipse), vis_tx, arr)
+        dist_t = antenna_distance_tx(d_tx, aod, vis_tx, arr)
         dist_r = antenna_distance_rx(d_rx, aoas, vis_rx, arr)
         carrier = (TWO_PI * ray_doppler(aoas, config.max_doppler, config.velocity_angle) * t
                    + phases.nlos[c.uid])

@@ -217,18 +217,18 @@ def ray_doppler(aoas, max_doppler: float, velocity_angle: float):
     return max_doppler * np.cos(np.asarray(aoas) - velocity_angle)
 
 
-def unit_phasors(wavenumber, lengths, lag_phase=None, combine=np.add):
+def unit_phasors(wavenumber, lengths, lag_phase=None):
     """exp(1j * wavenumber * lengths), or with ``lag_phase``
-    exp(1j * combine(wavenumber * lengths, lag_phase)), shaped like
-    ``lengths`` and C-ordered.  The phase is written into the imaginary part
-    of the output, which is then exponentiated in place, so no temporary is
-    built; the values are those of ``np.exp(1j * phase)``.
+    exp(1j * (wavenumber * lengths + lag_phase)), shaped like ``lengths``
+    and C-ordered.  The phase is written into the imaginary part of the
+    output, which is then exponentiated in place, so no temporary is built;
+    the values are those of ``np.exp(1j * phase)``.
     """
     out = np.zeros(np.shape(lengths), dtype=complex)
     phase = out.imag
     np.multiply(wavenumber, lengths, out=phase)
     if lag_phase is not None:
-        combine(phase, lag_phase, out=phase)
+        phase += lag_phase
     return np.exp(out, out=out)
 
 

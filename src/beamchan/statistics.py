@@ -291,10 +291,10 @@ def _by_member(member, rows, count: int):
 
 class _LagContext:
     """The plan of one estimate, built once per call and handed to every
-    chunk (pickled to a worker, so it holds no ``ClusterDraws``, whose
-    ladder holds a lock).  ``state_key`` is what a chunk's draw reads, not
-    the model or the lags; ``owner``, the model and lag bytes, names the
-    estimate, which draws again the ``STATES`` entries it drew itself.
+    chunk (pickled to a worker; each chunk makes its own ``ClusterDraws``).
+    ``state_key`` is what a chunk's draw reads, not the model or the lags;
+    ``owner``, the model and lag bytes, names the estimate, which draws
+    again the ``STATES`` entries it drew itself.
 
     The phasor tables depend on the lags through (dT, dR, dL) only, so
     they are built over the distinct columns of that triple, in
@@ -432,7 +432,10 @@ class _LagContext:
         tx_x, tx_y = _split(antenna_distances(d_tx, aod, cfg.array.tilt_tx, off_tx)[back_tx])
         rx_x, rx_y = _split(antenna_distances(d_rx, ang, cfg.array.tilt_rx, off_rx)[back_rx])
         doppler = ray_doppler(ang, cfg.max_doppler, cfg.velocity_angle)
-        lag_phase = (TWO_PI * doppler * self.lag_time[:, None])[self.col_lag]
+        # analytic tables take the reference-minus-probe phase, so their lag
+        # phase enters with its sign turned: (-a)*b == -(a*b) exactly
+        lag_phase = ((TWO_PI if self.sampled else -TWO_PI)
+                     * doppler * self.lag_time[:, None])[self.col_lag]
         spread = self.col_space
         rows = None if direct is None else self._direct_row(
             (tx_x[:, direct] + rx_x[:, direct])[spread].T,
@@ -443,7 +446,7 @@ class _LagContext:
                              _by_path(unit_phasors(self.wn, (tx_y + rx_y)[spread],
                                                    lag_phase))), rows
         dpath = ((tx_x - tx_y) + (rx_x - rx_y))[spread]
-        return doppler, (_by_path(unit_phasors(self.wn, dpath, lag_phase, np.subtract)),), rows
+        return doppler, (_by_path(unit_phasors(self.wn, dpath, lag_phase)),), rows
 
     def _direct_row(self, d_x, d_y, f_x, f_y):
         """Direct-path table rows from their reference and probe path lengths

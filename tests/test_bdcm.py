@@ -21,7 +21,7 @@ from beamchan.bdcm import (
     response_matrix_rx,
     response_matrix_tx,
 )
-from beamchan.clusters import ClusterDraws, evolve_array, initial_clusters
+from beamchan.clusters import ClusterDraws, _ladder, evolve_array, initial_clusters
 from beamchan.config import SimulationConfig
 from beamchan.gbsm import PhaseDraw, cluster_ellipse
 from beamchan.geometry import (
@@ -425,10 +425,9 @@ def test_basis_arrays_are_read_only():
 
 def test_basis_cache_stays_within_budget():
     cfg = SimulationConfig(array=ArrayConfig(num_tx=128, num_rx=128))
-    draws = ClusterDraws(cfg)
     count = int(2 * cfg.mean_cluster_count)
     slots = [EllipseConfig(semi_major, cfg.ellipse.focal_half)
-             for semi_major, _, _ in draws.ladder.grow(count)[:count]]
+             for semi_major, _, _ in _ladder(*ClusterDraws(cfg).key, count)[0]]
     for ell in slots:
         bdcm._basis(ell, cfg)
         assert held_bytes() <= HELD.budget

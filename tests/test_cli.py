@@ -346,6 +346,24 @@ def test_rejected_stats_leaves_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["reproduce", "fig6"],
+    ["simulate"],
+    ["stats", "--ensemble", "2"],
+], ids=["reproduce", "simulate", "stats"])
+def test_an_out_path_that_is_a_file_fails_by_name(tmp_path, capsys, command):
+    # mkdir on an existing file used to escape main as a FileExistsError
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    config = [] if command[0] == "reproduce" else ["--config", str(small_path(tmp_path))]
+    rc = main(command + config + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == ""
+
+
 def test_simulate_covers_the_array_within_visibility(tmp_path):
     # a short array decorrelation distance leaves clusters visible to
     # only part of each array, and births at later antennas

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from beamchan.clusters import (
     ClusterDraws,
     EvolutionConfig,
-    _Ladder,
+    _ladder,
     _visible_steps,
     array_survival,
     evolve_array,
@@ -134,18 +134,30 @@ def ladder_oracle(cfg, length):
     return slots, scales
 
 
+def same_bytes(ladder, slots, scale):
+    """Whether a ``_ladder`` result holds ``slots`` and ``scale`` bit for bit."""
+    got_slots, got_scale = ladder
+    return (np.array(got_slots).tobytes() == np.array(slots).tobytes()
+            and np.float64(got_scale).tobytes() == np.float64(scale).tobytes())
+
+
 class TestSharedLadder:
+    def test_every_length_equals_the_oracle(self):
+        cfg = small_config(delay_spacing=19e-9, mean_clusters=17.0)
+        key, length = ClusterDraws(cfg).key, 500
+        slots, scales = ladder_oracle(cfg, length)
+        for n in range(1, length + 1):
+            assert same_bytes(_ladder(*key, n), slots[:n], scales[n]), n
+
     def test_equal_configs_share_one_ladder_of_the_same_values(self):
         cfg = small_config(delay_spacing=17e-9, mean_clusters=13.0)
         a, b = ClusterDraws(cfg), ClusterDraws(small_config(delay_spacing=17e-9,
                                                             mean_clusters=13.0))
-        assert a.ladder is b.ladder
+        assert a.key == b.key
         slots, scales = ladder_oracle(cfg, 60)
-        # one ClusterDraws grows the ladder, the other reads what it grew
-        assert [a.ladder.grow(s + 1)[s] for s in range(60)] == slots
-        assert [b.ladder.grow(s + 1)[s] for s in range(60)] == slots
-        assert {count: b.pdp_scale(count) for count in scales} == scales
-        assert {count: a.pdp_scale(count) for count in scales} == scales
+        for n in range(1, 61):
+            assert _ladder(*a.key, n) is _ladder(*b.key, n)
+            assert same_bytes(_ladder(*b.key, n), slots[:n], scales[n])
 
     @pytest.mark.parametrize("change", [
         dict(delay_spacing=30e-9),
@@ -155,29 +167,32 @@ class TestSharedLadder:
     def test_configs_that_differ_in_what_it_reads_do_not_share(self, change):
         base = small_config(mean_clusters=20.0)
         other = replace(base, **change)
-        assert ClusterDraws(base).ladder is not ClusterDraws(other).ladder
+        key = ClusterDraws(other).key
+        assert key != ClusterDraws(base).key
+        assert _ladder(*ClusterDraws(base).key, 30) is not _ladder(*key, 30)
         slots, scales = ladder_oracle(other, 30)
-        draws = ClusterDraws(other)
-        assert [draws.ladder.grow(s + 1)[s] for s in range(30)] == slots
-        assert {count: draws.pdp_scale(count) for count in scales} == scales
+        for n in range(1, 31):
+            assert same_bytes(_ladder(*key, n), slots[:n], scales[n])
 
-    def test_threads_growing_one_ladder_give_the_serial_list(self):
-        # four threads grow one fresh ladder step by step, released together
-        # and switching as often as the interpreter allows; no slot may be
-        # appended twice or out of order
-        args = (100.0, 25e-9, 25e-9 * 9.5)
-        shared, length = _Ladder(*args), 500
+    def test_threads_reading_one_ladder_give_the_serial_values(self):
+        # four threads ask for every length of one key no call has cached
+        # yet, released together and switching as often as the interpreter
+        # allows; every call must return the serial values
+        cfg = small_config(delay_spacing=23e-9, mean_clusters=21.0)
+        key, length = ClusterDraws(cfg).key, 500
+        slots, scales = ladder_oracle(cfg, length)
         start = threading.Barrier(4)
+        results = [[] for _ in range(4)]
 
-        def grow():
+        def read(out):
             start.wait(timeout=30)
             for n in range(1, length + 1):
-                shared.grow(n)
+                out.append(_ladder(*key, n))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=grow) for _ in range(4)]
+            threads = [threading.Thread(target=read, args=(out,)) for out in results]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -185,8 +200,10 @@ class TestSharedLadder:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert shared.slots == _Ladder(*args).grow(length)
-        assert len(shared.slots) == length
+        for out in results:
+            assert len(out) == length
+            assert all(same_bytes(got, slots[:n], scales[n])
+                       for n, got in enumerate(out, 1))
 
 
 def visible_steps_loop(chain, hazard, start, count):

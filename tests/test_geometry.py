@@ -305,7 +305,7 @@ class TestScatterGeometry:
             assert aod.tobytes() == aod_from_aoa(aoa, EllipseConfig(a, f)).tobytes()
 
 
-@pytest.mark.parametrize("lag", [None, "add", "subtract"])
+@pytest.mark.parametrize("lag", [None, "add"])
 def test_unit_phasors_equal_exp_of_the_phase(lag):
     rng = np.random.default_rng(23)
     lengths = rng.uniform(0.0, 300.0, (7, 33))
@@ -314,9 +314,8 @@ def test_unit_phasors_equal_exp_of_the_phase(lag):
     if lag is None:
         got, want = unit_phasors(wn, lengths), np.exp(1j * wn * lengths)
     else:
-        combine = getattr(np, lag)
-        got = unit_phasors(wn, lengths, lag_phase, combine)
-        want = np.exp(1j * combine(wn * lengths, lag_phase))
+        got = unit_phasors(wn, lengths, lag_phase)
+        want = np.exp(1j * (wn * lengths + lag_phase))
     assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
